@@ -29,6 +29,22 @@ EXIT_LINT = 4
 _POLICY_FLAG = {"single": "single_site", "spread": "spread", "off": "off"}
 
 
+def _overlap_penalty(value: str) -> int:
+    """Parse ``--overlap-penalty``: a non-negative integer, or ``inf``."""
+    text = value.strip().lower()
+    if text == "inf":
+        return INF
+    try:
+        penalty = int(text)
+    except ValueError:
+        penalty = -1
+    if penalty < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer or 'inf', got {value!r}"
+        )
+    return penalty
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qalam",
@@ -77,8 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     justify.add_argument("--line-penalty", type=int, default=10)
     justify.add_argument(
         "--overlap-penalty",
-        default="3000",
-        help="penalty for stacked elongations on consecutive lines, or 'inf'",
+        type=_overlap_penalty,
+        default=3000,
+        help="penalty for stacked elongations on consecutive lines: "
+        "a non-negative integer, or 'inf'",
     )
     justify.add_argument("--variants", choices=("on", "off"), default="off")
     justify.add_argument(
@@ -163,10 +181,9 @@ def _cmd_justify(args) -> int:
     features = _features(args)
     if args.width <= 0:
         raise LayoutError(f"measure must be positive, got {args.width}")
-    overlap = INF if args.overlap_penalty.strip().lower() == "inf" else int(args.overlap_penalty)
     params = JustifyParams(
         line_penalty=args.line_penalty,
-        overlap_penalty=overlap,
+        overlap_penalty=args.overlap_penalty,
         variants=args.variants == "on",
         kashida_policy=_POLICY_FLAG[args.kashida_policy],
         gap_epsilon=args.gap_epsilon,

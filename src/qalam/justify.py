@@ -17,13 +17,31 @@ shrink only. Hyphenation does not exist here: words never split.
 The dynamic program's state is (break position, quantized x-intervals of
 the just-laid line's elongations), which is exactly what the next line's
 overlap penalty depends on, so the search is exact for the cost model.
+
+Breaks are visited in increasing order, so every state at an earlier break
+is final when lines ending at break j are built. Each line from i to j
+with its choice of variants is scored by a lower bound on the total of
+any state it can produce: the least total at i plus the line's demerits
+with no overlap charge. Full line candidates are then built in ascending
+bound order under a dominance rule. Let theta be the least
+``total + overlap_penalty * |signature|`` over the states built at j so
+far. A state at j whose total exceeds theta is dropped, and building stops
+at the first bound above theta. The rule is exact. Whatever line follows,
+its overlap charge against a state lies between 0 and ``overlap_penalty``
+times that state's signature size. Capping demerits at ``INF`` only
+narrows that gap. The rest of the paragraph does not depend on the state.
+So continuing from the state that sets theta costs strictly less than
+continuing from any dropped one. The comparisons are strict, so ties
+still reach the documented tie-break. The bound holds for an infinite
+overlap penalty too: an overlapping line's demerits are capped at ``INF``,
+which ``overlap_penalty * |signature|`` already reaches once the
+signature is non-empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from . import kashida
@@ -70,6 +88,12 @@ class JustifyParams:
     kashida_policy: str = "single_site"
     width_tolerance: int = 1
     gap_epsilon: int = 10
+
+    def __post_init__(self) -> None:
+        # A negative penalty would reward stacked elongations and void the
+        # breaker's dominance bound.
+        if self.overlap_penalty < 0:
+            raise ValueError("overlap_penalty must be >= 0")
 
 
 def badness(ratio: float | None) -> int:
@@ -143,6 +167,8 @@ def _word_intervals(
     font: FontDescription,
 ) -> list[tuple[int, int]]:
     """Absolute x intervals of a word's elongations, at line position word_x."""
+    if not allocations:
+        return []
     out = []
     pen = 0
     for gi, pg in enumerate(variant.word.glyphs):
@@ -174,12 +200,10 @@ def _allocate_line_kashida(
         return allocations, 0
     ranked = []
     for wi, variant in enumerate(variants):
-        sites = kashida.enumerate_sites(variant.word, font)
+        sites = variant.sites
         if not sites:
             continue
-        capacity = (
-            sites[0].capacity if policy == "single_site" else sum(s.capacity for s in sites)
-        )
+        capacity = _capacity(variant, font, policy)
         ranked.append((sites[0].priority[0], wi, capacity, sites))
     ranked.sort(key=lambda t: (t[0], t[1]), reverse=True)
     remaining = deficit
@@ -201,25 +225,27 @@ def _distribute(amount: int, gaps: int) -> list[int]:
     return [share + (1 if i < extra else 0) for i in range(gaps)]
 
 
-def line_candidate(
-    variants: Sequence[WordVariant],
-    word_range: tuple[int, int],
+def _capacity(variant: WordVariant, font: FontDescription, policy: str) -> int:
+    """Elongation a word variant can absorb under a justification policy."""
+    if policy == "off":
+        return 0
+    return kashida.word_capacity(variant.word, font, policy, sites=variant.sites)
+
+
+def _line_fit(
+    widths: int,
+    capacity: int,
+    gaps: int,
     measure: int,
     glue: GlueSpec,
-    font: FontDescription,
-    params: JustifyParams,
     is_last: bool,
-) -> LineCandidate:
-    """Cost and full width assignment for one candidate line."""
-    k = len(variants)
-    gaps = k - 1
-    natural = sum(v.width for v in variants) + glue.width * gaps
-    capacity = sum(
-        kashida.word_capacity(v.word, font, params.kashida_policy)
-        if params.kashida_policy != "off"
-        else 0
-        for v in variants
-    )
+) -> tuple[int, int, int, float, int]:
+    """Natural width, total stretch, total shrink, ratio and badness of a line.
+
+    ``widths`` and ``capacity`` are the sums over the line's words of their
+    widths and elongation capacities; ``gaps`` counts inter-word spaces.
+    """
+    natural = widths + glue.width * gaps
     total_stretch = glue.stretch * gaps + capacity
     total_shrink = glue.shrink * gaps
 
@@ -232,8 +258,29 @@ def line_candidate(
         ratio = deficit / total_stretch if total_stretch else math.inf
     else:
         ratio = deficit / total_shrink if total_shrink else -math.inf
+    return natural, total_stretch, total_shrink, ratio, badness(ratio)
 
-    cost = badness(ratio)
+
+def line_candidate(
+    variants: Sequence[WordVariant],
+    word_range: tuple[int, int],
+    measure: int,
+    glue: GlueSpec,
+    font: FontDescription,
+    params: JustifyParams,
+    is_last: bool,
+) -> LineCandidate:
+    """Cost and full width assignment for one candidate line."""
+    gaps = len(variants) - 1
+    natural, total_stretch, total_shrink, ratio, cost = _line_fit(
+        sum(v.width for v in variants),
+        sum(_capacity(v, font, params.kashida_policy) for v in variants),
+        gaps,
+        measure,
+        glue,
+        is_last,
+    )
+    deficit = measure - natural
     allocations: list[dict[int, int]] = [{} for _ in variants]
     glue_widths = [glue.width] * gaps
     width = natural
@@ -495,18 +542,10 @@ def break_optimum(
     n = len(words)
 
     min_widths = [min(v.width for v in vl) for vl in variant_lists]
-
-    candidate_cache: dict[tuple, LineCandidate] = {}
-
-    def candidate_for(i: int, j: int, combo: tuple[WordVariant, ...]) -> LineCandidate:
-        key = (i, j, tuple(v.id for v in combo))
-        got = candidate_cache.get(key)
-        if got is None:
-            got = line_candidate(
-                combo, (i, j), measure, glue, font, params, is_last=(j == n)
-            )
-            candidate_cache[key] = got
-        return got
+    fits = [
+        [(v, v.width, _capacity(v, font, params.kashida_policy)) for v in vl]
+        for vl in variant_lists
+    ]
 
     start_key = (0, frozenset())
     nodes: dict[tuple[int, frozenset[int]], BreakNode] = {
@@ -527,39 +566,80 @@ def break_optimum(
         return (node.total_demerits, node.line_count, node.breaks, node.variant_ids)
 
     for j in range(1, n + 1):
+        is_last = j == n
+        # Score every feasible line ending at j by a lower bound on the
+        # total of any state it can produce: the cheapest state at its
+        # start plus its demerits without an overlap charge.
+        scored = []
+        # (width sum, capacity sum, variants) for every variant choice over
+        # words[i:j], grown by one word leftward per step.
+        combos: list[tuple[int, int, tuple[WordVariant, ...]]] = [(0, 0, ())]
         for i in range(j - 1, -1, -1):
             # Even the narrowest packing of words[i:j] must shrink-fit.
             min_natural = sum(min_widths[i:j]) + glue.width * (j - i - 1)
             if min_natural > measure + glue.shrink * (j - i - 1):
                 break
-            keys = by_index.get(i, [])
+            combos = [
+                (width + w, cap + c, (v,) + combo)
+                for v, w, c in fits[i]
+                for width, cap, combo in combos
+            ]
+            keys = by_index[i]
             if not keys:
                 continue
-            for combo in product(*variant_lists[i:j]):
-                candidate = candidate_for(i, j, combo)
-                if candidate.badness >= INF:
-                    continue
-                for key in keys:
-                    node = nodes[key]
-                    d = demerits(candidate, params, node.signature)
-                    new = BreakNode(
-                        break_index=j,
-                        signature=candidate.signature,
-                        total_demerits=node.total_demerits + d,
-                        line_count=node.line_count + 1,
-                        breaks=node.breaks + (j,),
-                        variant_ids=node.variant_ids + candidate.variant_ids,
-                        predecessor=key,
-                        candidate=candidate,
-                    )
-                    new_key = (j, candidate.signature)
-                    old = nodes.get(new_key)
-                    if old is None or rank(new) < rank(old):
-                        if old is None:
-                            by_index.setdefault(j, []).append(new_key)
-                        nodes[new_key] = new
+            floor = min(nodes[key].total_demerits for key in keys)
+            for width, cap, combo in combos:
+                cost = _line_fit(width, cap, j - i - 1, measure, glue, is_last)[-1]
+                if cost < INF:
+                    bound = floor + min((params.line_penalty + cost) ** 2, INF)
+                    scored.append((bound, i, combo))
+        scored.sort(key=lambda t: t[0])
 
-    finals = [nodes[k] for k in by_index.get(n, [])]
+        # theta: the least total + overlap_penalty * |signature| over the
+        # states built at j so far. A state above it is dominated; see the
+        # module docstring.
+        theta: float = math.inf
+        at_j: list[tuple[int, frozenset[int]]] = []
+        for bound, i, combo in scored:
+            if bound > theta:
+                break
+            candidate = line_candidate(
+                combo, (i, j), measure, glue, font, params, is_last
+            )
+            new_key = (j, candidate.signature)
+            for key in by_index[i]:
+                node = nodes[key]
+                d = demerits(candidate, params, node.signature)
+                total = node.total_demerits + d
+                if total > theta:
+                    continue
+                new = BreakNode(
+                    break_index=j,
+                    signature=candidate.signature,
+                    total_demerits=total,
+                    line_count=node.line_count + 1,
+                    breaks=node.breaks + (j,),
+                    variant_ids=node.variant_ids + candidate.variant_ids,
+                    predecessor=key,
+                    candidate=candidate,
+                )
+                old = nodes.get(new_key)
+                if old is None or rank(new) < rank(old):
+                    if old is None:
+                        at_j.append(new_key)
+                    nodes[new_key] = new
+                theta = min(
+                    theta, total + params.overlap_penalty * len(candidate.signature)
+                )
+        kept = []
+        for key in at_j:
+            if nodes[key].total_demerits > theta:
+                del nodes[key]
+            else:
+                kept.append(key)
+        by_index[j] = kept
+
+    finals = [nodes[k] for k in by_index[n]]
     if not finals:
         raise NoFeasibleBreak(
             f"no sequence of feasible lines covers all {n} words at measure {measure}"

@@ -18,7 +18,7 @@ equal the requested deficit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityExceeded
 
@@ -68,9 +68,19 @@ def enumerate_sites(word: "ShapedWord", font: "FontDescription") -> list[Stretch
     return sites
 
 
-def word_capacity(word: "ShapedWord", font: "FontDescription", policy: str = "spread") -> int:
-    """Total elongation a word can absorb under a policy."""
-    sites = enumerate_sites(word, font)
+def word_capacity(
+    word: "ShapedWord",
+    font: "FontDescription",
+    policy: str = "spread",
+    sites: Sequence[StretchSite] | None = None,
+) -> int:
+    """Total elongation a word can absorb under a policy.
+
+    ``sites`` may pass the word's already enumerated stretch sites;
+    ``justify`` passes each ``WordVariant.sites`` this way.
+    """
+    if sites is None:
+        sites = enumerate_sites(word, font)
     if not sites:
         return 0
     if policy == "single_site":
@@ -83,7 +93,7 @@ def allocate(
     deficit: int,
     policy: str = "single_site",
     font: "FontDescription | None" = None,
-    sites: list[StretchSite] | None = None,
+    sites: Sequence[StretchSite] | None = None,
 ) -> ElongationPlan:
     """Distribute a width deficit over the word's stretch sites."""
     if deficit < 0:

@@ -34,7 +34,7 @@ class WordVariant:
 
     id: str
     width: int
-    max_extra: int
+    sites: tuple[kashida.StretchSite, ...]  # stretch sites, best first
     description: tuple[str, ...]
     word: "ShapedWord"
 
@@ -195,7 +195,7 @@ def word_variants(
         WordVariant(
             id="default",
             width=plain.natural_width,
-            max_extra=kashida.word_capacity(plain, font),
+            sites=tuple(kashida.enumerate_sites(plain, font)),
             description=("ligature_on",) if has_aesthetic else (),
             word=plain,
         )
@@ -209,7 +209,7 @@ def word_variants(
             WordVariant(
                 id="liga_off",
                 width=off.natural_width,
-                max_extra=kashida.word_capacity(off, font),
+                sites=tuple(kashida.enumerate_sites(off, font)),
                 description=("ligature_off",),
                 word=off,
             )
@@ -232,7 +232,7 @@ def word_variants(
                     WordVariant(
                         id=f"alt:{gi}:{alt}",
                         width=alt_word.natural_width,
-                        max_extra=kashida.word_capacity(alt_word, font),
+                        sites=tuple(kashida.enumerate_sites(alt_word, font)),
                         description=(f"allograph:{alt}",),
                         word=alt_word,
                     )

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from qalam.cli import main
 
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
@@ -174,6 +176,15 @@ class TestJustify:
         )
         assert code == 0
         json.loads(out)
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+    def test_bad_overlap_penalty_exit_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(GOLDEN_ARGS + ["--overlap-penalty", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--overlap-penalty" in err
+        assert "Traceback" not in err
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, GOLDEN_ARGS)

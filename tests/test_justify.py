@@ -87,6 +87,10 @@ class TestDemerits:
         params = JustifyParams()
         assert demerits(fake_line(INF), params) >= INF
 
+    def test_negative_overlap_penalty_rejected(self):
+        with pytest.raises(ValueError):
+            JustifyParams(overlap_penalty=-1)
+
     def test_inf_overlap_penalty(self):
         params = JustifyParams(overlap_penalty=INF)
         line = fake_line(0, signature={1})
@@ -230,6 +234,87 @@ class TestBreakOptimum:
             best = oracle_best(words, measure, glue, demo_font, params)
             assert best is not None
             assert layout.total_demerits == best[0], (text, measure)
+
+    @pytest.mark.parametrize("line_penalty", [10, 10**8])
+    @pytest.mark.parametrize("policy", ["single_site", "spread", "off"])
+    @pytest.mark.parametrize("overlap_penalty", [0, 1, 50, 3000, INF])
+    def test_matches_oracle_across_parameters(
+        self, demo_font, overlap_penalty, policy, line_penalty
+    ):
+        # 10**8 pushes every line's demerits to the INF cap, so all break
+        # sequences with the same line count tie on total.
+        rng = random.Random(7)
+        glue = GlueSpec.from_defaults(demo_font.glue)
+        params = JustifyParams(
+            line_penalty=line_penalty,
+            overlap_penalty=overlap_penalty,
+            variants=True,
+            kashida_policy=policy,
+        )
+        for _ in range(25):
+            n = rng.randint(2, 10)
+            text = " ".join(random_word_text(rng, 3) for _ in range(n))
+            words = [
+                shape_word(c, demo_font, frozenset({"liga", "jalt"}))
+                for c in decompose(text)
+            ]
+            measure = rng.randint(max(w.variants[0].width for w in words) + 100, 3000)
+            layout = break_optimum(words, measure, glue, demo_font, params)
+            got = (
+                layout.total_demerits,
+                len(layout.lines),
+                tuple(line.candidate.word_range[1] for line in layout.lines),
+                tuple(v for line in layout.lines for v in line.candidate.variant_ids),
+            )
+            assert got == oracle_best(words, measure, glue, demo_font, params), (
+                text,
+                measure,
+            )
+
+    @pytest.mark.parametrize(
+        "text, measure",
+        [
+            ("رٍؤِ ةً إْحٌقً ء إُئٌّوّْضٌ إًّ شُطتُّوِ ضٍثٍشْث جًكِ دَذٍ", 1871),
+            ("هٍّـخ طاٍّي ر آٍؤِ ىَّلٌصٍّكِـ ظْ كفْخ إأ فَظآَّضِ ئْوَسًط", 1959),
+        ],
+    )
+    def test_keeps_dearer_state_that_avoids_stacking(self, demo_font, text, measure):
+        # In both paragraphs the optimum passes through a state that costs
+        # more than the cheapest one at its break but whose elongations
+        # collide less with the next line's. Pruning that ignored the
+        # overlap charge would drop it.
+        glue = GlueSpec.from_defaults(demo_font.glue)
+        params = JustifyParams(variants=True, kashida_policy="spread")
+        words = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"}))
+            for c in decompose(text)
+        ]
+        layout = break_optimum(words, measure, glue, demo_font, params)
+        best = oracle_best(words, measure, glue, demo_font, params)
+        assert layout.total_demerits == best[0]
+        assert tuple(line.candidate.word_range[1] for line in layout.lines) == best[2]
+
+    def test_stretch_sites_enumerated_once_per_word(self, demo_font, monkeypatch):
+        from qalam import kashida
+
+        rng = random.Random(3)
+        glue = GlueSpec.from_defaults(demo_font.glue)
+        text = " ".join(random_word_text(rng, 4) for _ in range(16))
+        words = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"}))
+            for c in decompose(text)
+        ]
+        calls = []
+        real = kashida.enumerate_sites
+        monkeypatch.setattr(
+            kashida, "enumerate_sites", lambda *a: calls.append(1) or real(*a)
+        )
+        layout = break_optimum(
+            words, 2500, glue, demo_font, JustifyParams(variants=True)
+        )
+        assert len(layout.lines) > 1
+        # Only apply_plan, once per finished word, still enumerates sites.
+        assert 0 < len(calls) <= len(words)
 
     def test_dominates_greedy(self, demo_font):
         rng = random.Random(31)

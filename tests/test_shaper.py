@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qalam import kashida
 from qalam.errors import EmptyWord
 from qalam.fontmodel import glyph_for
 from qalam.shaper import base_indices, pen_positions, shape_word
@@ -144,6 +145,11 @@ class TestWordVariants:
         for w in corpus_words:
             assert w.variants[0].id == "default"
             assert w.variants[0].width == w.natural_width
+
+    def test_variant_sites_match_enumeration(self, demo_font, corpus_words):
+        for w in corpus_words:
+            for v in w.variants:
+                assert v.sites == tuple(kashida.enumerate_sites(v.word, demo_font))
 
 
 class TestGeometryInvariants:
