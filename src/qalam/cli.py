@@ -16,7 +16,14 @@ from . import svg as svg_mod
 from .diacritics import place_diacritics, with_marks
 from .errors import FontError, LayoutError, QalamError, Severity, TextError
 from .fontmodel import FontDescription, lint_font, load_font
-from .justify import INF, GlueSpec, JustifyParams, break_greedy, break_optimum
+from .justify import (
+    INF,
+    MAX_LINE_PENALTY,
+    MIN_LINE_PENALTY,
+    JustifyParams,
+    break_greedy,
+    break_optimum,
+)
 from .shaper import shape_word
 from .textmodel import decompose
 
@@ -41,6 +48,21 @@ def _overlap_penalty(value: str) -> int:
     if penalty < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer or 'inf', got {value!r}"
+        )
+    return penalty
+
+
+def _line_penalty(value: str) -> int:
+    """Parse ``--line-penalty``: an integer small enough that no line's
+    demerits saturate at ``INF``."""
+    try:
+        penalty = int(value)
+    except ValueError:
+        penalty = None
+    if penalty is None or not MIN_LINE_PENALTY <= penalty <= MAX_LINE_PENALTY:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from {MIN_LINE_PENALTY} to {MAX_LINE_PENALTY}, "
+            f"got {value!r}"
         )
     return penalty
 
@@ -90,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_text(justify)
     justify.add_argument("--width", type=int, required=True, help="measure in font units")
     justify.add_argument("--algorithm", choices=("greedy", "optimum"), default="optimum")
-    justify.add_argument("--line-penalty", type=int, default=10)
+    justify.add_argument("--line-penalty", type=_line_penalty, default=10)
     justify.add_argument(
         "--overlap-penalty",
         type=_overlap_penalty,
@@ -190,9 +212,8 @@ def _cmd_justify(args) -> int:
     )
     clusters_per_word = decompose(text)
     words = [shape_word(clusters, font, features) for clusters in clusters_per_word]
-    glue = GlueSpec.from_defaults(font.glue)
     breaker = break_optimum if args.algorithm == "optimum" else break_greedy
-    result = breaker(words, args.width, glue, font, params)
+    result = breaker(words, args.width, font.glue, font, params)
     doc = layout_mod.justified_document(font, result)
     sys.stdout.write(layout_mod.dumps(doc))
     _print_diagnostics(result.diagnostics)

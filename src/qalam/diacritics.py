@@ -25,11 +25,10 @@ the same answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import Diagnostic, MissingAnchor, Severity
 from .fontmodel import FontDescription, GlyphMetrics, MarkGlyph, SizeVariant
-from .lookups import PlacedGlyph
 from .shaper import ShapedWord, attachment_root, base_indices, pen_positions
 from .textmodel import ELONGATABLE_MARKS, SHADDA_CP, Placement
 
@@ -58,12 +57,6 @@ class GapMeasure:
     width: int
 
 
-def recentered_offset(base: PlacedGlyph, metrics: GlyphMetrics, mark_anchor_x: int) -> int:
-    """x offset placing a mark's anchor at the midpoint of the extended ink span."""
-    mid = (metrics.ink.x_min + metrics.ink.x_max + base.elongation) // 2
-    return base.x_offset + mid - mark_anchor_x
-
-
 def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     """Size for a growable mark given the free span; thresholds inclusive."""
     if gap >= t_large:
@@ -71,20 +64,6 @@ def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     if gap >= t_medium:
         return SizeVariant.MEDIUM
     return SizeVariant.NORMAL
-
-
-def _canonical_marks(font: FontDescription) -> dict[str, str]:
-    """Map every mark glyph id (variants included) to its canonical mark id."""
-    out = {mid: mid for mid in font.marks}
-    for mid, mark in font.marks.items():
-        if mark.variants:
-            for vid in mark.variants.values():
-                out[vid] = mid
-    return out
-
-
-def _mark_codepoints(font: FontDescription) -> dict[str, int]:
-    return {mid: cp for cp, mid in font.mark_cmap.items()}
 
 
 @dataclass
@@ -106,8 +85,8 @@ class _Placer:
         self.font = font
         self.pens = pen_positions(word)
         self.bases = base_indices(word)
-        self.canonical = _canonical_marks(font)
-        self.mark_cps = _mark_codepoints(font)
+        self.canonical = font.canonical_marks
+        self.mark_cps = font.mark_codepoints
         self.states: dict[int, _MarkState] = {}
         self.marks_of: dict[int, list[int]] = {}
         for i, g in enumerate(word.glyphs):
@@ -200,26 +179,40 @@ class _Placer:
                 variant=SizeVariant.NORMAL,
             )
 
-    def gap(self, base_i: int, side: Placement) -> int:
+    def free_span(
+        self,
+        base_i: int,
+        side: Placement,
+        mark_ink: Callable[[int], tuple[Placement, int, int] | None],
+    ) -> int:
+        """A base glyph's ink span, elongation included, minus the ``side``
+        ink its neighbouring bases' marks project into it.
+
+        ``mark_ink(i)`` gives mark ``i``'s side and absolute ink x interval,
+        or None for a mark that has no position yet.
+        """
         lo, hi = self._span(base_i)
-        width = hi - lo
         pos = self.bases.index(base_i)
-        neighbours = []
-        if pos > 0:
-            neighbours.append(self.bases[pos - 1])
-        if pos + 1 < len(self.bases):
-            neighbours.append(self.bases[pos + 1])
+        neighbours = [self.bases[p] for p in (pos - 1, pos + 1) if 0 <= p < len(self.bases)]
         covered = 0
         for nb in neighbours:
             for mi in self.marks_of.get(nb, []):
-                state = self.states.get(mi)
-                if state is None or state.side is not side:
+                ink = mark_ink(mi)
+                if ink is None or ink[0] is not side:
                     continue
-                ink = self._variant_mark(state).ink
-                m_lo = state.x + ink.x_min
-                m_hi = state.x + ink.x_max
-                covered += max(0, min(hi, m_hi) - max(lo, m_lo))
-        return max(0, width - covered)
+                covered += max(0, min(hi, ink[2]) - max(lo, ink[1]))
+        return max(0, hi - lo - covered)
+
+    def _placed_ink(self, mi: int) -> tuple[Placement, int, int] | None:
+        state = self.states.get(mi)
+        if state is None:
+            return None
+        ink = self._variant_mark(state).ink
+        return state.side, state.x + ink.x_min, state.x + ink.x_max
+
+    def gap(self, base_i: int, side: Placement) -> int:
+        """Free span over a glyph given the marks placed so far."""
+        return self.free_span(base_i, side, self._placed_ink)
 
     def _restack(self, state: _MarkState) -> None:
         lower = self.states[state.stacked_on]
@@ -304,29 +297,14 @@ def measure_gap(
 ) -> GapMeasure:
     """Free span over/under a glyph given the word's current mark positions."""
     placer = _Placer(word, font)
-    pens = placer.pens
-    pg = word.glyphs[index]
-    ink = font.glyphs[pg.glyph].ink
-    lo = pens[index] + pg.x_offset + ink.x_min
-    hi = lo + ink.width + pg.elongation
-    bases = placer.bases
-    pos = bases.index(index)
-    neighbours = []
-    if pos > 0:
-        neighbours.append(bases[pos - 1])
-    if pos + 1 < len(bases):
-        neighbours.append(bases[pos + 1])
-    covered = 0
-    for nb in neighbours:
-        for mi in placer.marks_of.get(nb, []):
-            mark_glyph = font.marks[word.glyphs[mi].glyph]
-            if mark_glyph.attachment_class is not side:
-                continue
-            x_abs = pens[mi] + word.glyphs[mi].x_offset
-            m_lo = x_abs + mark_glyph.ink.x_min
-            m_hi = x_abs + mark_glyph.ink.x_max
-            covered += max(0, min(hi, m_hi) - max(lo, m_lo))
-    return GapMeasure(owner=index, width=max(0, (hi - lo) - covered))
+
+    def current_ink(mi: int) -> tuple[Placement, int, int]:
+        pg = word.glyphs[mi]
+        mark = font.marks[pg.glyph]
+        x = placer.pens[mi] + pg.x_offset
+        return mark.attachment_class, x + mark.ink.x_min, x + mark.ink.x_max
+
+    return GapMeasure(owner=index, width=placer.free_span(index, side, current_ink))
 
 
 def _stack_units(
@@ -361,8 +339,8 @@ def resolve_collisions(
     of an overlapping pair may move, or the needed shift exceeds the
     mark's owner ink span, the overlap is reported and left in place.
     """
-    mark_cps = _mark_codepoints(font)
-    canonical = _canonical_marks(font)
+    mark_cps = font.mark_codepoints
+    canonical = font.canonical_marks
     current = {m.glyph_index: m for m in marks}
     diagnostics: list[Diagnostic] = []
 

@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     Severity,
 )
-from .lookups import LookupRule, rule_from_json, rule_to_json
+from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
 from .textmodel import (
     DEFAULT_TABLE,
     CharacterTable,
@@ -159,7 +159,7 @@ class SizeThresholds:
 
 
 @dataclass(frozen=True)
-class GlueDefaults:
+class GlueSpec:
     """Inter-word space: natural width, stretch and shrink allowances."""
 
     width: int
@@ -188,11 +188,45 @@ class FontDescription:
     kashida_priority: Mapping[int, int] = field(default_factory=dict)
     mass_positions: Mapping[MassClass, Mapping[Placement, int]] = field(default_factory=dict)
     mass_variants: Mapping[MassClass, SizeVariant] = field(default_factory=dict)
-    glue: GlueDefaults = GlueDefaults(250, 125, 80)
+    glue: GlueSpec = GlueSpec(250, 125, 80)
+
+    # Tables derived from the font, built once per font on first use.
 
     @cached_property
     def ligature_by_glyph(self) -> dict[str, LigatureEntry]:
         return {e.glyph: e for e in self.ligatures}
+
+    @cached_property
+    def aesthetic_ligatures(self) -> frozenset[str]:
+        """Glyph ids of the optional (aesthetic) ligatures."""
+        return frozenset(
+            e.glyph for e in self.ligatures if e.kind is LigatureKind.AESTHETIC
+        )
+
+    @cached_property
+    def canonical_marks(self) -> dict[str, str]:
+        """Every mark glyph id, size variants included, to its canonical mark id."""
+        out = {mid: mid for mid in self.marks}
+        for mid, mark in self.marks.items():
+            if mark.variants:
+                for vid in mark.variants.values():
+                    out[vid] = mid
+        return out
+
+    @cached_property
+    def mark_codepoints(self) -> dict[str, int]:
+        """Canonical mark glyph id to the code point that maps to it."""
+        return {mid: cp for cp, mid in self.mark_cmap.items()}
+
+    @cached_property
+    def eager_gsub(self) -> tuple[LookupRule, ...]:
+        """Substitution rules the default shape applies: all but alternates."""
+        return tuple(r for r in self.gsub if r.kind is not LookupKind.ALTERNATE_SUB)
+
+    @cached_property
+    def alternate_gsub(self) -> tuple[LookupRule, ...]:
+        """Client-choice alternate rules, which only width variants apply."""
+        return tuple(r for r in self.gsub if r.kind is LookupKind.ALTERNATE_SUB)
 
     def is_mark_glyph(self, glyph_id: str) -> bool:
         return glyph_id in self.marks
@@ -360,8 +394,6 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
 
 
 def _rule_glyph_refs(rule: LookupRule):
-    from .lookups import LookupKind
-
     yield from rule.coverage.glyphs
     payload = rule.payload
     if rule.kind is LookupKind.SINGLE_SUB:
@@ -502,7 +534,7 @@ def load_font(source) -> FontDescription:
             ) from None
 
     glue_obj = _as_dict(doc.get("glue", {}), "glue")
-    glue = GlueDefaults(
+    glue = GlueSpec(
         width=_as_int(glue_obj.get("width", 250), "glue"),
         stretch=_as_int(glue_obj.get("stretch", 125), "glue"),
         shrink=_as_int(glue_obj.get("shrink", 80), "glue"),

@@ -47,7 +47,7 @@ from typing import Sequence
 from . import kashida
 from .diacritics import PlacedMark, place_diacritics, with_marks
 from .errors import Diagnostic, Infeasible, NoFeasibleBreak, Severity, WordTooWide
-from .fontmodel import FontDescription, GlueDefaults
+from .fontmodel import FontDescription, GlueSpec
 from .shaper import ShapedWord, WordVariant, word_variants
 
 #: Sentinel cost of an infeasible or forbidden line. Large enough that any
@@ -60,24 +60,11 @@ SIGNATURE_BUCKETS = 8
 #: Finite badness ceiling for feasible but very loose lines.
 MAX_BADNESS = 10000
 
-
-@dataclass(frozen=True)
-class GlueSpec:
-    """Inter-word space: natural width and its elastic allowances."""
-
-    width: int
-    stretch: int
-    shrink: int
-
-    def __post_init__(self) -> None:
-        if min(self.width, self.stretch, self.shrink) < 0:
-            raise ValueError("glue values must be >= 0")
-        if self.shrink > self.width:
-            raise ValueError("glue shrink cannot exceed its width")
-
-    @classmethod
-    def from_defaults(cls, defaults: GlueDefaults) -> "GlueSpec":
-        return cls(defaults.width, defaults.stretch, defaults.shrink)
+#: Line penalties for which ``(line_penalty + badness) ** 2`` stays below
+#: ``INF`` at every badness from 0 to ``MAX_BADNESS``; outside them every
+#: line would cost ``INF`` and the breaker could no longer rank lines.
+MIN_LINE_PENALTY = -math.isqrt(INF - 1)
+MAX_LINE_PENALTY = math.isqrt(INF - 1) - MAX_BADNESS
 
 
 @dataclass(frozen=True)
@@ -94,6 +81,10 @@ class JustifyParams:
         # breaker's dominance bound.
         if self.overlap_penalty < 0:
             raise ValueError("overlap_penalty must be >= 0")
+        if not MIN_LINE_PENALTY <= self.line_penalty <= MAX_LINE_PENALTY:
+            raise ValueError(
+                f"line_penalty must lie in [{MIN_LINE_PENALTY}, {MAX_LINE_PENALTY}]"
+            )
 
 
 def badness(ratio: float | None) -> int:
@@ -184,10 +175,7 @@ def _word_intervals(
 
 
 def _allocate_line_kashida(
-    variants: Sequence[WordVariant],
-    deficit: int,
-    font: FontDescription,
-    policy: str,
+    variants: Sequence[WordVariant], deficit: int, policy: str
 ) -> tuple[list[dict[int, int]], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
@@ -196,14 +184,12 @@ def _allocate_line_kashida(
     Returns per-word allocations plus the amount actually absorbed.
     """
     allocations: list[dict[int, int]] = [{} for _ in variants]
-    if deficit <= 0 or policy == "off":
-        return allocations, 0
     ranked = []
     for wi, variant in enumerate(variants):
         sites = variant.sites
         if not sites:
             continue
-        capacity = _capacity(variant, font, policy)
+        capacity = kashida.word_capacity(sites, policy)
         ranked.append((sites[0].priority[0], wi, capacity, sites))
     ranked.sort(key=lambda t: (t[0], t[1]), reverse=True)
     remaining = deficit
@@ -211,7 +197,7 @@ def _allocate_line_kashida(
         if remaining == 0:
             break
         take = min(remaining, capacity)
-        plan = kashida.allocate(variants[wi].word, take, policy, sites=sites)
+        plan = kashida.allocate(sites, take, policy)
         allocations[wi] = dict(plan.allocations)
         remaining -= take - plan.residual
     return allocations, deficit - remaining
@@ -223,13 +209,6 @@ def _distribute(amount: int, gaps: int) -> list[int]:
         return []
     share, extra = divmod(amount, gaps)
     return [share + (1 if i < extra else 0) for i in range(gaps)]
-
-
-def _capacity(variant: WordVariant, font: FontDescription, policy: str) -> int:
-    """Elongation a word variant can absorb under a justification policy."""
-    if policy == "off":
-        return 0
-    return kashida.word_capacity(variant.word, font, policy, sites=variant.sites)
 
 
 def _line_fit(
@@ -274,7 +253,7 @@ def line_candidate(
     gaps = len(variants) - 1
     natural, total_stretch, total_shrink, ratio, cost = _line_fit(
         sum(v.width for v in variants),
-        sum(_capacity(v, font, params.kashida_policy) for v in variants),
+        sum(kashida.word_capacity(v.sites, params.kashida_policy) for v in variants),
         gaps,
         measure,
         glue,
@@ -289,7 +268,7 @@ def line_candidate(
     if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
         if deficit > 0:
             allocations, absorbed = _allocate_line_kashida(
-                variants, deficit, font, params.kashida_policy
+                variants, deficit, params.kashida_policy
             )
             rest = deficit - absorbed
             if gaps:
@@ -388,7 +367,7 @@ def _variant_lists(
 ) -> list[tuple[WordVariant, ...]]:
     lists = []
     for word in words:
-        variants = word.variants or word_variants(word, font)
+        variants = word_variants(word, font)
         lists.append(variants if params.variants else variants[:1])
     return lists
 
@@ -434,7 +413,7 @@ def _finalize(
             plan = kashida.ElongationPlan(
                 allocations=dict(candidate.plans[k]), residual=0
             )
-            stretched = kashida.apply_plan(variant.word, plan, font)
+            stretched = kashida.apply_plan(variant.word, plan, variant.sites)
             marks, word_diags = place_diacritics(
                 stretched, font, gap_epsilon=params.gap_epsilon
             )
@@ -543,7 +522,7 @@ def break_optimum(
 
     min_widths = [min(v.width for v in vl) for vl in variant_lists]
     fits = [
-        [(v, v.width, _capacity(v, font, params.kashida_policy)) for v in vl]
+        [(v, v.width, kashida.word_capacity(v.sites, params.kashida_policy)) for v in vl]
         for vl in variant_lists
     ]
 

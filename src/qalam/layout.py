@@ -14,11 +14,13 @@ from typing import Sequence
 
 from .diacritics import PlacedMark
 from .errors import Diagnostic, MalformedLayout
-from .fontmodel import FontDescription
+from .fontmodel import FontDescription, SizeVariant
 from .justify import ParagraphLayout
 from .shaper import ShapedWord, attachment_root, pen_positions
 
 SCHEMA_ID = "qalam-layout/1"
+
+_VARIANT_NAMES = frozenset(v.value for v in SizeVariant)
 
 
 def _glyph_records(
@@ -127,6 +129,10 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_document(doc) -> dict:
     """Structural check of a layout document; raises MalformedLayout."""
     if not isinstance(doc, dict):
@@ -136,11 +142,17 @@ def validate_document(doc) -> dict:
     for key in ("font_id", "units_per_em", "direction", "lines"):
         if key not in doc:
             raise MalformedLayout(f"layout missing field {key!r}")
+    if not _is_int(doc["units_per_em"]):
+        raise MalformedLayout("units_per_em must be an integer")
+    if doc.get("measure") is not None and not _is_int(doc["measure"]):
+        raise MalformedLayout("measure must be an integer or null")
     if not isinstance(doc["lines"], list):
         raise MalformedLayout("lines must be an array")
     for li, line in enumerate(doc["lines"]):
         if not isinstance(line, dict) or not isinstance(line.get("glyphs"), list):
             raise MalformedLayout(f"line {li} must be an object with a glyphs array")
+        if not _is_int(line.get("width")):
+            raise MalformedLayout(f"line {li}: width must be an integer")
         for gi, glyph in enumerate(line["glyphs"]):
             if not isinstance(glyph, dict):
                 raise MalformedLayout(f"line {li} glyph {gi} must be an object")
@@ -152,7 +164,7 @@ def validate_document(doc) -> dict:
             if not isinstance(glyph["glyph"], str):
                 raise MalformedLayout(f"line {li} glyph {gi}: glyph id must be a string")
             for key in ("x", "y", "advance", "elongation"):
-                if not isinstance(glyph[key], int) or isinstance(glyph[key], bool):
+                if not _is_int(glyph[key]):
                     raise MalformedLayout(
                         f"line {li} glyph {gi}: {key} must be an integer"
                     )
@@ -167,6 +179,21 @@ def validate_document(doc) -> dict:
                     if key not in mark:
                         raise MalformedLayout(
                             f"line {li} glyph {gi} mark {mi} missing field {key!r}"
+                        )
+                if not isinstance(mark["mark"], str):
+                    raise MalformedLayout(
+                        f"line {li} glyph {gi} mark {mi}: mark id must be a string"
+                    )
+                variant = mark["variant"]
+                if not isinstance(variant, str) or variant not in _VARIANT_NAMES:
+                    raise MalformedLayout(
+                        f"line {li} glyph {gi} mark {mi}: variant must be one of "
+                        f"{sorted(_VARIANT_NAMES)}, got {variant!r}"
+                    )
+                for key in ("dx", "dy"):
+                    if not _is_int(mark[key]):
+                        raise MalformedLayout(
+                            f"line {li} glyph {gi} mark {mi}: {key} must be an integer"
                         )
     return doc
 

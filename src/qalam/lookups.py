@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import BadComponent, MissingAnchor, SchemaError
@@ -113,6 +114,11 @@ class LookupRule:
     coverage: CoverageTable
     payload: object
     flags: frozenset[str] = frozenset()
+
+    @cached_property
+    def pair_map(self) -> dict[tuple[str, str], int]:
+        """A pair adjustment rule's advance deltas keyed by (first, second)."""
+        return {(e.first, e.second): e.delta_advance for e in self.payload}
 
     def __post_init__(self) -> None:
         bad = self.flags - {"ignore_marks"}
@@ -648,7 +654,7 @@ def position_marks(
                         advance=pg.advance + dadv,
                     )
         elif rule.kind is LookupKind.PAIR_ADJ:
-            pair_map = {(e.first, e.second): e.delta_advance for e in rule.payload}
+            pair_map = rule.pair_map
             base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
             for a, b in zip(base_idx, base_idx[1:]):
                 key = (placed[a].glyph, placed[b].glyph)

@@ -7,20 +7,21 @@ on; aesthetic ligatures and alternates only when their features are
 enabled), and positioning rules attach every mark at its default size.
 
 Glyphs are stored in logical order with offsets in a logical frame; the
-renderer is responsible for right-to-left layout. A shaped word also
-enumerates its width variants (ligature off, registered allographs), which
-the justifier may pick between when filling a line.
+renderer is responsible for right-to-left layout. ``word_variants``
+enumerates a shaped word's width variants (ligature off, registered
+allographs) for the justifier, which may pick between them when filling a
+line; only a caller that reads them builds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import kashida
 from .errors import EmptyWord, NoGlyph
-from .fontmodel import FontDescription, LigatureKind, glyph_for
-from .lookups import GlyphItem, LookupKind, PlacedGlyph, apply_gsub_tracked, position_marks
+from .fontmodel import FontDescription, glyph_for
+from .lookups import GlyphItem, PlacedGlyph, apply_gsub_tracked, position_marks
 from .textmodel import SHADDA_CP, CharacterTable, Cluster, analyze_joining
 
 #: Features a conforming renderer may never disable: the linguistic
@@ -41,13 +42,12 @@ class WordVariant:
 
 @dataclass(frozen=True)
 class ShapedWord:
-    """A word's glyphs, their source clusters, and width variants."""
+    """A word's glyphs and their source clusters."""
 
     glyphs: tuple[PlacedGlyph, ...]
     clusters: tuple[Cluster, ...]
     glyph_clusters: tuple[tuple[int, ...], ...]
     features: frozenset[str]
-    variants: tuple[WordVariant, ...] = ()
 
     @property
     def natural_width(self) -> int:
@@ -127,7 +127,6 @@ def shape_word(
     font: FontDescription,
     features: frozenset[str] | set[str] = frozenset(),
     table: CharacterTable | None = None,
-    with_variants: bool = True,
 ) -> ShapedWord:
     """Shape one word at its default variant.
 
@@ -142,12 +141,8 @@ def shape_word(
     items = _build_items(clusters, font)
     # Alternate substitutions are client-choice rules: the default shape
     # keeps the nominal glyph and word_variants enumerates the alternates.
-    eager_rules = [r for r in font.gsub if r.kind is not LookupKind.ALTERNATE_SUB]
-    items = apply_gsub_tracked(eager_rules, items, feats)
-    word = _finish(items, clusters, font, feats)
-    if with_variants:
-        word = replace(word, variants=word_variants(word, font))
-    return word
+    items = apply_gsub_tracked(font.eager_gsub, items, feats)
+    return _finish(items, clusters, font, feats)
 
 
 def _reposition(
@@ -167,20 +162,14 @@ def _reposition(
     return _finish(items, word.clusters, font, word.features)
 
 
-def word_variants(
-    word: ShapedWord, font: FontDescription, features: frozenset[str] | None = None
-) -> tuple[WordVariant, ...]:
+def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant, ...]:
     """Enumerate the word's width alternatives, default first.
 
     The default variant is always present. When an aesthetic ligature was
     applied, the wider unligated rendering is offered; every registered
     alternate of a glyph in the word contributes an allograph variant.
     """
-    feats = word.features if features is None else frozenset(features) | ALWAYS_ON_FEATURES
-    aesthetic = {
-        e.glyph for e in font.ligatures if e.kind is LigatureKind.AESTHETIC
-    }
-    has_aesthetic = any(g.glyph in aesthetic for g in word.glyphs)
+    has_aesthetic = any(g.glyph in font.aesthetic_ligatures for g in word.glyphs)
 
     out: list[WordVariant] = []
     seen: set[str] = set()
@@ -190,21 +179,18 @@ def word_variants(
             seen.add(variant.id)
             out.append(variant)
 
-    plain = replace(word, variants=())
     add(
         WordVariant(
             id="default",
-            width=plain.natural_width,
-            sites=tuple(kashida.enumerate_sites(plain, font)),
+            width=word.natural_width,
+            sites=tuple(kashida.enumerate_sites(word, font)),
             description=("ligature_on",) if has_aesthetic else (),
-            word=plain,
+            word=word,
         )
     )
 
-    if has_aesthetic and "liga" in feats:
-        off = shape_word(
-            word.clusters, font, feats - {"liga"}, with_variants=False
-        )
+    if has_aesthetic and "liga" in word.features:
+        off = shape_word(word.clusters, font, word.features - {"liga"})
         add(
             WordVariant(
                 id="liga_off",
@@ -215,11 +201,7 @@ def word_variants(
             )
         )
 
-    alternate_rules = [
-        r
-        for r in font.gsub
-        if r.kind is LookupKind.ALTERNATE_SUB and r.feature in feats
-    ]
+    alternate_rules = [r for r in font.alternate_gsub if r.feature in word.features]
     for gi, pg in enumerate(word.glyphs):
         if pg.is_mark:
             continue

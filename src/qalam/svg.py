@@ -9,6 +9,7 @@ is a pure function of (layout, font): no timestamps, no randomness.
 
 from __future__ import annotations
 
+from .errors import MalformedLayout
 from .fontmodel import FontDescription, Rect, SizeVariant
 
 MARGIN_RATIO = 2  # margin = units_per_em // MARGIN_RATIO
@@ -25,6 +26,8 @@ STYLE = (
 
 
 def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[str, Rect, str | None]:
+    if mark_id not in font.marks:
+        raise MalformedLayout(f"mark {mark_id!r} is not in font {font.font_id!r}")
     glyph_id = font.variant_glyph(mark_id, SizeVariant(variant))
     mark = font.marks[glyph_id]
     return glyph_id, mark.ink, mark.svg_path
@@ -83,7 +86,11 @@ def render_svg(doc: dict, font: FontDescription) -> str:
             f'x2="{right}" y2="{baseline}"/>'
         )
         for glyph in line["glyphs"]:
-            metrics = font.glyphs[glyph["glyph"]]
+            metrics = font.glyphs.get(glyph["glyph"])
+            if metrics is None:
+                raise MalformedLayout(
+                    f"glyph {glyph['glyph']!r} is not in font {font.font_id!r}"
+                )
             emit_box(
                 "glyph",
                 glyph["x"],

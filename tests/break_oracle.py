@@ -13,12 +13,14 @@ from __future__ import annotations
 from itertools import product
 
 from qalam.justify import INF, GlueSpec, JustifyParams, demerits, line_candidate
+from qalam.shaper import word_variants
 
 
 def oracle_best(words, measure: int, glue: GlueSpec, font, params: JustifyParams):
     """(total, line_count, breaks, variant_ids) of the global minimum, or None."""
     variant_lists = [
-        (w.variants if params.variants else w.variants[:1]) for w in words
+        (word_variants(w, font) if params.variants else word_variants(w, font)[:1])
+        for w in words
     ]
     n = len(words)
     if n == 0:

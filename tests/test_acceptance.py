@@ -30,13 +30,12 @@ from qalam.fontmodel import (
 )
 from qalam.justify import (
     INF,
-    GlueSpec,
     JustifyParams,
     break_greedy,
     break_optimum,
 )
 from qalam.lookups import PlacedGlyph, attach_mark_to_base
-from qalam.shaper import shape_word
+from qalam.shaper import shape_word, word_variants
 from qalam.textmodel import DEFAULT_TABLE, Placement, decompose
 
 from .break_oracle import oracle_best
@@ -62,7 +61,7 @@ def random_paragraph(rng, font, max_words=12, max_len=4, features=ALL_FEATURES):
     n = rng.randint(2, max_words)
     text = " ".join(random_word_text(rng, max_len) for _ in range(n))
     words = [shape_word(c, font, features) for c in decompose(text)]
-    floor = max(min(v.width for v in w.variants) for w in words)
+    floor = max(min(v.width for v in word_variants(w, font)) for w in words)
     measure = rng.randint(floor + 100, max(floor + 200, 6000))
     return words, measure
 
@@ -71,7 +70,7 @@ def random_paragraph(rng, font, max_words=12, max_len=4, features=ALL_FEATURES):
 def oracle_corpus(demo_font):
     """200 seeded random paragraphs with their DP and oracle results."""
     rng = random.Random(20_26)
-    glue = GlueSpec.from_defaults(demo_font.glue)
+    glue = demo_font.glue
     params = JustifyParams(variants=True)
     rows = []
     started = time.perf_counter()
@@ -187,7 +186,7 @@ def test_criterion_4_placement_algorithm(demo_font):
                     plan = kashida.ElongationPlan(
                         {site.glyph_index: amount} if amount else {}, 0
                     )
-                    stretched = kashida.apply_plan(word, plan, demo_font)
+                    stretched = kashida.apply_plan(word, plan, sites)
                     marks, _ = place_diacritics(stretched, demo_font)
                     for m in marks:
                         ranks_by_mark.setdefault(m.glyph_index, []).append(
@@ -199,7 +198,7 @@ def test_criterion_4_placement_algorithm(demo_font):
                 plan = kashida.ElongationPlan(
                     {site.glyph_index: amount} if amount else {}, 0
                 )
-                word = kashida.apply_plan(word, plan, demo_font)
+                word = kashida.apply_plan(word, plan, sites)
 
             marks, _ = place_diacritics(word, demo_font)
             replay, _ = place_diacritics(
@@ -226,7 +225,7 @@ def test_criterion_5_dp_optimality(demo_font, oracle_corpus):
 def test_criterion_6_dominance_and_width(demo_font):
     with criterion(6, "optimum <= greedy on 1000 paragraphs; lines hit the measure"):
         rng = random.Random(6006)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams()
         for _ in range(1000):
             words, measure = random_paragraph(
@@ -246,7 +245,7 @@ def test_criterion_7_no_stacked_elongations(demo_font, oracle_corpus):
     with criterion(
         7, "overlap_penalty=INF yields no stacked elongations when avoidable"
     ):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams(variants=True, overlap_penalty=INF)
         for words, measure, _, _ in rows:
             layout = break_optimum(words, measure, glue, demo_font, params)
@@ -272,7 +271,7 @@ def test_criterion_7_no_stacked_elongations(demo_font, oracle_corpus):
 def test_criterion_8_no_hyphenation(demo_font, oracle_corpus):
     rows, _ = oracle_corpus
     with criterion(8, "no word is ever split across lines, 0 violations"):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         rng = random.Random(88)
         checked = list(rows)
         for _ in range(50):

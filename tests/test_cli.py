@@ -6,11 +6,16 @@ from pathlib import Path
 import pytest
 
 from qalam.cli import main
+from qalam.justify import MAX_LINE_PENALTY
 
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
 
 FONT = str(DEMO_FONT_PATH)
-GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_justify.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_PATH = DATA / "golden_justify.json"
+# Shape and render goldens: the corpus with liga,jalt, rendered from its
+# optimum justification at 4000 units with width variants.
+CORPUS_ARGS = ["--font", FONT, "--text-file", str(CORPUS_PATH), "--features", "liga,jalt"]
 GOLDEN_TEXT = (
     "شَرِبَ الْقِطُّ "
     "لَبَنًا ثُمَّ "
@@ -100,6 +105,22 @@ class TestShape:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    def test_matches_golden_file(self, capsys):
+        code, out, _ = run(capsys, ["shape", *CORPUS_ARGS])
+        assert code == 0
+        assert out == (DATA / "golden_shape.json").read_text(encoding="utf-8")
+
+    def test_builds_no_width_variants(self, capsys, monkeypatch):
+        from qalam import shaper
+
+        def refuse(*args):
+            raise AssertionError("shape built width variants")
+
+        monkeypatch.setattr(shaper, "word_variants", refuse)
+        code, out, _ = run(capsys, ["shape", *CORPUS_ARGS])
+        assert code == 0
+        assert out == (DATA / "golden_shape.json").read_text(encoding="utf-8")
+
 
 class TestJustify:
     def test_impossible_measure(self, capsys):
@@ -186,6 +207,32 @@ class TestJustify:
         assert "--overlap-penalty" in err
         assert "Traceback" not in err
 
+    def test_saturating_line_penalty_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(GOLDEN_ARGS + ["--line-penalty", "40000000"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--line-penalty" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("penalty", ["10", str(MAX_LINE_PENALTY)])
+    def test_largest_line_penalty_still_ranks_lines(self, capsys, penalty):
+        # A saturating penalty (40000000) would cost every line INF and set
+        # the first line at badness 880; every accepted one keeps the
+        # badness-0 breaks.
+        first_line = CORPUS_PATH.read_text(encoding="utf-8").splitlines()[0]
+        code, _, err = run(
+            capsys,
+            ["justify", "--font", FONT, "--text", first_line, "--width", "4000",
+             "--line-penalty", penalty, "--stats"],
+        )
+        assert code == 0
+        lines = [l for l in err.splitlines() if l.startswith("line ")]
+        assert lines == [
+            "line 0: words 0..3 width 4000 badness 0",
+            "line 1: words 3..4 width 1520 badness 0",
+        ]
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, GOLDEN_ARGS)
         _, second, _ = run(capsys, GOLDEN_ARGS)
@@ -197,7 +244,7 @@ class TestJustify:
         assert out == GOLDEN_PATH.read_text(encoding="utf-8")
 
     def test_golden_matches_exhaustive_oracle(self, demo_font):
-        from qalam.justify import GlueSpec, JustifyParams, break_optimum
+        from qalam.justify import JustifyParams, break_optimum
         from qalam.shaper import shape_word
         from qalam.textmodel import decompose
 
@@ -205,7 +252,7 @@ class TestJustify:
 
         words = [shape_word(c, demo_font, frozenset()) for c in decompose(GOLDEN_TEXT)]
         params = JustifyParams(variants=True)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         layout = break_optimum(words, 4000, glue, demo_font, params)
         best = oracle_best(words, 4000, glue, demo_font, params)
         assert best is not None
@@ -301,6 +348,51 @@ class TestRender:
         assert code == 0
         assert '<path class="glyph"' in svg
         assert "L 400 180 Z" in svg
+
+    def test_matches_golden_file(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            ["justify", *CORPUS_ARGS, "--width", "4000", "--algorithm", "optimum",
+             "--variants", "on"],
+        )
+        assert code == 0
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(out, encoding="utf-8")
+        code, svg, _ = run(capsys, ["render", "--font", FONT, "--input", str(layout_path)])
+        assert code == 0
+        assert svg == (DATA / "golden_render.svg").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("glyph",), "no_such_glyph"),
+            (("marks", 0, "mark"), "no_such_mark"),
+            (("marks", 0, "variant"), "huge"),
+            (("marks", 0, "dx"), "x"),
+            (("marks", 0, "dy"), 1.5),
+            ((), {"units_per_em": "x"}),
+            ((), {"measure": "x"}),
+            ((), {"lines": [{"width": "x", "glyphs": []}]}),
+        ],
+    )
+    def test_bad_layout_exit_2(self, capsys, tmp_path, path, value):
+        doc = json.loads(self.shape_doc(capsys, "بَ"))
+        if path:
+            node = doc["lines"][0]["glyphs"][0]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            doc.update(value)
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(
+            capsys, ["render", "--font", FONT, "--input", str(layout_path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_round_trips_justify_output(self, capsys, tmp_path):
         code, out, _ = run(capsys, GOLDEN_ARGS)

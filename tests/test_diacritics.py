@@ -12,7 +12,7 @@ from qalam.diacritics import (
     with_marks,
 )
 from qalam.fontmodel import SizeVariant, VARIANT_ORDER
-from qalam.kashida import ElongationPlan, apply_plan
+from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
 from qalam.textmodel import Placement
 
 from .util import BEH, synth_font, word
@@ -20,6 +20,11 @@ from .util import BEH, synth_font, word
 
 def variant_rank(variant: SizeVariant) -> int:
     return VARIANT_ORDER.index(variant)
+
+
+def stretch(w, font, allocations: dict[int, int]):
+    """The word with the given elongations applied."""
+    return apply_plan(w, ElongationPlan(allocations, 0), enumerate_sites(w, font))
 
 
 class TestSelectSizeVariant:
@@ -49,7 +54,7 @@ class TestMeasureGap:
 
     def test_elongation_adds_to_gap(self, demo_font):
         w = word("س", demo_font)
-        stretched = apply_plan(w, ElongationPlan({0: 250}, 0), demo_font)
+        stretched = stretch(w, demo_font, {0: 250})
         assert measure_gap(stretched, 0, Placement.ABOVE, demo_font).width == 560 + 250
 
     def test_neighbour_mark_subtracts(self):
@@ -103,13 +108,13 @@ class TestPlaceDiacritics:
         plain_marks, _ = place_diacritics(base_word, font)
         assert plain_marks[0].variant is SizeVariant.NORMAL  # gap 340 < 400
 
-        stretched = apply_plan(base_word, ElongationPlan({0: 250}, 0), font)
+        stretched = stretch(base_word, font, {0: 250})
         marks, _ = place_diacritics(stretched, font)
         assert marks[0].variant is SizeVariant.MEDIUM  # gap 590
         # Recentered at the midpoint of the extended ink span.
         assert marks[0].offset == ((340 + 250) // 2 - 100, 380)
 
-        wide = apply_plan(base_word, ElongationPlan({0: 400}, 0), font)
+        wide = stretch(base_word, font, {0: 400})
         marks, _ = place_diacritics(wide, font)
         assert marks[0].variant is SizeVariant.LARGE  # gap 740
 
@@ -176,7 +181,7 @@ class TestPlaceDiacritics:
             if sites and rng.random() < 0.5:
                 site = rng.choice(sites)
                 plan = ElongationPlan({site.glyph_index: rng.randint(1, site.capacity)}, 0)
-                w = apply_plan(w, plan, demo_font)
+                w = apply_plan(w, plan, sites)
             first, _ = place_diacritics(w, demo_font)
             replayed, _ = place_diacritics(with_marks(w, first, demo_font), demo_font)
             assert replayed == first
@@ -186,7 +191,7 @@ class TestPlaceDiacritics:
         base_word = word("بَا", font)
         ranks = []
         for e in range(0, 601, 60):
-            stretched = apply_plan(base_word, ElongationPlan({0: e} if e else {}, 0), font)
+            stretched = stretch(base_word, font, {0: e} if e else {})
             marks, _ = place_diacritics(stretched, font)
             ranks.append(variant_rank(marks[0].variant))
         assert ranks == sorted(ranks)
@@ -219,7 +224,7 @@ class TestPlaceDiacritics:
             mark_overrides={"fatha.large": {"ink": [0, 0, 900, 80], "anchor": [450, 0]}},
         )
         w = word("بَبُ", font)  # beh+fatha, beh+damma
-        stretched = apply_plan(w, ElongationPlan({0: 200}, 0), font)
+        stretched = stretch(w, font, {0: 200})
         marks, diags = place_diacritics(stretched, font)
         assert diags == []
         fatha, damma = marks

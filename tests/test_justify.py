@@ -8,6 +8,9 @@ import pytest
 from qalam.errors import Infeasible, WordTooWide
 from qalam.justify import (
     INF,
+    MAX_BADNESS,
+    MAX_LINE_PENALTY,
+    MIN_LINE_PENALTY,
     GlueSpec,
     JustifyParams,
     badness,
@@ -17,7 +20,7 @@ from qalam.justify import (
     justify_line,
     line_candidate,
 )
-from qalam.shaper import shape_word
+from qalam.shaper import shape_word, word_variants
 from qalam.textmodel import decompose
 
 from .break_oracle import oracle_best
@@ -91,6 +94,15 @@ class TestDemerits:
         with pytest.raises(ValueError):
             JustifyParams(overlap_penalty=-1)
 
+    def test_saturating_line_penalty_rejected(self):
+        for bad in (40_000_000, MAX_LINE_PENALTY + 1, MIN_LINE_PENALTY - 1):
+            with pytest.raises(ValueError):
+                JustifyParams(line_penalty=bad)
+        for edge in (MIN_LINE_PENALTY, MAX_LINE_PENALTY):
+            params = JustifyParams(line_penalty=edge)
+            for b in (0, MAX_BADNESS):
+                assert demerits(fake_line(b), params) < INF
+
     def test_inf_overlap_penalty(self):
         params = JustifyParams(overlap_penalty=INF)
         line = fake_line(0, signature={1})
@@ -108,7 +120,7 @@ class TestJustifyLine:
         font = self.font()
         words = make_words(font, "ا د")  # 40 + 10 + 30 = 80
         line = justify_line(
-            [w.variants[0] for w in words], 80, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 80, GLUE, font, JustifyParams()
         )
         assert line.width == 80
         assert line.glue_widths == (10,)
@@ -119,7 +131,7 @@ class TestJustifyLine:
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")  # 560 + 10 + 40 = 610
         line = justify_line(
-            [w.variants[0] for w in words], 640, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 640, GLUE, font, JustifyParams()
         )
         assert dict(line.plans[0]) == {0: 30}
         assert line.glue_widths == (10,)
@@ -130,7 +142,8 @@ class TestJustifyLine:
         glue = GlueSpec(10, 60, 3)
         words = make_words(font, "س ا")
         line = justify_line(
-            [w.variants[0] for w in words], 610 + 150, glue, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 610 + 150, glue, font,
+            JustifyParams(),
         )
         assert dict(line.plans[0]) == {0: 100}
         assert line.glue_widths == (10 + 50,)
@@ -140,7 +153,7 @@ class TestJustifyLine:
         font = self.font()
         words = make_words(font, "ا د")  # natural 80
         line = justify_line(
-            [w.variants[0] for w in words], 78, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 78, GLUE, font, JustifyParams()
         )
         assert line.glue_widths == (8,)
         assert line.width == 78
@@ -150,13 +163,17 @@ class TestJustifyLine:
         font = self.font()
         words = make_words(font, "ا د")
         with pytest.raises(Infeasible):
-            justify_line([w.variants[0] for w in words], 70, GLUE, font, JustifyParams())
+            justify_line(
+                [word_variants(w, font)[0] for w in words], 70, GLUE, font, JustifyParams()
+            )
 
     def test_kashida_off_policy(self):
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")
         params = JustifyParams(kashida_policy="off")
-        line = justify_line([w.variants[0] for w in words], 640, GLUE, font, params)
+        line = justify_line(
+            [word_variants(w, font)[0] for w in words], 640, GLUE, font, params
+        )
         assert all(p == () for p in line.plans)
         assert line.glue_widths == (40,)
 
@@ -218,7 +235,7 @@ class TestBreakOptimum:
 
     def test_matches_oracle_randomized(self, demo_font):
         rng = random.Random(2024)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams(variants=True)
         for _ in range(20):
             n = rng.randint(2, 7)
@@ -228,23 +245,24 @@ class TestBreakOptimum:
                 for c in decompose(text)
             ]
             measure = rng.randint(
-                max(w.variants[0].width for w in words) + 100, 4000
+                max(word_variants(w, demo_font)[0].width for w in words) + 100, 4000
             )
             layout = break_optimum(words, measure, glue, demo_font, params)
             best = oracle_best(words, measure, glue, demo_font, params)
             assert best is not None
             assert layout.total_demerits == best[0], (text, measure)
 
-    @pytest.mark.parametrize("line_penalty", [10, 10**8])
+    @pytest.mark.parametrize("line_penalty", [10, MAX_LINE_PENALTY])
     @pytest.mark.parametrize("policy", ["single_site", "spread", "off"])
     @pytest.mark.parametrize("overlap_penalty", [0, 1, 50, 3000, INF])
     def test_matches_oracle_across_parameters(
         self, demo_font, overlap_penalty, policy, line_penalty
     ):
-        # 10**8 pushes every line's demerits to the INF cap, so all break
-        # sequences with the same line count tie on total.
+        # The largest accepted line penalty puts every line's demerits just
+        # under INF, so any overlap charge reaches the cap and break
+        # sequences differ by little more than their badness.
         rng = random.Random(7)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams(
             line_penalty=line_penalty,
             overlap_penalty=overlap_penalty,
@@ -258,7 +276,9 @@ class TestBreakOptimum:
                 shape_word(c, demo_font, frozenset({"liga", "jalt"}))
                 for c in decompose(text)
             ]
-            measure = rng.randint(max(w.variants[0].width for w in words) + 100, 3000)
+            measure = rng.randint(
+                max(word_variants(w, demo_font)[0].width for w in words) + 100, 3000
+            )
             layout = break_optimum(words, measure, glue, demo_font, params)
             got = (
                 layout.total_demerits,
@@ -283,7 +303,7 @@ class TestBreakOptimum:
         # more than the cheapest one at its break but whose elongations
         # collide less with the next line's. Pruning that ignored the
         # overlap charge would drop it.
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams(variants=True, kashida_policy="spread")
         words = [
             shape_word(c, demo_font, frozenset({"liga", "jalt"}))
@@ -295,30 +315,42 @@ class TestBreakOptimum:
         assert tuple(line.candidate.word_range[1] for line in layout.lines) == best[2]
 
     def test_stretch_sites_enumerated_once_per_word(self, demo_font, monkeypatch):
-        from qalam import kashida
+        from qalam import justify, kashida
 
         rng = random.Random(3)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         text = " ".join(random_word_text(rng, 4) for _ in range(16))
         words = [
             shape_word(c, demo_font, frozenset({"liga", "jalt"}))
             for c in decompose(text)
         ]
         calls = []
-        real = kashida.enumerate_sites
+        real_sites = kashida.enumerate_sites
         monkeypatch.setattr(
-            kashida, "enumerate_sites", lambda *a: calls.append(1) or real(*a)
+            kashida, "enumerate_sites", lambda *a: calls.append(1) or real_sites(*a)
         )
+        built = []
+        real_variants = justify.word_variants
+
+        def counted_variants(word, font):
+            variants = real_variants(word, font)
+            built.append(len(variants))
+            return variants
+
+        monkeypatch.setattr(justify, "word_variants", counted_variants)
         layout = break_optimum(
             words, 2500, glue, demo_font, JustifyParams(variants=True)
         )
         assert len(layout.lines) > 1
-        # Only apply_plan, once per finished word, still enumerates sites.
-        assert 0 < len(calls) <= len(words)
+        # Each word's variants are built once, each variant's sites are
+        # enumerated once while building it, and nothing after that
+        # enumerates them again.
+        assert len(built) == len(words)
+        assert len(calls) == sum(built)
 
     def test_dominates_greedy(self, demo_font):
         rng = random.Random(31)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         for _ in range(15):
             n = rng.randint(2, 8)
             text = " ".join(random_word_text(rng, 3) for _ in range(n))
@@ -334,7 +366,7 @@ class TestBreakOptimum:
         assert layout.lines == ()
 
     def test_more_variants_never_hurt(self, demo_font):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         text = "ك سلام ك"
         words = [
             shape_word(c, demo_font, frozenset({"jalt", "liga"}))
@@ -345,7 +377,7 @@ class TestBreakOptimum:
         assert on.total_demerits <= off.total_demerits
 
     def test_width_exactness(self, demo_font, corpus_lines):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[0])
         ]
@@ -361,7 +393,7 @@ class TestBreakOptimum:
                     assert line.candidate.word_range in underfull
 
     def test_no_word_ever_split(self, demo_font, corpus_lines):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[3])
         ]
@@ -375,7 +407,7 @@ class TestBreakOptimum:
 
     def test_inf_overlap_penalty_avoids_stacking(self, demo_font):
         rng = random.Random(55)
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         params = JustifyParams(overlap_penalty=INF, variants=True)
         for _ in range(10):
             n = rng.randint(3, 7)
@@ -384,7 +416,9 @@ class TestBreakOptimum:
                 shape_word(c, demo_font, frozenset({"liga", "jalt"}))
                 for c in decompose(text)
             ]
-            measure = rng.randint(max(w.variants[0].width for w in words) + 100, 2500)
+            measure = rng.randint(
+                max(word_variants(w, demo_font)[0].width for w in words) + 100, 2500
+            )
             layout = break_optimum(words, measure, glue, demo_font, params)
             has_overlap = any(
                 d.code == "stacked-elongation" for d in layout.diagnostics
@@ -395,7 +429,7 @@ class TestBreakOptimum:
                 assert has_overlap
 
     def test_final_line_not_stretched(self, demo_font):
-        glue = GlueSpec.from_defaults(demo_font.glue)
+        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset())
             for c in decompose("سلام سلام")
@@ -415,7 +449,7 @@ class TestLineCandidateDetails:
         words = make_words(font, "س ا")
         params = JustifyParams()
         line = line_candidate(
-            [w.variants[0] for w in words], (0, 2), 800, GLUE, font, params, False
+            [word_variants(w, font)[0] for w in words], (0, 2), 800, GLUE, font, params, False
         )
         # Deficit 800-610=190 goes to the seen's tail at ink end 560.
         assert line.kashida_intervals == ((560, 750),)
@@ -429,7 +463,7 @@ class TestLineCandidateDetails:
         words = make_words(font, "ا ا")
         params = JustifyParams()
         line = line_candidate(
-            [words[0].variants[0]], (0, 1), 500, GLUE, font, params, False
+            [word_variants(words[0], font)[0]], (0, 1), 500, GLUE, font, params, False
         )
         assert line.badness == 10000  # cannot stretch at all, stays feasible
         assert line.width == 40

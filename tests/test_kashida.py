@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from qalam.diacritics import place_diacritics, with_marks
 from qalam.errors import CapacityExceeded
+from qalam.fontmodel import SizeVariant
 from qalam.kashida import (
     ElongationPlan,
     allocate,
@@ -76,14 +78,14 @@ class TestEnumerateSites:
 class TestAllocate:
     def test_single_site_partial_fill(self, demo_font):
         w = word("س", demo_font)
-        plan = allocate(w, 120, "single_site", font=demo_font)
+        plan = allocate(enumerate_sites(w, demo_font), 120, "single_site")
         assert plan.allocations == {0: 120}
         assert plan.residual == 0
 
     def test_single_site_saturates_and_leaves_residual(self):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)  # seen rank 30 > beh rank 20
-        plan = allocate(w, 400, "single_site", font=font)
+        plan = allocate(enumerate_sites(w, font), 400, "single_site")
         sites = enumerate_sites(w, font)
         assert plan.allocations == {sites[0].glyph_index: 300}
         assert plan.residual == 100
@@ -91,7 +93,7 @@ class TestAllocate:
     def test_spread_cascades(self):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)
-        plan = allocate(w, 400, "spread", font=font)
+        plan = allocate(enumerate_sites(w, font), 400, "spread")
         assert sum(plan.allocations.values()) == 400
         assert plan.residual == 0
         sites = enumerate_sites(w, font)
@@ -100,20 +102,26 @@ class TestAllocate:
 
     def test_zero_deficit_empty_plan(self, demo_font):
         w = word("س", demo_font)
-        plan = allocate(w, 0, "single_site", font=demo_font)
+        plan = allocate(enumerate_sites(w, demo_font), 0, "single_site")
         assert plan.allocations == {} and plan.residual == 0
 
     def test_unknown_policy_rejected(self, demo_font):
         w = word("س", demo_font)
         with pytest.raises(ValueError):
-            allocate(w, 10, "zigzag", font=demo_font)
+            allocate(enumerate_sites(w, demo_font), 10, "zigzag")
+
+    def test_off_policy_never_elongates(self, demo_font):
+        sites = enumerate_sites(word("س", demo_font), demo_font)
+        assert sites and word_capacity(sites, "off") == 0
+        plan = allocate(sites, 120, "off")
+        assert plan.allocations == {} and plan.residual == 120
 
     @given(deficit=st.integers(0, 2000))
     def test_conservation(self, deficit):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)
         for policy in ("single_site", "spread"):
-            plan = allocate(w, deficit, policy, font=font)
+            plan = allocate(enumerate_sites(w, font), deficit, policy)
             assert sum(plan.allocations.values()) + plan.residual == deficit
             sites = {s.glyph_index: s.capacity for s in enumerate_sites(w, font)}
             for gi, amount in plan.allocations.items():
@@ -123,36 +131,43 @@ class TestAllocate:
 class TestApplyPlan:
     def test_empty_plan_is_identity(self, demo_font):
         w = word("سَ", demo_font)
-        assert apply_plan(w, ElongationPlan({}, 0), demo_font) == w
+        assert apply_plan(w, ElongationPlan({}, 0), enumerate_sites(w, demo_font)) == w
 
     def test_width_grows_by_allocation(self, demo_font):
         w = word("س", demo_font)
-        out = apply_plan(w, ElongationPlan({0: 250}, 0), demo_font)
+        out = apply_plan(w, ElongationPlan({0: 250}, 0), enumerate_sites(w, demo_font))
         assert out.natural_width == w.natural_width + 250
 
     def test_capacity_exceeded(self, demo_font):
         w = word("س", demo_font)
         with pytest.raises(CapacityExceeded):
-            apply_plan(w, ElongationPlan({0: 350}, 0), demo_font)
+            apply_plan(w, ElongationPlan({0: 350}, 0), enumerate_sites(w, demo_font))
 
     def test_plan_on_unstretchable_glyph_rejected(self, demo_font):
         w = word("ا", demo_font)
         with pytest.raises(CapacityExceeded):
-            apply_plan(w, ElongationPlan({0: 10}, 0), demo_font)
+            apply_plan(w, ElongationPlan({0: 10}, 0), enumerate_sites(w, demo_font))
+
+    # apply_plan only widens glyphs; placement re-centers the marks over the
+    # stretched glyph.
 
     def test_marks_ride_extended_span_midpoint(self):
         font = synth_font(letter_extensions={BEH: 400})
         w = word("بُا", font)  # beh+damma, alef
-        out = apply_plan(w, ElongationPlan({0: 200}, 0), font)
-        mark = out.glyphs[1]
+        out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
+        marks, _ = place_diacritics(out, font)
+        mark = with_marks(out, marks, font).glyphs[1]
         # Midpoint of [0, 340+200] minus damma anchor x.
         assert mark.x_offset == (340 + 200) // 2 - 60
 
     def test_stacked_marks_follow(self):
-        font = synth_font(letter_extensions={BEH: 400})
-        w = word("بَّا", font)
-        out = apply_plan(w, ElongationPlan({0: 200}, 0), font)
-        shadda, fatha = out.glyphs[1], out.glyphs[2]
+        # Thresholds above the 540-unit span keep the fatha at normal size.
+        font = synth_font(thresholds=(600, 700), letter_extensions={BEH: 400})
+        w = word("بَّا", font)
+        out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
+        marks, _ = place_diacritics(out, font)
+        assert marks[1].variant is SizeVariant.NORMAL
+        shadda, fatha = with_marks(out, marks, font).glyphs[1:3]
         assert shadda.x_offset == (340 + 200) // 2 - 75
         assert fatha.x_offset == shadda.x_offset + 75 - 50
 
@@ -160,13 +175,14 @@ class TestApplyPlan:
         rng = random.Random(11)
         for w in corpus_words[:40]:
             deficit = rng.randint(0, 900)
-            plan = allocate(w, deficit, "spread", font=demo_font)
-            out = apply_plan(w, plan, demo_font)
+            sites = enumerate_sites(w, demo_font)
+            plan = allocate(sites, deficit, "spread")
+            out = apply_plan(w, plan, sites)
             assert out.natural_width - w.natural_width == deficit - plan.residual
 
     def test_word_capacity_matches_sites(self, demo_font, corpus_words):
         for w in corpus_words[:40]:
             sites = enumerate_sites(w, demo_font)
-            assert word_capacity(w, demo_font, "spread") == sum(s.capacity for s in sites)
+            assert word_capacity(sites, "spread") == sum(s.capacity for s in sites)
             expected_single = sites[0].capacity if sites else 0
-            assert word_capacity(w, demo_font, "single_site") == expected_single
+            assert word_capacity(sites, "single_site") == expected_single

@@ -7,7 +7,7 @@ import pytest
 from qalam.diacritics import place_diacritics, with_marks
 from qalam.errors import MalformedLayout
 from qalam.fontmodel import SizeVariant
-from qalam.justify import GlueSpec, JustifyParams, break_optimum
+from qalam.justify import JustifyParams, break_optimum
 from qalam.layout import (
     dumps,
     justified_document,
@@ -61,10 +61,10 @@ class TestShapedDocument:
 
     def test_variant_rewriting(self, demo_font):
         # A stretched seen drives its fatha to a larger variant.
-        from qalam.kashida import ElongationPlan, apply_plan
+        from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
 
         w = word("سَب", demo_font)
-        w = apply_plan(w, ElongationPlan({0: 300}, 0), demo_font)
+        w = apply_plan(w, ElongationPlan({0: 300}, 0), enumerate_sites(w, demo_font))
         placed, _ = place_diacritics(w, demo_font)
         assert placed[0].variant is not SizeVariant.NORMAL
         doc = shaped_document(
@@ -86,7 +86,7 @@ class TestJustifiedDocument:
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[4])
         ]
         layout = break_optimum(
-            words, 3500, GlueSpec.from_defaults(demo_font.glue), demo_font,
+            words, 3500, demo_font.glue, demo_font,
             JustifyParams(),
         )
         doc = justified_document(demo_font, layout)
@@ -101,7 +101,7 @@ class TestJustifiedDocument:
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[0])
         ]
         layout = break_optimum(
-            words, 3600, GlueSpec.from_defaults(demo_font.glue), demo_font,
+            words, 3600, demo_font.glue, demo_font,
             JustifyParams(),
         )
         doc = justified_document(demo_font, layout)

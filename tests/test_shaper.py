@@ -7,7 +7,7 @@ import pytest
 from qalam import kashida
 from qalam.errors import EmptyWord
 from qalam.fontmodel import glyph_for
-from qalam.shaper import base_indices, pen_positions, shape_word
+from qalam.shaper import base_indices, pen_positions, shape_word, word_variants
 from qalam.textmodel import Placement, analyze_joining, decompose
 
 from .util import random_word_text, word
@@ -86,9 +86,9 @@ class TestShapeWord:
 
     def test_natural_width_sums_advances(self, demo_font):
         w = word("كتب", demo_font, frozenset())
-        assert len(w.variants) == 1
+        assert len(word_variants(w, demo_font)) == 1
         widths = sum(g.advance for g in w.glyphs)
-        assert w.natural_width == widths == w.variants[0].width
+        assert w.natural_width == widths == word_variants(w, demo_font)[0].width
 
     def test_empty_word_rejected(self, demo_font):
         with pytest.raises(EmptyWord):
@@ -109,13 +109,13 @@ class TestShapeWord:
 class TestWordVariants:
     def test_no_optional_features_yields_default_only(self, demo_font):
         w = word("في", demo_font, frozenset())  # feh + yeh
-        assert [v.id for v in w.variants] == ["default"]
+        assert [v.id for v in word_variants(w, demo_font)] == ["default"]
 
     def test_aesthetic_ligature_offers_wider_off_variant(self, demo_font):
         w = word("في", demo_font, LIGA_FEATURES)
-        ids = [v.id for v in w.variants]
+        ids = [v.id for v in word_variants(w, demo_font)]
         assert ids[0] == "default" and "liga_off" in ids
-        by_id = {v.id: v for v in w.variants}
+        by_id = {v.id: v for v in word_variants(w, demo_font)}
         assert "ligature_on" in by_id["default"].description
         assert by_id["liga_off"].width > by_id["default"].width
         assert any(g.glyph == "feh_yeh.isol" for g in by_id["default"].word.glyphs)
@@ -125,30 +125,30 @@ class TestWordVariants:
 
     def test_allograph_variant_listed(self, demo_font):
         w = word("ك", demo_font, frozenset({"jalt"}))  # kaf alone
-        ids = [v.id for v in w.variants]
+        ids = [v.id for v in word_variants(w, demo_font)]
         assert ids[0] == "default"
         assert any(id_.startswith("alt:") and "kaf.isol.wide" in id_ for id_ in ids)
-        alt = next(v for v in w.variants if v.id.startswith("alt:"))
+        alt = next(v for v in word_variants(w, demo_font) if v.id.startswith("alt:"))
         assert alt.width > w.natural_width
         assert alt.description == ("allograph:kaf.isol.wide",)
 
     def test_jalt_disabled_hides_allographs(self, demo_font):
         w = word("ك", demo_font, frozenset())
-        assert [v.id for v in w.variants] == ["default"]
+        assert [v.id for v in word_variants(w, demo_font)] == ["default"]
 
     def test_variants_deduplicated(self, demo_font):
         w = word("كك", demo_font, frozenset({"jalt"}))
-        ids = [v.id for v in w.variants]
+        ids = [v.id for v in word_variants(w, demo_font)]
         assert len(ids) == len(set(ids))
 
     def test_default_always_first(self, demo_font, corpus_words):
         for w in corpus_words:
-            assert w.variants[0].id == "default"
-            assert w.variants[0].width == w.natural_width
+            assert word_variants(w, demo_font)[0].id == "default"
+            assert word_variants(w, demo_font)[0].width == w.natural_width
 
     def test_variant_sites_match_enumeration(self, demo_font, corpus_words):
         for w in corpus_words:
-            for v in w.variants:
+            for v in word_variants(w, demo_font):
                 assert v.sites == tuple(kashida.enumerate_sites(v.word, demo_font))
 
 
