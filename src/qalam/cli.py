@@ -13,7 +13,7 @@ import sys
 
 from . import layout as layout_mod
 from . import svg as svg_mod
-from .diacritics import place_diacritics, with_marks
+from .diacritics import mark_word
 from .errors import FontError, LayoutError, QalamError, Severity, TextError
 from .fontmodel import FontDescription, lint_font, load_font
 from .justify import (
@@ -179,19 +179,14 @@ def _cmd_shape(args) -> int:
     font = _load_font_arg(args)
     text = _read_text(args)
     features = _features(args)
-    clusters_per_word = decompose(text)
     words = []
-    marks_per_word = []
     diagnostics = []
-    for wi, clusters in enumerate(clusters_per_word):
+    for wi, clusters in enumerate(decompose(text)):
         word = shape_word(clusters, font, features)
-        marks, diags = place_diacritics(word, font, gap_epsilon=args.gap_epsilon)
-        words.append(with_marks(word, marks, font))
-        marks_per_word.append(marks)
-        diagnostics.extend(
-            d.__class__(d.severity, d.code, d.message, (wi, *d.location)) for d in diags
-        )
-    doc = layout_mod.shaped_document(font, words, marks_per_word, diagnostics)
+        marked, diags = mark_word(word, font, args.gap_epsilon, wi)
+        words.append(marked)
+        diagnostics.extend(diags)
+    doc = layout_mod.shaped_document(font, words, diagnostics)
     sys.stdout.write(layout_mod.dumps(doc))
     _print_diagnostics(diagnostics)
     return EXIT_OK
@@ -213,7 +208,7 @@ def _cmd_justify(args) -> int:
     clusters_per_word = decompose(text)
     words = [shape_word(clusters, font, features) for clusters in clusters_per_word]
     breaker = break_optimum if args.algorithm == "optimum" else break_greedy
-    result = breaker(words, args.width, font.glue, font, params)
+    result = breaker(words, args.width, font, params)
     doc = layout_mod.justified_document(font, result)
     sys.stdout.write(layout_mod.dumps(doc))
     _print_diagnostics(result.diagnostics)
@@ -225,7 +220,7 @@ def _cmd_justify(args) -> int:
             c = line.candidate
             print(
                 f"line {li}: words {c.word_range[0]}..{c.word_range[1]} "
-                f"width {line.width} badness {c.badness}",
+                f"width {c.width} badness {c.badness}",
                 file=sys.stderr,
             )
     return EXIT_OK

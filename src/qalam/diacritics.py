@@ -85,7 +85,7 @@ class _Placer:
         self.font = font
         self.pens = pen_positions(word)
         self.bases = base_indices(word)
-        self.canonical = font.canonical_marks
+        self.mark_sizes = font.mark_sizes
         self.mark_cps = font.mark_codepoints
         self.states: dict[int, _MarkState] = {}
         self.marks_of: dict[int, list[int]] = {}
@@ -133,7 +133,7 @@ class _Placer:
         word, font = self.word, self.font
         for mi in self.marks_of.get(base_i, []):
             pg = word.glyphs[mi]
-            mark_id = self.canonical[pg.glyph]
+            mark_id = self.mark_sizes[pg.glyph][0]
             mark = font.marks[mark_id]
             attached = pg.attached_to
             stacked_on = None
@@ -340,7 +340,6 @@ def resolve_collisions(
     mark's owner ink span, the overlap is reported and left in place.
     """
     mark_cps = font.mark_codepoints
-    canonical = font.canonical_marks
     current = {m.glyph_index: m for m in marks}
     diagnostics: list[Diagnostic] = []
 
@@ -353,7 +352,7 @@ def resolve_collisions(
         return font.marks[m.mark].attachment_class
 
     def immovable(unit: list[PlacedMark]) -> bool:
-        return any(mark_cps.get(canonical[m.mark]) == SHADDA_CP for m in unit)
+        return any(mark_cps.get(m.mark) == SHADDA_CP for m in unit)
 
     def shift_unit(unit: list[PlacedMark], dx: int) -> None:
         for m in unit:
@@ -371,7 +370,6 @@ def resolve_collisions(
             right = [current[m.glyph_index] for m in right]
             left_hi = max(ink_interval(m)[1] for m in left)
             right_lo = min(ink_interval(m)[0] for m in right)
-            left_lo = min(ink_interval(m)[0] for m in left)
             overlap = left_hi - right_lo
             if overlap <= 0:
                 continue
@@ -468,3 +466,18 @@ def with_marks(
             y_offset=m.offset[1],
         )
     return replace(word, glyphs=tuple(glyphs))
+
+
+def mark_word(
+    word: ShapedWord, font: FontDescription, gap_epsilon: int, index: int
+) -> tuple[ShapedWord, list[Diagnostic]]:
+    """Place and size a finished word's marks and write them into it.
+
+    ``index`` is the word's position in the paragraph; it is put in front
+    of each diagnostic's location.
+    """
+    marks, diagnostics = place_diacritics(word, font, gap_epsilon=gap_epsilon)
+    return with_marks(word, marks, font), [
+        Diagnostic(d.severity, d.code, d.message, (index, *d.location))
+        for d in diagnostics
+    ]

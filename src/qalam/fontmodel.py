@@ -204,13 +204,14 @@ class FontDescription:
         )
 
     @cached_property
-    def canonical_marks(self) -> dict[str, str]:
-        """Every mark glyph id, size variants included, to its canonical mark id."""
-        out = {mid: mid for mid in self.marks}
+    def mark_sizes(self) -> dict[str, tuple[str, SizeVariant]]:
+        """Every mark glyph id, size variants included, to its canonical
+        mark id and the size it draws that mark at."""
+        out = {mid: (mid, SizeVariant.NORMAL) for mid in self.marks}
         for mid, mark in self.marks.items():
             if mark.variants:
-                for vid in mark.variants.values():
-                    out[vid] = mid
+                for size, vid in mark.variants.items():
+                    out[vid] = (mid, size)
         return out
 
     @cached_property
@@ -587,6 +588,9 @@ def _validate_references(font: FontDescription) -> None:
             for gid in _rule_glyph_refs(rule):
                 if gid not in known:
                     raise RefError(gid, f"{label} {rule.kind.value} rule")
+    # A variant id names one size of one mark, so every mark glyph reads
+    # back as a single (mark, size) pair (``FontDescription.mark_sizes``).
+    size_of: dict[str, str] = {}
     for mid, mark in font.marks.items():
         if mark.variants is not None:
             normal = mark.variants.get(SizeVariant.NORMAL)
@@ -594,9 +598,14 @@ def _validate_references(font: FontDescription) -> None:
                 raise SchemaError(
                     f"mark {mid}: normal variant must be the mark itself, got {normal!r}"
                 )
-            for vid in mark.variants.values():
+            for size, vid in mark.variants.items():
                 if vid not in font.marks:
                     raise RefError(vid, f"mark {mid} variants")
+                here = f"{mid} {size.value}"
+                if size_of.setdefault(vid, here) != here:
+                    raise SchemaError(
+                        f"mark {vid} is listed as both {size_of[vid]} and {here}"
+                    )
 
 
 # --- serialization ---------------------------------------------------------

@@ -45,10 +45,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import kashida
-from .diacritics import PlacedMark, place_diacritics, with_marks
+from .diacritics import mark_word
 from .errors import Diagnostic, Infeasible, NoFeasibleBreak, Severity, WordTooWide
 from .fontmodel import FontDescription, GlueSpec
-from .shaper import ShapedWord, WordVariant, word_variants
+from .shaper import ShapedWord, WordVariant, default_variant, word_variants
 
 #: Sentinel cost of an infeasible or forbidden line. Large enough that any
 #: sum of finite demerits stays below it.
@@ -244,12 +244,12 @@ def line_candidate(
     variants: Sequence[WordVariant],
     word_range: tuple[int, int],
     measure: int,
-    glue: GlueSpec,
     font: FontDescription,
     params: JustifyParams,
     is_last: bool,
 ) -> LineCandidate:
     """Cost and full width assignment for one candidate line."""
+    glue = font.glue
     gaps = len(variants) - 1
     natural, total_stretch, total_shrink, ratio, cost = _line_fit(
         sum(v.width for v in variants),
@@ -312,7 +312,6 @@ def line_candidate(
 def justify_line(
     variants: Sequence[WordVariant],
     measure: int,
-    glue: GlueSpec,
     font: FontDescription,
     params: JustifyParams | None = None,
     is_last: bool = False,
@@ -320,7 +319,7 @@ def justify_line(
     """Justify one line; raises Infeasible when it cannot fit the measure."""
     params = params or JustifyParams()
     candidate = line_candidate(
-        variants, (0, len(variants)), measure, glue, font, params, is_last
+        variants, (0, len(variants)), measure, font, params, is_last
     )
     if candidate.badness >= INF:
         raise Infeasible(
@@ -333,7 +332,6 @@ def justify_line(
 class BreakNode:
     """Dynamic-programming state after laying a line."""
 
-    break_index: int
     signature: frozenset[int]
     total_demerits: int
     line_count: int
@@ -345,13 +343,10 @@ class BreakNode:
 
 @dataclass(frozen=True)
 class LineLayout:
-    """A finished line: justified words with final mark placements."""
+    """A finished line: its candidate and its stretched, marked words."""
 
     candidate: LineCandidate
     words: tuple[ShapedWord, ...]
-    marks: tuple[tuple[PlacedMark, ...], ...]
-    glue_widths: tuple[int, ...]
-    width: int
 
 
 @dataclass(frozen=True)
@@ -365,11 +360,9 @@ class ParagraphLayout:
 def _variant_lists(
     words: Sequence[ShapedWord], font: FontDescription, params: JustifyParams
 ) -> list[tuple[WordVariant, ...]]:
-    lists = []
-    for word in words:
-        variants = word_variants(word, font)
-        lists.append(variants if params.variants else variants[:1])
-    return lists
+    if params.variants:
+        return [word_variants(word, font) for word in words]
+    return [(default_variant(word, font),) for word in words]
 
 
 def _check_widths(
@@ -408,22 +401,16 @@ def _finalize(
                 )
             )
         final_words = []
-        all_marks = []
         for k, variant in enumerate(variants):
             plan = kashida.ElongationPlan(
                 allocations=dict(candidate.plans[k]), residual=0
             )
             stretched = kashida.apply_plan(variant.word, plan, variant.sites)
-            marks, word_diags = place_diacritics(
-                stretched, font, gap_epsilon=params.gap_epsilon
+            marked, word_diags = mark_word(
+                stretched, font, params.gap_epsilon, candidate.word_range[0] + k
             )
-            final_words.append(with_marks(stretched, marks, font))
-            all_marks.append(tuple(marks))
-            start = candidate.word_range[0]
-            diagnostics.extend(
-                Diagnostic(d.severity, d.code, d.message, (start + k, *d.location))
-                for d in word_diags
-            )
+            final_words.append(marked)
+            diagnostics.extend(word_diags)
         if candidate.signature & prev_signature:
             diagnostics.append(
                 Diagnostic(
@@ -437,15 +424,7 @@ def _finalize(
                 )
             )
         prev_signature = candidate.signature
-        lines.append(
-            LineLayout(
-                candidate=candidate,
-                words=tuple(final_words),
-                marks=tuple(all_marks),
-                glue_widths=candidate.glue_widths,
-                width=candidate.width,
-            )
-        )
+        lines.append(LineLayout(candidate=candidate, words=tuple(final_words)))
     return ParagraphLayout(
         lines=tuple(lines),
         total_demerits=total,
@@ -457,7 +436,6 @@ def _finalize(
 def break_greedy(
     words: Sequence[ShapedWord],
     measure: int,
-    glue: GlueSpec,
     font: FontDescription,
     params: JustifyParams | None = None,
 ) -> ParagraphLayout:
@@ -465,6 +443,7 @@ def break_greedy(
     params = params or JustifyParams()
     if not words:
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
+    glue = font.glue
     variant_lists = _variant_lists(words, font, params)
     _check_widths(variant_lists, measure)
 
@@ -492,7 +471,7 @@ def break_greedy(
     for li, (i, j) in enumerate(ranges):
         variants = tuple(pick(wi) for wi in range(i, j))
         candidate = line_candidate(
-            variants, (i, j), measure, glue, font, params, is_last=(li == len(ranges) - 1)
+            variants, (i, j), measure, font, params, is_last=(li == len(ranges) - 1)
         )
         total += demerits(candidate, params, prev_signature)
         prev_signature = candidate.signature
@@ -503,7 +482,6 @@ def break_greedy(
 def break_optimum(
     words: Sequence[ShapedWord],
     measure: int,
-    glue: GlueSpec,
     font: FontDescription,
     params: JustifyParams | None = None,
 ) -> ParagraphLayout:
@@ -516,6 +494,7 @@ def break_optimum(
     params = params or JustifyParams()
     if not words:
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
+    glue = font.glue
     variant_lists = _variant_lists(words, font, params)
     _check_widths(variant_lists, measure)
     n = len(words)
@@ -529,7 +508,6 @@ def break_optimum(
     start_key = (0, frozenset())
     nodes: dict[tuple[int, frozenset[int]], BreakNode] = {
         start_key: BreakNode(
-            break_index=0,
             signature=frozenset(),
             total_demerits=0,
             line_count=0,
@@ -582,9 +560,7 @@ def break_optimum(
         for bound, i, combo in scored:
             if bound > theta:
                 break
-            candidate = line_candidate(
-                combo, (i, j), measure, glue, font, params, is_last
-            )
+            candidate = line_candidate(combo, (i, j), measure, font, params, is_last)
             new_key = (j, candidate.signature)
             for key in by_index[i]:
                 node = nodes[key]
@@ -593,7 +569,6 @@ def break_optimum(
                 if total > theta:
                     continue
                 new = BreakNode(
-                    break_index=j,
                     signature=candidate.signature,
                     total_demerits=total,
                     line_count=node.line_count + 1,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .diacritics import PlacedMark
 from .errors import Diagnostic, MalformedLayout
 from .fontmodel import FontDescription, SizeVariant
 from .justify import ParagraphLayout
@@ -46,9 +45,11 @@ def _glyph_records(
             continue
         root = attachment_root(word, i)
         base = word.glyphs[root]
+        mark, size = font.mark_sizes[pg.glyph]
         records[root]["marks"].append(
             {
-                "mark": pg.glyph,
+                "mark": mark,
+                "variant": size.value,
                 "dx": pg.x_offset - base.x_offset,
                 "dy": pg.y_offset - base.y_offset,
             }
@@ -56,25 +57,9 @@ def _glyph_records(
     return [records[i] for i in order]
 
 
-def _attach_variants(
-    line_glyphs: list[dict], marks_per_word: Sequence[Sequence[PlacedMark]], font: FontDescription
-) -> None:
-    """Rewrite mark records with canonical ids and size variants."""
-    flat_marks = [m for marks in marks_per_word for m in marks]
-    variant_of = {}
-    for m in flat_marks:
-        variant_of[font.variant_glyph(m.mark, m.variant)] = (m.mark, m.variant.value)
-    for glyph in line_glyphs:
-        for mark in glyph["marks"]:
-            canonical, variant = variant_of.get(mark["mark"], (mark["mark"], "normal"))
-            mark["mark"] = canonical
-            mark["variant"] = variant
-
-
 def shaped_document(
     font: FontDescription,
     words: Sequence[ShapedWord],
-    marks_per_word: Sequence[Sequence[PlacedMark]],
     diagnostics: Sequence[Diagnostic] = (),
 ) -> dict:
     """Document for an unjustified run: one line at natural widths."""
@@ -85,9 +70,7 @@ def shaped_document(
         for wi, word in enumerate(words):
             if wi:
                 x += font.glue.width
-            records = _glyph_records(font, word, x)
-            _attach_variants(records, [marks_per_word[wi]], font)
-            glyphs.extend(records)
+            glyphs.extend(_glyph_records(font, word, x))
             x += word.natural_width
         lines.append({"width": x, "glyphs": glyphs})
     return {
@@ -104,16 +87,15 @@ def shaped_document(
 def justified_document(font: FontDescription, layout: ParagraphLayout) -> dict:
     lines = []
     for line in layout.lines:
+        glue_widths = line.candidate.glue_widths
         glyphs: list[dict] = []
         x = 0
         for wi, word in enumerate(line.words):
-            records = _glyph_records(font, word, x)
-            _attach_variants(records, [line.marks[wi]], font)
-            glyphs.extend(records)
+            glyphs.extend(_glyph_records(font, word, x))
             x += word.natural_width
-            if wi < len(line.glue_widths):
-                x += line.glue_widths[wi]
-        lines.append({"width": line.width, "glyphs": glyphs})
+            if wi < len(glue_widths):
+                x += glue_widths[wi]
+        lines.append({"width": line.candidate.width, "glyphs": glyphs})
     return {
         "schema": SCHEMA_ID,
         "font_id": font.font_id,

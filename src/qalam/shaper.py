@@ -10,7 +10,8 @@ Glyphs are stored in logical order with offsets in a logical frame; the
 renderer is responsible for right-to-left layout. ``word_variants``
 enumerates a shaped word's width variants (ligature off, registered
 allographs) for the justifier, which may pick between them when filling a
-line; only a caller that reads them builds them.
+line; only a caller that reads them builds them, and ``default_variant``
+builds the first alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import kashida
 from .errors import EmptyWord, NoGlyph
 from .fontmodel import FontDescription, glyph_for
 from .lookups import GlyphItem, PlacedGlyph, apply_gsub_tracked, position_marks
-from .textmodel import SHADDA_CP, CharacterTable, Cluster, analyze_joining
+from .textmodel import SHADDA_CP, Cluster, analyze_joining
 
 #: Features a conforming renderer may never disable: the linguistic
 #: ligature and mark attachment itself.
@@ -126,7 +127,6 @@ def shape_word(
     clusters: Sequence[Cluster],
     font: FontDescription,
     features: frozenset[str] | set[str] = frozenset(),
-    table: CharacterTable | None = None,
 ) -> ShapedWord:
     """Shape one word at its default variant.
 
@@ -162,6 +162,21 @@ def _reposition(
     return _finish(items, word.clusters, font, word.features)
 
 
+def _has_aesthetic(word: ShapedWord, font: FontDescription) -> bool:
+    return any(g.glyph in font.aesthetic_ligatures for g in word.glyphs)
+
+
+def default_variant(word: ShapedWord, font: FontDescription) -> WordVariant:
+    """The word as shaped, as a width variant: the first of ``word_variants``."""
+    return WordVariant(
+        id="default",
+        width=word.natural_width,
+        sites=tuple(kashida.enumerate_sites(word, font)),
+        description=("ligature_on",) if _has_aesthetic(word, font) else (),
+        word=word,
+    )
+
+
 def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant, ...]:
     """Enumerate the word's width alternatives, default first.
 
@@ -169,8 +184,6 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
     applied, the wider unligated rendering is offered; every registered
     alternate of a glyph in the word contributes an allograph variant.
     """
-    has_aesthetic = any(g.glyph in font.aesthetic_ligatures for g in word.glyphs)
-
     out: list[WordVariant] = []
     seen: set[str] = set()
 
@@ -179,17 +192,8 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
             seen.add(variant.id)
             out.append(variant)
 
-    add(
-        WordVariant(
-            id="default",
-            width=word.natural_width,
-            sites=tuple(kashida.enumerate_sites(word, font)),
-            description=("ligature_on",) if has_aesthetic else (),
-            word=word,
-        )
-    )
-
-    if has_aesthetic and "liga" in word.features:
+    add(default_variant(word, font))
+    if "liga" in word.features and _has_aesthetic(word, font):
         off = shape_word(word.clusters, font, word.features - {"liga"})
         add(
             WordVariant(

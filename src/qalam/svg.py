@@ -9,7 +9,7 @@ is a pure function of (layout, font): no timestamps, no randomness.
 
 from __future__ import annotations
 
-from .errors import MalformedLayout
+from .errors import MalformedLayout, MissingVariant
 from .fontmodel import FontDescription, Rect, SizeVariant
 
 MARGIN_RATIO = 2  # margin = units_per_em // MARGIN_RATIO
@@ -28,7 +28,11 @@ STYLE = (
 def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[str, Rect, str | None]:
     if mark_id not in font.marks:
         raise MalformedLayout(f"mark {mark_id!r} is not in font {font.font_id!r}")
-    glyph_id = font.variant_glyph(mark_id, SizeVariant(variant))
+    try:
+        glyph_id = font.variant_glyph(mark_id, SizeVariant(variant))
+    except MissingVariant as exc:
+        # The font is sound; the document asks for a size it never offered.
+        raise MalformedLayout(str(exc)) from None
     mark = font.marks[glyph_id]
     return glyph_id, mark.ink, mark.svg_path
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from qalam.justify import INF, GlueSpec, JustifyParams, demerits, line_candidate
+from qalam.justify import INF, JustifyParams, demerits, line_candidate
 from qalam.shaper import word_variants
 
 
-def oracle_best(words, measure: int, glue: GlueSpec, font, params: JustifyParams):
+def oracle_best(words, measure: int, font, params: JustifyParams):
     """(total, line_count, breaks, variant_ids) of the global minimum, or None."""
     variant_lists = [
         (word_variants(w, font) if params.variants else word_variants(w, font)[:1])
@@ -32,9 +32,7 @@ def oracle_best(words, measure: int, glue: GlueSpec, font, params: JustifyParams
         key = (i, j, tuple(v.id for v in combo))
         got = cache.get(key)
         if got is None:
-            got = line_candidate(
-                combo, (i, j), measure, glue, font, params, is_last=(j == n)
-            )
+            got = line_candidate(combo, (i, j), measure, font, params, is_last=(j == n))
             cache[key] = got
         return got
 

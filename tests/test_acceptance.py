@@ -70,14 +70,13 @@ def random_paragraph(rng, font, max_words=12, max_len=4, features=ALL_FEATURES):
 def oracle_corpus(demo_font):
     """200 seeded random paragraphs with their DP and oracle results."""
     rng = random.Random(20_26)
-    glue = demo_font.glue
     params = JustifyParams(variants=True)
     rows = []
     started = time.perf_counter()
     for _ in range(200):
         words, measure = random_paragraph(rng, demo_font)
-        layout = break_optimum(words, measure, glue, demo_font, params)
-        best = oracle_best(words, measure, glue, demo_font, params)
+        layout = break_optimum(words, measure, demo_font, params)
+        best = oracle_best(words, measure, demo_font, params)
         rows.append((words, measure, layout, best))
     elapsed = time.perf_counter() - started
     return rows, elapsed
@@ -225,19 +224,18 @@ def test_criterion_5_dp_optimality(demo_font, oracle_corpus):
 def test_criterion_6_dominance_and_width(demo_font):
     with criterion(6, "optimum <= greedy on 1000 paragraphs; lines hit the measure"):
         rng = random.Random(6006)
-        glue = demo_font.glue
         params = JustifyParams()
         for _ in range(1000):
             words, measure = random_paragraph(
                 rng, demo_font, max_words=10, max_len=3, features=frozenset()
             )
-            optimum = break_optimum(words, measure, glue, demo_font, params)
-            greedy = break_greedy(words, measure, glue, demo_font, params)
+            optimum = break_optimum(words, measure, demo_font, params)
+            greedy = break_greedy(words, measure, demo_font, params)
             assert optimum.total_demerits <= greedy.total_demerits
             for layout in (optimum, greedy):
                 for line in layout.lines[:-1]:
                     if line.candidate.fills_measure:
-                        assert abs(line.width - measure) <= 1
+                        assert abs(line.candidate.width - measure) <= 1
 
 
 def test_criterion_7_no_stacked_elongations(demo_font, oracle_corpus):
@@ -245,11 +243,10 @@ def test_criterion_7_no_stacked_elongations(demo_font, oracle_corpus):
     with criterion(
         7, "overlap_penalty=INF yields no stacked elongations when avoidable"
     ):
-        glue = demo_font.glue
         params = JustifyParams(variants=True, overlap_penalty=INF)
         for words, measure, _, _ in rows:
-            layout = break_optimum(words, measure, glue, demo_font, params)
-            best = oracle_best(words, measure, glue, demo_font, params)
+            layout = break_optimum(words, measure, demo_font, params)
+            best = oracle_best(words, measure, demo_font, params)
             assert best is not None
             assert layout.total_demerits == best[0]
             overlaps = [
@@ -271,12 +268,11 @@ def test_criterion_7_no_stacked_elongations(demo_font, oracle_corpus):
 def test_criterion_8_no_hyphenation(demo_font, oracle_corpus):
     rows, _ = oracle_corpus
     with criterion(8, "no word is ever split across lines, 0 violations"):
-        glue = demo_font.glue
         rng = random.Random(88)
         checked = list(rows)
         for _ in range(50):
             words, measure = random_paragraph(rng, demo_font, max_words=9)
-            layout = break_greedy(words, measure, glue, demo_font, JustifyParams())
+            layout = break_greedy(words, measure, demo_font, JustifyParams())
             checked.append((words, measure, layout, None))
         for words, _, layout, _ in checked:
             ranges = [line.candidate.word_range for line in layout.lines]

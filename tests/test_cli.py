@@ -243,6 +243,31 @@ class TestJustify:
         assert code == 0
         assert out == GOLDEN_PATH.read_text(encoding="utf-8")
 
+    def test_matches_greedy_golden_file(self, capsys):
+        # The default variants-off path, greedy, with features on.
+        code, out, _ = run(
+            capsys,
+            ["justify", *CORPUS_ARGS, "--width", "4000", "--algorithm", "greedy"],
+        )
+        assert code == 0
+        assert out == (DATA / "golden_greedy.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "optimum"])
+    def test_variants_off_builds_no_width_variants(self, capsys, monkeypatch, algorithm):
+        from qalam import justify
+
+        def refuse(*args):
+            raise AssertionError("--variants off built width variants")
+
+        monkeypatch.setattr(justify, "word_variants", refuse)
+        code, out, _ = run(
+            capsys,
+            ["justify", *CORPUS_ARGS, "--width", "4000", "--algorithm", algorithm,
+             "--variants", "off"],
+        )
+        assert code == 0
+        assert out.startswith("{")
+
     def test_golden_matches_exhaustive_oracle(self, demo_font):
         from qalam.justify import JustifyParams, break_optimum
         from qalam.shaper import shape_word
@@ -252,15 +277,14 @@ class TestJustify:
 
         words = [shape_word(c, demo_font, frozenset()) for c in decompose(GOLDEN_TEXT)]
         params = JustifyParams(variants=True)
-        glue = demo_font.glue
-        layout = break_optimum(words, 4000, glue, demo_font, params)
-        best = oracle_best(words, 4000, glue, demo_font, params)
+        layout = break_optimum(words, 4000, demo_font, params)
+        best = oracle_best(words, 4000, demo_font, params)
         assert best is not None
         assert layout.total_demerits == best[0]
         assert tuple(l.candidate.word_range[1] for l in layout.lines) == best[2]
 
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert [l.width for l in layout.lines] == [
+        assert [l.candidate.width for l in layout.lines] == [
             line["width"] for line in golden["lines"]
         ]
 
@@ -373,6 +397,7 @@ class TestRender:
             ((), {"units_per_em": "x"}),
             ((), {"measure": "x"}),
             ((), {"lines": [{"width": "x", "glyphs": []}]}),
+            (("marks", 0), {"mark": "damma", "variant": "large", "dx": 0, "dy": 0}),
         ],
     )
     def test_bad_layout_exit_2(self, capsys, tmp_path, path, value):

@@ -19,6 +19,7 @@ from qalam.fontmodel import (
     LigatureKind,
     MassClass,
     SizeThresholds,
+    SizeVariant,
     glyph_for,
     lint_font,
     load_font,
@@ -121,6 +122,16 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_doc(doc)
 
+    @pytest.mark.parametrize(
+        "owner, size", [("fathatan", "medium"), ("fatha", "large")]
+    )
+    def test_variant_of_two_sizes_rejected(self, owner, size):
+        # fatha.medium under fathatan, or at a second size of fatha.
+        doc = demo_doc()
+        doc["marks"][owner]["variants"][size] = "fatha.medium"
+        with pytest.raises(SchemaError, match="fatha.medium is listed as both"):
+            load_doc(doc)
+
     def test_cmap_to_mark_rejected(self):
         doc = demo_doc()
         doc["cmap"]["0628"]["isolated"] = "fatha"
@@ -144,6 +155,19 @@ class TestRoundTrip:
     def test_load_serialize_load_identity(self, demo_font):
         again = load_font(serialize_font(demo_font))
         assert again == demo_font
+
+
+class TestMarkSizes:
+    def test_every_mark_glyph_reads_back_as_mark_and_size(self, demo_font):
+        sizes = demo_font.mark_sizes
+        assert sizes.keys() == demo_font.marks.keys()
+        for mid, mark in demo_font.marks.items():
+            for size, vid in (mark.variants or {}).items():
+                assert sizes[vid] == (mid, size)
+        assert sizes["damma"] == ("damma", SizeVariant.NORMAL)
+        assert sizes["fatha"] == ("fatha", SizeVariant.NORMAL)
+        assert sizes["fatha.medium"] == ("fatha", SizeVariant.MEDIUM)
+        assert sizes["fathatan.large"] == ("fathatan", SizeVariant.LARGE)
 
 
 class TestGlyphFor:
@@ -233,10 +257,13 @@ class TestLint:
 
     def test_spurious_variants(self):
         doc = demo_doc()
+        # Sizes of its own: a variant id belongs to one mark.
+        for size in ("medium", "large"):
+            doc["marks"][f"damma.{size}"] = dict(doc["marks"][f"fatha.{size}"])
         doc["marks"]["damma"]["variants"] = {
             "normal": "damma",
-            "medium": "fatha.medium",
-            "large": "fatha.large",
+            "medium": "damma.medium",
+            "large": "damma.large",
         }
         findings = [d for d in lint_font(load_doc(doc)) if d.code == "spurious-variants"]
         assert findings and findings[0].severity is Severity.WARN

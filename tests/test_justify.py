@@ -11,7 +11,6 @@ from qalam.justify import (
     MAX_BADNESS,
     MAX_LINE_PENALTY,
     MIN_LINE_PENALTY,
-    GlueSpec,
     JustifyParams,
     badness,
     break_greedy,
@@ -25,8 +24,6 @@ from qalam.textmodel import decompose
 
 from .break_oracle import oracle_best
 from .util import ALEF, BEH, DAL, SEEN, random_word_text, synth_font
-
-GLUE = GlueSpec(10, 5, 3)
 
 
 def make_words(font, letters: str):
@@ -120,7 +117,7 @@ class TestJustifyLine:
         font = self.font()
         words = make_words(font, "ا د")  # 40 + 10 + 30 = 80
         line = justify_line(
-            [word_variants(w, font)[0] for w in words], 80, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 80, font, JustifyParams()
         )
         assert line.width == 80
         assert line.glue_widths == (10,)
@@ -131,19 +128,17 @@ class TestJustifyLine:
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")  # 560 + 10 + 40 = 610
         line = justify_line(
-            [word_variants(w, font)[0] for w in words], 640, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 640, font, JustifyParams()
         )
         assert dict(line.plans[0]) == {0: 30}
         assert line.glue_widths == (10,)
         assert line.width == 640
 
     def test_glue_takes_remainder_after_kashida(self):
-        font = self.font(letter_extensions={SEEN: 100})
-        glue = GlueSpec(10, 60, 3)
+        font = self.font(letter_extensions={SEEN: 100}, glue=(10, 60, 3))
         words = make_words(font, "س ا")
         line = justify_line(
-            [word_variants(w, font)[0] for w in words], 610 + 150, glue, font,
-            JustifyParams(),
+            [word_variants(w, font)[0] for w in words], 610 + 150, font, JustifyParams()
         )
         assert dict(line.plans[0]) == {0: 100}
         assert line.glue_widths == (10 + 50,)
@@ -153,7 +148,7 @@ class TestJustifyLine:
         font = self.font()
         words = make_words(font, "ا د")  # natural 80
         line = justify_line(
-            [word_variants(w, font)[0] for w in words], 78, GLUE, font, JustifyParams()
+            [word_variants(w, font)[0] for w in words], 78, font, JustifyParams()
         )
         assert line.glue_widths == (8,)
         assert line.width == 78
@@ -164,7 +159,7 @@ class TestJustifyLine:
         words = make_words(font, "ا د")
         with pytest.raises(Infeasible):
             justify_line(
-                [word_variants(w, font)[0] for w in words], 70, GLUE, font, JustifyParams()
+                [word_variants(w, font)[0] for w in words], 70, font, JustifyParams()
             )
 
     def test_kashida_off_policy(self):
@@ -172,7 +167,7 @@ class TestJustifyLine:
         words = make_words(font, "س ا")
         params = JustifyParams(kashida_policy="off")
         line = justify_line(
-            [word_variants(w, font)[0] for w in words], 640, GLUE, font, params
+            [word_variants(w, font)[0] for w in words], 640, font, params
         )
         assert all(p == () for p in line.plans)
         assert line.glue_widths == (40,)
@@ -185,27 +180,27 @@ class TestBreakGreedy:
     def test_fills_until_overflow(self):
         font = self.font()
         words = make_words(font, "ا د ب")  # 40, 30, 50
-        layout = break_greedy(words, 80, GLUE, font)
+        layout = break_greedy(words, 80, font)
         ranges = [line.candidate.word_range for line in layout.lines]
         assert ranges == [(0, 2), (2, 3)]
-        assert layout.lines[0].width == 80
+        assert layout.lines[0].candidate.width == 80
 
     def test_single_word_single_line(self):
         font = self.font()
         words = make_words(font, "ا")
-        layout = break_greedy(words, 80, GLUE, font)
+        layout = break_greedy(words, 80, font)
         assert len(layout.lines) == 1
-        assert layout.lines[0].width == 40
+        assert layout.lines[0].candidate.width == 40
 
     def test_word_too_wide(self):
         font = self.font()
         words = make_words(font, "ا د")
         with pytest.raises(WordTooWide):
-            break_greedy(words, 20, GLUE, font)
+            break_greedy(words, 20, font)
 
     def test_empty_paragraph(self):
         font = self.font()
-        layout = break_greedy([], 80, GLUE, font)
+        layout = break_greedy([], 80, font)
         assert layout.lines == () and layout.total_demerits == 0
 
 
@@ -220,8 +215,8 @@ class TestBreakOptimum:
         font = self.oracle_font()
         words = make_words(font, "ب ا س د")
         params = JustifyParams(variants=True)
-        layout = break_optimum(words, 70, GLUE, font, params)
-        best = oracle_best(words, 70, GLUE, font, params)
+        layout = break_optimum(words, 70, font, params)
+        best = oracle_best(words, 70, font, params)
         assert best is not None
         total, line_count, breaks, variant_ids = best
         assert layout.total_demerits == total
@@ -235,7 +230,6 @@ class TestBreakOptimum:
 
     def test_matches_oracle_randomized(self, demo_font):
         rng = random.Random(2024)
-        glue = demo_font.glue
         params = JustifyParams(variants=True)
         for _ in range(20):
             n = rng.randint(2, 7)
@@ -247,8 +241,8 @@ class TestBreakOptimum:
             measure = rng.randint(
                 max(word_variants(w, demo_font)[0].width for w in words) + 100, 4000
             )
-            layout = break_optimum(words, measure, glue, demo_font, params)
-            best = oracle_best(words, measure, glue, demo_font, params)
+            layout = break_optimum(words, measure, demo_font, params)
+            best = oracle_best(words, measure, demo_font, params)
             assert best is not None
             assert layout.total_demerits == best[0], (text, measure)
 
@@ -262,7 +256,6 @@ class TestBreakOptimum:
         # under INF, so any overlap charge reaches the cap and break
         # sequences differ by little more than their badness.
         rng = random.Random(7)
-        glue = demo_font.glue
         params = JustifyParams(
             line_penalty=line_penalty,
             overlap_penalty=overlap_penalty,
@@ -279,14 +272,14 @@ class TestBreakOptimum:
             measure = rng.randint(
                 max(word_variants(w, demo_font)[0].width for w in words) + 100, 3000
             )
-            layout = break_optimum(words, measure, glue, demo_font, params)
+            layout = break_optimum(words, measure, demo_font, params)
             got = (
                 layout.total_demerits,
                 len(layout.lines),
                 tuple(line.candidate.word_range[1] for line in layout.lines),
                 tuple(v for line in layout.lines for v in line.candidate.variant_ids),
             )
-            assert got == oracle_best(words, measure, glue, demo_font, params), (
+            assert got == oracle_best(words, measure, demo_font, params), (
                 text,
                 measure,
             )
@@ -303,14 +296,13 @@ class TestBreakOptimum:
         # more than the cheapest one at its break but whose elongations
         # collide less with the next line's. Pruning that ignored the
         # overlap charge would drop it.
-        glue = demo_font.glue
         params = JustifyParams(variants=True, kashida_policy="spread")
         words = [
             shape_word(c, demo_font, frozenset({"liga", "jalt"}))
             for c in decompose(text)
         ]
-        layout = break_optimum(words, measure, glue, demo_font, params)
-        best = oracle_best(words, measure, glue, demo_font, params)
+        layout = break_optimum(words, measure, demo_font, params)
+        best = oracle_best(words, measure, demo_font, params)
         assert layout.total_demerits == best[0]
         assert tuple(line.candidate.word_range[1] for line in layout.lines) == best[2]
 
@@ -318,7 +310,6 @@ class TestBreakOptimum:
         from qalam import justify, kashida
 
         rng = random.Random(3)
-        glue = demo_font.glue
         text = " ".join(random_word_text(rng, 4) for _ in range(16))
         words = [
             shape_word(c, demo_font, frozenset({"liga", "jalt"}))
@@ -338,9 +329,7 @@ class TestBreakOptimum:
             return variants
 
         monkeypatch.setattr(justify, "word_variants", counted_variants)
-        layout = break_optimum(
-            words, 2500, glue, demo_font, JustifyParams(variants=True)
-        )
+        layout = break_optimum(words, 2500, demo_font, JustifyParams(variants=True))
         assert len(layout.lines) > 1
         # Each word's variants are built once, each variant's sites are
         # enumerated once while building it, and nothing after that
@@ -350,55 +339,51 @@ class TestBreakOptimum:
 
     def test_dominates_greedy(self, demo_font):
         rng = random.Random(31)
-        glue = demo_font.glue
         for _ in range(15):
             n = rng.randint(2, 8)
             text = " ".join(random_word_text(rng, 3) for _ in range(n))
             words = [shape_word(c, demo_font, frozenset()) for c in decompose(text)]
             measure = rng.randint(max(w.natural_width for w in words) + 200, 5000)
             params = JustifyParams()
-            optimum = break_optimum(words, measure, glue, demo_font, params)
-            greedy = break_greedy(words, measure, glue, demo_font, params)
+            optimum = break_optimum(words, measure, demo_font, params)
+            greedy = break_greedy(words, measure, demo_font, params)
             assert optimum.total_demerits <= greedy.total_demerits
 
     def test_empty_paragraph(self):
-        layout = break_optimum([], 80, GLUE, self.oracle_font())
+        layout = break_optimum([], 80, self.oracle_font())
         assert layout.lines == ()
 
     def test_more_variants_never_hurt(self, demo_font):
-        glue = demo_font.glue
         text = "ك سلام ك"
         words = [
             shape_word(c, demo_font, frozenset({"jalt", "liga"}))
             for c in decompose(text)
         ]
-        on = break_optimum(words, 1500, glue, demo_font, JustifyParams(variants=True))
-        off = break_optimum(words, 1500, glue, demo_font, JustifyParams(variants=False))
+        on = break_optimum(words, 1500, demo_font, JustifyParams(variants=True))
+        off = break_optimum(words, 1500, demo_font, JustifyParams(variants=False))
         assert on.total_demerits <= off.total_demerits
 
     def test_width_exactness(self, demo_font, corpus_lines):
-        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[0])
         ]
         for measure in (2500, 3200, 4100):
-            layout = break_optimum(words, measure, glue, demo_font, JustifyParams())
+            layout = break_optimum(words, measure, demo_font, JustifyParams())
             underfull = {
                 d.location for d in layout.diagnostics if d.code == "underfull-line"
             }
             for line in layout.lines[:-1]:
                 if line.candidate.fills_measure:
-                    assert abs(line.width - measure) <= 1
+                    assert abs(line.candidate.width - measure) <= 1
                 else:
                     assert line.candidate.word_range in underfull
 
     def test_no_word_ever_split(self, demo_font, corpus_lines):
-        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[3])
         ]
         for breaker in (break_greedy, break_optimum):
-            layout = breaker(words, 2800, glue, demo_font, JustifyParams())
+            layout = breaker(words, 2800, demo_font, JustifyParams())
             edges = [line.candidate.word_range for line in layout.lines]
             assert edges[0][0] == 0
             assert edges[-1][1] == len(words)
@@ -407,7 +392,6 @@ class TestBreakOptimum:
 
     def test_inf_overlap_penalty_avoids_stacking(self, demo_font):
         rng = random.Random(55)
-        glue = demo_font.glue
         params = JustifyParams(overlap_penalty=INF, variants=True)
         for _ in range(10):
             n = rng.randint(3, 7)
@@ -419,7 +403,7 @@ class TestBreakOptimum:
             measure = rng.randint(
                 max(word_variants(w, demo_font)[0].width for w in words) + 100, 2500
             )
-            layout = break_optimum(words, measure, glue, demo_font, params)
+            layout = break_optimum(words, measure, demo_font, params)
             has_overlap = any(
                 d.code == "stacked-elongation" for d in layout.diagnostics
             )
@@ -429,15 +413,14 @@ class TestBreakOptimum:
                 assert has_overlap
 
     def test_final_line_not_stretched(self, demo_font):
-        glue = demo_font.glue
         words = [
             shape_word(c, demo_font, frozenset())
             for c in decompose("سلام سلام")
         ]
-        layout = break_optimum(words, 5000, glue, demo_font, JustifyParams())
+        layout = break_optimum(words, 5000, demo_font, JustifyParams())
         assert len(layout.lines) == 1
         last = layout.lines[-1]
-        assert last.width <= 5000
+        assert last.candidate.width <= 5000
         assert last.candidate.badness == 0
 
 
@@ -449,7 +432,7 @@ class TestLineCandidateDetails:
         words = make_words(font, "س ا")
         params = JustifyParams()
         line = line_candidate(
-            [word_variants(w, font)[0] for w in words], (0, 2), 800, GLUE, font, params, False
+            [word_variants(w, font)[0] for w in words], (0, 2), 800, font, params, False
         )
         # Deficit 800-610=190 goes to the seen's tail at ink end 560.
         assert line.kashida_intervals == ((560, 750),)
@@ -463,7 +446,7 @@ class TestLineCandidateDetails:
         words = make_words(font, "ا ا")
         params = JustifyParams()
         line = line_candidate(
-            [word_variants(words[0], font)[0]], (0, 1), 500, GLUE, font, params, False
+            [word_variants(words[0], font)[0]], (0, 1), 500, font, params, False
         )
         assert line.badness == 10000  # cannot stretch at all, stays feasible
         assert line.width == 40

@@ -23,19 +23,17 @@ from .util import word
 
 def shaped(font, text):
     words = []
-    marks = []
     for clusters in decompose(text):
         w = shape_word(clusters, font, frozenset())
         placed, _ = place_diacritics(w, font)
         words.append(with_marks(w, placed, font))
-        marks.append(placed)
-    return words, marks
+    return words
 
 
 class TestShapedDocument:
     def test_positions_accumulate_advances_and_glue(self, demo_font):
-        words, marks = shaped(demo_font, "با د")
-        doc = shaped_document(demo_font, words, marks)
+        words = shaped(demo_font, "با د")
+        doc = shaped_document(demo_font, words)
         (line,) = doc["lines"]
         glyphs = line["glyphs"]
         x = 0
@@ -48,13 +46,13 @@ class TestShapedDocument:
         assert line["width"] == x
 
     def test_empty_input_gives_empty_lines(self, demo_font):
-        doc = shaped_document(demo_font, [], [])
+        doc = shaped_document(demo_font, [])
         assert doc["lines"] == []
         assert doc["measure"] is None
 
     def test_marks_nest_under_their_base(self, demo_font):
-        words, marks = shaped(demo_font, "بَابُ")
-        doc = shaped_document(demo_font, words, marks)
+        words = shaped(demo_font, "بَابُ")
+        doc = shaped_document(demo_font, words)
         glyphs = doc["lines"][0]["glyphs"]
         per_glyph = [len(g["marks"]) for g in glyphs]
         assert per_glyph == [1, 0, 1]
@@ -67,16 +65,14 @@ class TestShapedDocument:
         w = apply_plan(w, ElongationPlan({0: 300}, 0), enumerate_sites(w, demo_font))
         placed, _ = place_diacritics(w, demo_font)
         assert placed[0].variant is not SizeVariant.NORMAL
-        doc = shaped_document(
-            demo_font, [with_marks(w, placed, demo_font)], [placed]
-        )
+        doc = shaped_document(demo_font, [with_marks(w, placed, demo_font)])
         mark = doc["lines"][0]["glyphs"][0]["marks"][0]
         assert mark["mark"] == "fatha"
         assert mark["variant"] == placed[0].variant.value
 
     def test_round_trip_through_text(self, demo_font):
-        words, marks = shaped(demo_font, "سَلَامٌ")
-        doc = shaped_document(demo_font, words, marks)
+        words = shaped(demo_font, "سَلَامٌ")
+        doc = shaped_document(demo_font, words)
         assert loads(dumps(doc)) == doc
 
 
@@ -85,25 +81,24 @@ class TestJustifiedDocument:
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[4])
         ]
-        layout = break_optimum(
-            words, 3500, demo_font.glue, demo_font,
-            JustifyParams(),
-        )
+        layout = break_optimum(words, 3500, demo_font, JustifyParams())
         doc = justified_document(demo_font, layout)
         assert doc["measure"] == 3500
-        assert [l["width"] for l in doc["lines"]] == [l.width for l in layout.lines]
+        assert [l["width"] for l in doc["lines"]] == [
+            l.candidate.width for l in layout.lines
+        ]
         for line_doc, line in zip(doc["lines"], layout.lines):
             last = line_doc["glyphs"][-1]
-            assert last["x"] + last["advance"] + last["elongation"] == line.width
+            assert (
+                last["x"] + last["advance"] + last["elongation"]
+                == line.candidate.width
+            )
 
     def test_elongations_appear_in_records(self, demo_font, corpus_lines):
         words = [
             shape_word(c, demo_font, frozenset()) for c in decompose(corpus_lines[0])
         ]
-        layout = break_optimum(
-            words, 3600, demo_font.glue, demo_font,
-            JustifyParams(),
-        )
+        layout = break_optimum(words, 3600, demo_font, JustifyParams())
         doc = justified_document(demo_font, layout)
         total_plan = sum(
             amount
@@ -119,8 +114,8 @@ class TestJustifiedDocument:
 
 class TestValidation:
     def good(self, demo_font):
-        words, marks = shaped(demo_font, "بَ")
-        return shaped_document(demo_font, words, marks)
+        words = shaped(demo_font, "بَ")
+        return shaped_document(demo_font, words)
 
     def test_accepts_own_output(self, demo_font):
         validate_document(self.good(demo_font))
