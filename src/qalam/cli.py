@@ -14,7 +14,14 @@ import sys
 from . import layout as layout_mod
 from . import svg as svg_mod
 from .diacritics import mark_word
-from .errors import FontError, LayoutError, QalamError, Severity, TextError
+from .errors import (
+    Diagnostic,
+    FontError,
+    LayoutError,
+    QalamError,
+    Severity,
+    TextError,
+)
 from .fontmodel import FontDescription, lint_font, load_font
 from .justify import (
     INF,
@@ -148,15 +155,19 @@ def _load_font_arg(args) -> FontDescription:
         raise FontError(f"cannot read font {args.font!r}: {exc}") from exc
 
 
+def _read_utf8(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TextError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _read_text(args) -> str:
     if args.text is not None:
         text = args.text
     elif args.text_file is not None:
-        try:
-            with open(args.text_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise TextError(f"cannot read text file {args.text_file!r}: {exc}") from exc
+        text = _read_utf8(args.text_file, "text file")
     else:
         raise TextError("no input: pass --text or --text-file")
     # Line and tab breaks in input act as word separators.
@@ -229,15 +240,23 @@ def _cmd_justify(args) -> int:
 def _cmd_render(args) -> int:
     font = _load_font_arg(args)
     if args.input == "-":
-        text = sys.stdin.read()
-    else:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise TextError(f"cannot read layout {args.input!r}: {exc}") from exc
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise TextError(f"cannot read layout from stdin: {exc}") from exc
+    else:
+        text = _read_utf8(args.input, "layout")
     doc = layout_mod.loads(text)
     sys.stdout.write(svg_mod.render_svg(doc, font))
+    if doc["font_id"] != font.font_id:
+        _print_diagnostics([
+            Diagnostic(
+                Severity.WARN,
+                "font-mismatch",
+                f"layout was set in font {doc['font_id']!r}, "
+                f"rendered with {font.font_id!r}",
+            )
+        ])
     return EXIT_OK
 
 

@@ -107,8 +107,90 @@ def justified_document(font: FontDescription, layout: ParagraphLayout) -> dict:
     }
 
 
+# ``dumps`` writes each record kind from a template over these keys, in this
+# (sorted) order: a key the builders above add or drop must be added to or
+# dropped from its tuple.
+_DOC_KEYS = (
+    "diagnostics", "direction", "font_id", "lines", "measure", "schema",
+    "units_per_em",
+)
+_DIAGNOSTIC_KEYS = ("code", "location", "message", "severity")
+_LINE_KEYS = ("glyphs", "width")
+_GLYPH_KEYS = ("advance", "elongation", "glyph", "marks", "x", "y")
+_MARK_KEYS = ("dx", "dy", "mark", "variant")
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _template(keys: tuple[str, ...], depth: int) -> str:
+    """A %-template for an object at ``depth`` whose values are all %s."""
+    pad = " " * depth
+    fields = ",\n".join(f'{pad} "{key}": %s' for key in keys)
+    return f"{pad}{{\n{fields}\n{pad}}}"
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array closed at ``depth`` from items already indented."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * depth + "]"
+
+
+_DOC = _template(_DOC_KEYS, 0) + "\n"
+_DIAGNOSTIC = _template(_DIAGNOSTIC_KEYS, 2)
+_LINE = _template(_LINE_KEYS, 2)
+_GLYPH = _template(_GLYPH_KEYS, 4)
+_MARK = _template(_MARK_KEYS, 6)
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """The text of a layout document: exactly what
+    ``json.dumps(doc, sort_keys=True, indent=1)`` writes, plus a newline.
+
+    ``doc`` must have the key sets of ``shaped_document`` and
+    ``justified_document``, with integers (not bools) for every number.
+    """
+    lines = []
+    for line in doc["lines"]:
+        glyphs = [
+            _GLYPH
+            % (
+                g["advance"],
+                g["elongation"],
+                _string(g["glyph"]),
+                _array(
+                    [
+                        _MARK % (m["dx"], m["dy"], _string(m["mark"]), _string(m["variant"]))
+                        for m in g["marks"]
+                    ],
+                    5,
+                ),
+                g["x"],
+                g["y"],
+            )
+            for g in line["glyphs"]
+        ]
+        lines.append(_LINE % (_array(glyphs, 3), line["width"]))
+    diagnostics = [
+        _DIAGNOSTIC
+        % (
+            _string(d["code"]),
+            _array([f"    {i}" for i in d["location"]], 3),
+            _string(d["message"]),
+            _string(d["severity"]),
+        )
+        for d in doc["diagnostics"]
+    ]
+    measure = doc["measure"]
+    return _DOC % (
+        _array(diagnostics, 1),
+        _string(doc["direction"]),
+        _string(doc["font_id"]),
+        _array(lines, 1),
+        "null" if measure is None else measure,
+        _string(doc["schema"]),
+        doc["units_per_em"],
+    )
 
 
 def _is_int(value) -> bool:
@@ -124,10 +206,11 @@ def validate_document(doc) -> dict:
     for key in ("font_id", "units_per_em", "direction", "lines"):
         if key not in doc:
             raise MalformedLayout(f"layout missing field {key!r}")
-    if not _is_int(doc["units_per_em"]):
-        raise MalformedLayout("units_per_em must be an integer")
-    if doc.get("measure") is not None and not _is_int(doc["measure"]):
-        raise MalformedLayout("measure must be an integer or null")
+    if not _is_int(doc["units_per_em"]) or doc["units_per_em"] <= 0:
+        raise MalformedLayout("units_per_em must be a positive integer")
+    measure = doc.get("measure")
+    if measure is not None and (not _is_int(measure) or measure <= 0):
+        raise MalformedLayout("measure must be a positive integer or null")
     if not isinstance(doc["lines"], list):
         raise MalformedLayout("lines must be an array")
     for li, line in enumerate(doc["lines"]):

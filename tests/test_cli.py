@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from .conftest import CORPUS_PATH, DEMO_FONT_PATH
 
 FONT = str(DEMO_FONT_PATH)
 DATA = Path(__file__).resolve().parent / "data"
+FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "layout-format.md"
 GOLDEN_PATH = DATA / "golden_justify.json"
 # Shape and render goldens: the corpus with liga,jalt, rendered from its
 # optimum justification at 4000 units with width variants.
@@ -40,6 +42,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def non_utf8_file(tmp_path) -> str:
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe\xfa")
+    return str(path)
+
+
+def assert_one_error_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestShape:
@@ -84,6 +99,10 @@ class TestShape:
     def test_bad_text_exit_2(self, capsys):
         code, _, _ = run(capsys, ["shape", "--font", FONT, "--text", "hello"])
         assert code == 2
+
+    def test_non_utf8_text_file_exit_2(self, capsys, tmp_path):
+        argv = ["shape", "--font", FONT, "--text-file", non_utf8_file(tmp_path)]
+        assert_one_error_exit_2(*run(capsys, argv))
 
     def test_env_font_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("QALAM_FONT_PATH", FONT)
@@ -137,6 +156,20 @@ class TestJustify:
             ["justify", "--font", FONT, "--text", "ب", "--width", "-5"],
         )
         assert code == 3
+
+    def test_matches_format_doc_example(self, capsys):
+        doc = FORMAT_DOC.read_text(encoding="utf-8")
+        example = doc.split("```json\n", 1)[1].split("```", 1)[0]
+        argv = ["justify", "--font", FONT, "--text", "سَب بَ", "--width", "1200",
+                "--algorithm", "greedy"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == example
+
+    def test_non_utf8_text_file_exit_2(self, capsys, tmp_path):
+        argv = ["justify", "--font", FONT, "--width", "4000",
+                "--text-file", non_utf8_file(tmp_path)]
+        assert_one_error_exit_2(*run(capsys, argv))
 
     def test_lines_hit_measure(self, capsys):
         code, out, _ = run(
@@ -349,6 +382,32 @@ class TestRender:
         code, _, _ = run(capsys, ["render", "--font", FONT, "--input", str(layout_path)])
         assert code == 2
 
+    def test_non_utf8_input_exit_2(self, capsys, tmp_path):
+        argv = ["render", "--font", FONT, "--input", non_utf8_file(tmp_path)]
+        assert_one_error_exit_2(*run(capsys, argv))
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\xfa"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert_one_error_exit_2(*run(capsys, ["render", "--font", FONT]))
+
+    def test_font_mismatch_warns(self, capsys, tmp_path):
+        doc = self.shape_doc(capsys, "بَ")
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(doc, encoding="utf-8")
+        argv = ["render", "--font", FONT, "--input", str(layout_path)]
+        _, svg, _ = run(capsys, argv)
+        layout_path.write_text(
+            doc.replace('"chawki-demo"', '"other-font"'), encoding="utf-8"
+        )
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out == svg
+        assert err == (
+            "warn: font-mismatch: layout was set in font 'other-font', "
+            "rendered with 'chawki-demo'\n"
+        )
+
     def test_missing_fields_exit_2(self, capsys, tmp_path):
         layout_path = tmp_path / "layout.json"
         layout_path.write_text(json.dumps({"schema": "qalam-layout/1"}), encoding="utf-8")
@@ -398,6 +457,10 @@ class TestRender:
             ((), {"measure": "x"}),
             ((), {"lines": [{"width": "x", "glyphs": []}]}),
             (("marks", 0), {"mark": "damma", "variant": "large", "dx": 0, "dy": 0}),
+            ((), {"units_per_em": -1000}),
+            ((), {"units_per_em": 0}),
+            ((), {"measure": -4000}),
+            ((), {"measure": 0}),
         ],
     )
     def test_bad_layout_exit_2(self, capsys, tmp_path, path, value):
@@ -411,13 +474,8 @@ class TestRender:
             doc.update(value)
         layout_path = tmp_path / "layout.json"
         layout_path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(
-            capsys, ["render", "--font", FONT, "--input", str(layout_path)]
-        )
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        argv = ["render", "--font", FONT, "--input", str(layout_path)]
+        assert_one_error_exit_2(*run(capsys, argv))
 
     def test_round_trips_justify_output(self, capsys, tmp_path):
         code, out, _ = run(capsys, GOLDEN_ARGS)

@@ -3,12 +3,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qalam.diacritics import place_diacritics, with_marks
-from qalam.errors import MalformedLayout
+from qalam.errors import Diagnostic, MalformedLayout, Severity
 from qalam.fontmodel import SizeVariant
 from qalam.justify import JustifyParams, break_optimum
 from qalam.layout import (
+    _DIAGNOSTIC_KEYS,
+    _DOC_KEYS,
+    _GLYPH_KEYS,
+    _LINE_KEYS,
+    _MARK_KEYS,
+    _glyph_records,
     dumps,
     justified_document,
     loads,
@@ -156,3 +163,75 @@ class TestValidation:
     def test_loads_rejects_bad_json(self):
         with pytest.raises(MalformedLayout):
             loads("{")
+
+
+def oracle(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# Characters the encoder must escape or spell as \uXXXX: quotes,
+# backslashes, control characters, DEL, non-ASCII, astral characters and
+# a lone surrogate.
+_TRICKY = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\xe9\u0628\u064e\u2028\U0001f600\U00010000\ud800'
+_texts = st.text(st.one_of(st.sampled_from(_TRICKY), st.characters(blacklist_categories=())))
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+_marks = st.fixed_dictionaries(
+    {"dx": _ints, "dy": _ints, "mark": _texts, "variant": _texts}
+)
+_glyphs = st.fixed_dictionaries(
+    {
+        "advance": _ints,
+        "elongation": _ints,
+        "glyph": _texts,
+        "marks": st.lists(_marks, max_size=3),
+        "x": _ints,
+        "y": _ints,
+    }
+)
+_lines = st.fixed_dictionaries(
+    {"glyphs": st.lists(_glyphs, max_size=4), "width": _ints}
+)
+_diagnostics = st.fixed_dictionaries(
+    {
+        "code": _texts,
+        "location": st.lists(_ints, max_size=3),
+        "message": _texts,
+        "severity": _texts,
+    }
+)
+_documents = st.fixed_dictionaries(
+    {
+        "diagnostics": st.lists(_diagnostics, max_size=3),
+        "direction": _texts,
+        "font_id": _texts,
+        "lines": st.lists(_lines, max_size=3),
+        "measure": st.none() | _ints,
+        "schema": _texts,
+        "units_per_em": _ints,
+    }
+)
+
+
+class TestDumps:
+    @given(_documents)
+    def test_matches_stdlib_encoder(self, doc):
+        assert dumps(doc) == oracle(doc)
+
+    def test_builders_emit_the_template_key_sets(self, demo_font):
+        # dumps writes only the keys in its templates: a key added to or
+        # dropped from a record here must be added to or dropped there.
+        (word,) = shaped(demo_font, "بَابُ")
+        records = _glyph_records(demo_font, word, 0)
+        assert records and all(set(r) == set(_GLYPH_KEYS) for r in records)
+        marks = [m for r in records for m in r["marks"]]
+        assert marks and all(set(m) == set(_MARK_KEYS) for m in marks)
+        diagnostic = Diagnostic(Severity.INFO, "c", "m", (1,)).to_json()
+        assert set(diagnostic) == set(_DIAGNOSTIC_KEYS)
+        doc = shaped_document(demo_font, [word])
+        assert set(doc) == set(_DOC_KEYS)
+        assert all(set(line) == set(_LINE_KEYS) for line in doc["lines"])
+        words = [shape_word(c, demo_font, frozenset()) for c in decompose("بَابُ")]
+        layout = break_optimum(words, 4000, demo_font, JustifyParams())
+        doc = justified_document(demo_font, layout)
+        assert set(doc) == set(_DOC_KEYS)
+        assert all(set(line) == set(_LINE_KEYS) for line in doc["lines"])
