@@ -59,6 +59,17 @@ def _overlap_penalty(value: str) -> int:
     return penalty
 
 
+def _gap_epsilon(value: str) -> int:
+    """Parse ``--gap-epsilon``: a non-negative integer."""
+    try:
+        epsilon = int(value)
+    except ValueError:
+        epsilon = -1
+    if epsilon < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return epsilon
+
+
 def _line_penalty(value: str) -> int:
     """Parse ``--line-penalty``: an integer small enough that no line's
     demerits saturate at ``INF``."""
@@ -105,9 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--gap-epsilon",
-            type=int,
+            type=_gap_epsilon,
             default=10,
-            help="minimum clearance between neighbouring marks, font units",
+            help="minimum clearance between neighbouring marks, font units: "
+            "a non-negative integer",
         )
 
     shape = sub.add_parser("shape", help="shape text and place marks")

@@ -20,17 +20,41 @@ diagnostic instead.
 The whole computation depends only on base glyph geometry and the font
 tables, never on where the marks currently sit, so running it twice gives
 the same answer.
+
+``mark_word`` finishes a word in a fixed number of linear passes, all of
+which read two tables:
+
+- per word, ``ShapedWord.tables``, built in one forward pass over the
+  glyphs on first use: each glyph's attachment root and pen x, each mark's
+  stack unit, the bases with their positions, and each base's marks;
+- per font, ``FontDescription.sized_marks``, built on first use: for each
+  (mark, size) the glyph drawn, its side, ink x interval and anchors, and
+  whether the mark is the gemination mark or growable.
+
+The passes run in this order:
+
+1. ``_Placer.run``: the sweep above; every base that carries marks is
+   placed once and revisited once.
+2. ``resolve_collisions``: marks are grouped into stack units once, and
+   each side's units are swept in logical order.
+3. The ornament hook in ``place_diacritics``: a base with no mark above
+   and a free span of at least the large threshold is reported as
+   ``space-available``. It reads the sweep's positions, from before
+   collisions were nudged apart.
+4. ``with_marks``: one pass writes the glyph tuple. Marks move no pen and
+   change no attachment, so the finished word shares the word's tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import Diagnostic, MissingAnchor, Severity
-from .fontmodel import FontDescription, GlyphMetrics, MarkGlyph, SizeVariant
-from .shaper import ShapedWord, attachment_root, base_indices, pen_positions
-from .textmodel import ELONGATABLE_MARKS, SHADDA_CP, Placement
+from .fontmodel import FontDescription, SizedMark, SizeVariant
+from .lookups import PlacedGlyph
+from .shaper import ShapedWord
+from .textmodel import Placement
 
 
 @dataclass(frozen=True)
@@ -49,14 +73,6 @@ class PlacedMark:
     glyph_index: int
 
 
-@dataclass(frozen=True)
-class GapMeasure:
-    """Free horizontal span over (or under) one glyph, in font units."""
-
-    owner: int
-    width: int
-
-
 def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     """Size for a growable mark given the free span; thresholds inclusive."""
     if gap >= t_large:
@@ -68,9 +84,8 @@ def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
 
 @dataclass
 class _MarkState:
-    glyph_index: int
     mark_id: str
-    side: Placement
+    sized: SizedMark  # the mark at its current size
     stacked_on: int | None
     anchor_x: int
     anchor_y: int
@@ -83,248 +98,164 @@ class _Placer:
     def __init__(self, word: ShapedWord, font: FontDescription):
         self.word = word
         self.font = font
-        self.pens = pen_positions(word)
-        self.bases = base_indices(word)
-        self.mark_sizes = font.mark_sizes
-        self.mark_cps = font.mark_codepoints
+        tables = word.tables
+        self.pens = tables.pens
+        self.bases = tables.bases
+        self.base_pos = tables.base_pos
+        self.marks_of = tables.marks_of
         self.states: dict[int, _MarkState] = {}
-        self.marks_of: dict[int, list[int]] = {}
-        for i, g in enumerate(word.glyphs):
-            if g.is_mark:
-                self.marks_of.setdefault(attachment_root(word, i), []).append(i)
-
-    # -- geometry helpers --------------------------------------------------
-
-    def _owner_metrics(self, base_i: int) -> GlyphMetrics:
-        return self.font.glyphs[self.word.glyphs[base_i].glyph]
-
-    def _span(self, base_i: int) -> tuple[int, int]:
-        pg = self.word.glyphs[base_i]
-        ink = self._owner_metrics(base_i).ink
-        lo = self.pens[base_i] + pg.x_offset + ink.x_min
-        return lo, lo + ink.width + pg.elongation
-
-    def _variant_mark(self, state: _MarkState) -> MarkGlyph:
-        return self.font.marks[self.font.variant_glyph(state.mark_id, state.variant)]
-
-    def _is_shadda(self, state: _MarkState) -> bool:
-        return self.mark_cps.get(state.mark_id) == SHADDA_CP
-
-    def _is_elongatable(self, state: _MarkState) -> bool:
-        return self.mark_cps.get(state.mark_id) in ELONGATABLE_MARKS
-
-    def _default_anchor(self, base_i: int, mark: MarkGlyph, mark_id: str) -> tuple[int, int]:
-        """Absolute attachment point for a mark on a plain base glyph."""
-        word = self.word
-        pg = word.glyphs[base_i]
-        anchor = self._owner_metrics(base_i).anchors.get(mark.attachment_class)
-        if anchor is None:
-            raise MissingAnchor(
-                f"{pg.glyph} has no {mark.attachment_class.value!r} anchor for {mark_id}"
-            )
-        dy = self.font.mass_offset(self._owner_metrics(base_i).mass_class, mark.attachment_class)
-        x = self.pens[base_i] + pg.x_offset + anchor.x
-        y = pg.y_offset + anchor.y + dy
-        return x, y
-
-    # -- phases -------------------------------------------------------------
+        # Each base's ink x span, elongation included.
+        self.spans: dict[int, tuple[int, int]] = {}
+        for base_i in self.bases:
+            pg = word.glyphs[base_i]
+            ink = font.glyphs[pg.glyph].ink
+            x = self.pens[base_i] + pg.x_offset
+            self.spans[base_i] = (x + ink.x_min, x + ink.x_max + pg.elongation)
 
     def default_place(self, base_i: int) -> None:
-        word, font = self.word, self.font
-        for mi in self.marks_of.get(base_i, []):
-            pg = word.glyphs[mi]
-            mark_id = self.mark_sizes[pg.glyph][0]
-            mark = font.marks[mark_id]
+        word, font, states = self.word, self.font, self.states
+        glyphs = word.glyphs
+        base = glyphs[base_i]
+        metrics = font.glyphs[base.glyph]
+        ligature = font.ligature_by_glyph.get(base.glyph)
+        base_x = self.pens[base_i] + base.x_offset
+        for mi in self.marks_of[base_i]:
+            pg = glyphs[mi]
+            mark_id = font.mark_sizes[pg.glyph][0]
+            sized = font.sized_mark(mark_id, SizeVariant.NORMAL)
             attached = pg.attached_to
             stacked_on = None
-            if attached is not None and word.glyphs[attached[0]].is_mark:
+            if attached is not None and glyphs[attached[0]].is_mark:
                 stacked_on = attached[0]
 
             if stacked_on is not None:
-                lower = self.states[stacked_on]
-                lower_mark = self._variant_mark(lower)
-                if lower_mark.stack_anchor is None:
+                lower = states[stacked_on]
+                stack = lower.sized.stack_anchor
+                if stack is None:
                     raise MissingAnchor(f"{lower.mark_id} has no stacking anchor")
-                ax = lower.x + lower_mark.stack_anchor.x
-                ay = lower.y + lower_mark.stack_anchor.y
+                ax = lower.x + stack.x
+                ay = lower.y + stack.y
             else:
-                owner_glyph = word.glyphs[base_i].glyph
-                entry = font.ligature_by_glyph.get(owner_glyph)
-                if entry is not None:
+                side = sized.side
+                if ligature is not None:
                     cluster = word.glyph_clusters[mi][0]
                     component = word.glyph_clusters[base_i].index(cluster)
-                    anchor = entry.component_anchors[component].get(mark.attachment_class)
+                    anchor = ligature.component_anchors[component].get(side)
                     if anchor is None:
                         raise MissingAnchor(
-                            f"{owner_glyph} component {component} has no "
-                            f"{mark.attachment_class.value!r} anchor"
+                            f"{base.glyph} component {component} has no "
+                            f"{side.value!r} anchor"
                         )
-                    dy = self.font.mass_offset(
-                        self._owner_metrics(base_i).mass_class, mark.attachment_class
-                    )
-                    ax = self.pens[base_i] + word.glyphs[base_i].x_offset + anchor.x
-                    ay = word.glyphs[base_i].y_offset + anchor.y + dy
                 else:
-                    ax, ay = self._default_anchor(base_i, mark, mark_id)
+                    anchor = metrics.anchors.get(side)
+                    if anchor is None:
+                        raise MissingAnchor(
+                            f"{base.glyph} has no {side.value!r} anchor for {mark_id}"
+                        )
+                ax = base_x + anchor.x
+                ay = base.y_offset + anchor.y + font.mass_offset(metrics.mass_class, side)
 
-            self.states[mi] = _MarkState(
-                glyph_index=mi,
-                mark_id=mark_id,
-                side=mark.attachment_class,
-                stacked_on=stacked_on,
-                anchor_x=ax,
-                anchor_y=ay,
-                x=ax - mark.anchor.x,
-                y=ay - mark.anchor.y,
-                variant=SizeVariant.NORMAL,
+            states[mi] = _MarkState(
+                mark_id, sized, stacked_on, ax, ay, ax - sized.anchor.x, ay - sized.anchor.y
             )
 
-    def free_span(
-        self,
-        base_i: int,
-        side: Placement,
-        mark_ink: Callable[[int], tuple[Placement, int, int] | None],
-    ) -> int:
-        """A base glyph's ink span, elongation included, minus the ``side``
-        ink its neighbouring bases' marks project into it.
-
-        ``mark_ink(i)`` gives mark ``i``'s side and absolute ink x interval,
-        or None for a mark that has no position yet.
-        """
-        lo, hi = self._span(base_i)
-        pos = self.bases.index(base_i)
-        neighbours = [self.bases[p] for p in (pos - 1, pos + 1) if 0 <= p < len(self.bases)]
-        covered = 0
-        for nb in neighbours:
-            for mi in self.marks_of.get(nb, []):
-                ink = mark_ink(mi)
-                if ink is None or ink[0] is not side:
-                    continue
-                covered += max(0, min(hi, ink[2]) - max(lo, ink[1]))
-        return max(0, hi - lo - covered)
-
-    def _placed_ink(self, mi: int) -> tuple[Placement, int, int] | None:
-        state = self.states.get(mi)
-        if state is None:
-            return None
-        ink = self._variant_mark(state).ink
-        return state.side, state.x + ink.x_min, state.x + ink.x_max
-
     def gap(self, base_i: int, side: Placement) -> int:
-        """Free span over a glyph given the marks placed so far."""
-        return self.free_span(base_i, side, self._placed_ink)
-
-    def _restack(self, state: _MarkState) -> None:
-        lower = self.states[state.stacked_on]
-        lower_mark = self._variant_mark(lower)
-        mark = self._variant_mark(state)
-        state.anchor_x = lower.x + lower_mark.stack_anchor.x
-        state.anchor_y = lower.y + lower_mark.stack_anchor.y
-        state.x = state.anchor_x - mark.anchor.x
-        state.y = state.anchor_y - mark.anchor.y
+        """A base glyph's ink span, elongation included, minus the ``side``
+        ink that its neighbouring bases' marks, as placed so far, project
+        into it."""
+        lo, hi = self.spans[base_i]
+        bases, marks_of, states = self.bases, self.marks_of, self.states
+        k = self.base_pos[base_i]
+        covered = 0
+        for p in (k - 1, k + 1):
+            if not 0 <= p < len(bases):
+                continue
+            for mi in marks_of[bases[p]]:
+                state = states.get(mi)
+                if state is None or state.sized.side is not side:
+                    continue
+                x, sized = state.x, state.sized
+                covered += max(0, min(hi, x + sized.ink_hi) - max(lo, x + sized.ink_lo))
+        return max(0, hi - lo - covered)
 
     def revisit(self, base_i: int, final: bool) -> None:
         """Re-place one glyph's marks once its right-hand context is known."""
-        word, font = self.word, self.font
+        font, states = self.font, self.states
         thresholds = font.size_thresholds
-        is_ligature = word.glyphs[base_i].glyph in font.ligature_by_glyph
-        lo, hi = self._span(base_i)
+        base = self.word.glyphs[base_i]
+        # On the last glyph and over a ligature a mark keeps its attachment
+        # point; the variant's own anchor decides how its ink spreads.
+        keep_anchor = final or base.glyph in font.ligature_by_glyph
+        lo, hi = self.spans[base_i]
         mid = (lo + hi) // 2
 
-        indices = self.marks_of.get(base_i, [])
-        ordered = sorted(
-            indices,
-            key=lambda mi: (
-                0 if self._is_shadda(self.states[mi])
-                else 1 if self._is_elongatable(self.states[mi])
-                else 2,
-                mi,
-            ),
-        )
-        for mi in ordered:
-            state = self.states[mi]
-            grow = self._is_elongatable(state)
-            if final and not grow:
-                continue
-            if grow:
+        indices = self.marks_of[base_i]
+        if len(indices) > 1:
+            indices = sorted(
+                indices,
+                key=lambda mi: (
+                    0 if states[mi].sized.shadda
+                    else 1 if states[mi].sized.elongatable
+                    else 2,
+                    mi,
+                ),
+            )
+        for mi in indices:
+            state = states[mi]
+            if state.sized.elongatable:
                 if final:
-                    mass = self._owner_metrics(base_i).mass_class
-                    state.variant = font.mass_variant(mass)
+                    variant = font.mass_variant(font.glyphs[base.glyph].mass_class)
                 else:
-                    free = self.gap(base_i, state.side)
-                    state.variant = select_size_variant(
-                        free, thresholds.medium, thresholds.large
-                    )
-            if state.stacked_on is not None:
-                self._restack(state)
+                    free = self.gap(base_i, state.sized.side)
+                    variant = select_size_variant(free, thresholds.medium, thresholds.large)
+                state.variant = variant
+                state.sized = font.sized_mark(state.mark_id, variant)
+            elif final:
                 continue
-            mark = self._variant_mark(state)
-            if is_ligature or final:
-                # Keep the attachment point; the variant's own anchor
-                # decides how the new ink spreads around it.
-                state.x = state.anchor_x - mark.anchor.x
-                state.y = state.anchor_y - mark.anchor.y
+            anchor = state.sized.anchor
+            if state.stacked_on is not None:
+                lower = states[state.stacked_on]
+                stack = lower.sized.stack_anchor
+                state.anchor_x = lower.x + stack.x
+                state.anchor_y = lower.y + stack.y
+                state.x = state.anchor_x - anchor.x
+            elif keep_anchor:
+                state.x = state.anchor_x - anchor.x
             else:
-                state.x = mid - mark.anchor.x
-                state.y = state.anchor_y - mark.anchor.y
+                state.x = mid - anchor.x
+            state.y = state.anchor_y - anchor.y
 
     def run(self) -> list[PlacedMark]:
-        for k, base_i in enumerate(self.bases):
-            self.default_place(base_i)
-            if k > 0:
-                self.revisit(self.bases[k - 1], final=False)
-        if self.bases:
-            self.revisit(self.bases[-1], final=True)
-        out = []
-        for i, g in enumerate(self.word.glyphs):
-            if not g.is_mark:
-                continue
-            st = self.states[i]
-            out.append(
-                PlacedMark(
-                    mark=st.mark_id,
-                    variant=st.variant,
-                    offset=(st.x, st.y),
-                    owner=attachment_root(self.word, i),
-                    glyph_index=i,
-                )
-            )
-        return out
+        # A base without marks has nothing to place or revisit.
+        bases, marks_of = self.bases, self.marks_of
+        for k, base_i in enumerate(bases):
+            if marks_of[base_i]:
+                self.default_place(base_i)
+            if k > 0 and marks_of[bases[k - 1]]:
+                self.revisit(bases[k - 1], final=False)
+        if bases and marks_of[bases[-1]]:
+            self.revisit(bases[-1], final=True)
+        roots = self.word.tables.roots
+        return [
+            PlacedMark(st.mark_id, st.variant, (st.x, st.y), roots[mi], mi)
+            for mi, st in sorted(self.states.items())
+        ]
 
 
-def measure_gap(
-    word: ShapedWord, index: int, side: Placement, font: FontDescription
-) -> GapMeasure:
-    """Free span over/under a glyph given the word's current mark positions."""
-    placer = _Placer(word, font)
+@dataclass
+class _StackUnit:
+    """Marks that move together: a mark on a base and the marks stacked
+    on it, with their joint ink x interval."""
 
-    def current_ink(mi: int) -> tuple[Placement, int, int]:
-        pg = word.glyphs[mi]
-        mark = font.marks[pg.glyph]
-        x = placer.pens[mi] + pg.x_offset
-        return mark.attachment_class, x + mark.ink.x_min, x + mark.ink.x_max
-
-    return GapMeasure(owner=index, width=placer.free_span(index, side, current_ink))
+    marks: list[PlacedMark]
+    side: Placement  # the side of the unit's first mark
+    lo: int
+    hi: int
+    pinned: bool  # carries a gemination mark, so it never moves
+    dx: int = 0
 
 
-def _stack_units(
-    marks: Sequence[PlacedMark], word: ShapedWord
-) -> list[list[PlacedMark]]:
-    """Group marks into stacks; a stacked mark moves with its carrier."""
-    by_index = {m.glyph_index: m for m in marks}
-    units: dict[int, list[PlacedMark]] = {}
-
-    def unit_root(m: PlacedMark) -> int:
-        idx = m.glyph_index
-        while True:
-            attached = word.glyphs[idx].attached_to
-            if attached is None or not word.glyphs[attached[0]].is_mark:
-                return idx
-            idx = attached[0]
-
-    for m in marks:
-        units.setdefault(unit_root(m), []).append(m)
-    return [units[k] for k in sorted(units)]
+_SIDES = (Placement.ABOVE, Placement.BELOW, Placement.THROUGH)
 
 
 def resolve_collisions(
@@ -335,50 +266,39 @@ def resolve_collisions(
 ) -> tuple[list[PlacedMark], list[Diagnostic]]:
     """Nudge overlapping same-side marks apart by a minimal x shift.
 
+    A stacked mark moves with its carrier: marks are grouped into stack
+    units once, and each side's units are swept in logical order.
     Gemination marks, and any stack carrying one, never move. When neither
     of an overlapping pair may move, or the needed shift exceeds the
     mark's owner ink span, the overlap is reported and left in place.
     """
-    mark_cps = font.mark_codepoints
-    current = {m.glyph_index: m for m in marks}
+    stack_of = word.tables.units
+    units: dict[int, _StackUnit] = {}
+    for m in marks:
+        sized = font.sized_mark(m.mark, m.variant)
+        lo, hi = m.offset[0] + sized.ink_lo, m.offset[0] + sized.ink_hi
+        key = stack_of[m.glyph_index]
+        unit = units.get(key)
+        if unit is None:
+            units[key] = _StackUnit([m], sized.side, lo, hi, sized.shadda)
+        else:
+            unit.marks.append(m)
+            unit.lo, unit.hi = min(unit.lo, lo), max(unit.hi, hi)
+            unit.pinned = unit.pinned or sized.shadda
+    by_side: tuple[list[_StackUnit], ...] = ([], [], [])
+    for key in sorted(units):
+        by_side[_SIDES.index(units[key].side)].append(units[key])
+
     diagnostics: list[Diagnostic] = []
-
-    def ink_interval(m: PlacedMark) -> tuple[int, int]:
-        glyph_id = font.variant_glyph(m.mark, m.variant)
-        ink = font.marks[glyph_id].ink
-        return m.offset[0] + ink.x_min, m.offset[0] + ink.x_max
-
-    def side_of(m: PlacedMark) -> Placement:
-        return font.marks[m.mark].attachment_class
-
-    def immovable(unit: list[PlacedMark]) -> bool:
-        return any(mark_cps.get(m.mark) == SHADDA_CP for m in unit)
-
-    def shift_unit(unit: list[PlacedMark], dx: int) -> None:
-        for m in unit:
-            moved = replace(m, offset=(m.offset[0] + dx, m.offset[1]))
-            current[m.glyph_index] = moved
-
-    for side in (Placement.ABOVE, Placement.BELOW, Placement.THROUGH):
-        units = [
-            [current[m.glyph_index] for m in unit]
-            for unit in _stack_units(marks, word)
-            if side_of(unit[0]) is side
-        ]
-        for left, right in zip(units, units[1:]):
-            left = [current[m.glyph_index] for m in left]
-            right = [current[m.glyph_index] for m in right]
-            left_hi = max(ink_interval(m)[1] for m in left)
-            right_lo = min(ink_interval(m)[0] for m in right)
-            overlap = left_hi - right_lo
+    for side_units in by_side:
+        for left, right in zip(side_units, side_units[1:]):
+            overlap = left.hi + left.dx - (right.lo + right.dx)
             if overlap <= 0:
                 continue
             shift = overlap + gap_epsilon
-            movable_right = not immovable(right)
-            movable_left = not immovable(left)
-            if movable_right:
+            if not right.pinned:
                 target, dx = right, shift
-            elif movable_left:
+            elif not left.pinned:
                 target, dx = left, -shift
             else:
                 diagnostics.append(
@@ -386,15 +306,16 @@ def resolve_collisions(
                         severity=Severity.ERROR,
                         code="unresolvable-overlap",
                         message=(
-                            f"marks around glyphs {left[0].owner} and {right[0].owner} "
-                            f"overlap by {overlap} and neither may move"
+                            f"marks around glyphs {left.marks[0].owner} and "
+                            f"{right.marks[0].owner} overlap by {overlap} and neither may move"
                         ),
-                        location=(left[0].owner, right[0].owner),
+                        location=(left.marks[0].owner, right.marks[0].owner),
                     )
                 )
                 continue
-            owner_ink = font.glyphs[word.glyphs[target[0].owner].glyph].ink
-            span = owner_ink.width + word.glyphs[target[0].owner].elongation
+            owner = target.marks[0].owner
+            owner_glyph = word.glyphs[owner]
+            span = font.glyphs[owner_glyph.glyph].ink.width + owner_glyph.elongation
             if shift > span:
                 diagnostics.append(
                     Diagnostic(
@@ -402,16 +323,23 @@ def resolve_collisions(
                         code="unresolvable-overlap",
                         message=(
                             f"required shift {shift} exceeds the ink span {span} "
-                            f"of glyph {target[0].owner}"
+                            f"of glyph {owner}"
                         ),
-                        location=(target[0].owner,),
+                        location=(owner,),
                     )
                 )
                 continue
-            shift_unit(target, dx)
+            target.dx += dx
 
-    resolved = [current[m.glyph_index] for m in marks]
-    return resolved, diagnostics
+    moved = {
+        m.glyph_index: PlacedMark(
+            m.mark, m.variant, (m.offset[0] + unit.dx, m.offset[1]), m.owner, m.glyph_index
+        )
+        for unit in units.values()
+        if unit.dx
+        for m in unit.marks
+    }
+    return [moved.get(m.glyph_index, m) for m in marks], diagnostics
 
 
 def place_diacritics(
@@ -426,19 +354,21 @@ def place_diacritics(
     mark could be inserted.
     """
     placer = _Placer(word, font)
-    marks = placer.run()
-    marks, diagnostics = resolve_collisions(marks, word, font, gap_epsilon)
+    marks, diagnostics = resolve_collisions(placer.run(), word, font, gap_epsilon)
 
-    # Ornament hook: report spans wide enough for a large mark but empty.
-    for base_i in placer.bases:
-        has_above = any(
-            placer.states[mi].side is Placement.ABOVE
-            for mi in placer.marks_of.get(base_i, [])
-        )
-        if has_above:
+    # Ornament hook: report spans wide enough for a large mark but empty,
+    # as the sweep left them, before collisions were nudged apart. A span
+    # is never wider than its glyph, so narrow glyphs are skipped at once.
+    large = font.size_thresholds.large
+    states = placer.states
+    for base_i, (lo, hi) in placer.spans.items():
+        if hi - lo < large or any(
+            states[mi].sized.side is Placement.ABOVE
+            for mi in placer.marks_of[base_i]
+        ):
             continue
         free = placer.gap(base_i, Placement.ABOVE)
-        if free >= font.size_thresholds.large:
+        if free >= large:
             diagnostics.append(
                 Diagnostic(
                     severity=Severity.INFO,
@@ -454,18 +384,23 @@ def with_marks(
     word: ShapedWord, marks: Sequence[PlacedMark], font: FontDescription
 ) -> ShapedWord:
     """Write placed marks back into the word's glyph string."""
-    pens = pen_positions(word)
+    pens = word.tables.pens
     glyphs = list(word.glyphs)
     for m in marks:
         pg = glyphs[m.glyph_index]
-        root = attachment_root(word, m.glyph_index)
-        glyphs[m.glyph_index] = replace(
-            pg,
-            glyph=font.variant_glyph(m.mark, m.variant),
-            x_offset=m.offset[0] - pens[root],
-            y_offset=m.offset[1],
+        glyphs[m.glyph_index] = PlacedGlyph(
+            font.sized_mark(m.mark, m.variant).glyph,
+            pg.advance,
+            m.offset[0] - pens[m.owner],
+            m.offset[1],
+            pg.elongation,
+            pg.attached_to,
+            pg.is_mark,
         )
-    return replace(word, glyphs=tuple(glyphs))
+    marked = ShapedWord(tuple(glyphs), word.clusters, word.glyph_clusters, word.features)
+    # Marks move no pen and change no attachment: the tables carry over.
+    marked.__dict__["tables"] = word.tables
+    return marked
 
 
 def mark_word(

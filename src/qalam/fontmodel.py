@@ -19,7 +19,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     Diagnostic,
@@ -34,6 +34,8 @@ from .errors import (
 from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
 from .textmodel import (
     DEFAULT_TABLE,
+    ELONGATABLE_MARKS,
+    SHADDA_CP,
     CharacterTable,
     Form,
     MassClass,
@@ -126,6 +128,24 @@ class MarkGlyph:
     svg_path: str | None = None
 
 
+class SizedMark(NamedTuple):
+    """One mark at one size: the glyph drawn and what placement reads.
+
+    ``ink_lo`` and ``ink_hi`` bound the glyph's ink in x from its origin.
+    ``side``, ``shadda`` and ``elongatable`` are facts of the mark itself,
+    the same at every size.
+    """
+
+    glyph: str
+    side: Placement
+    ink_lo: int
+    ink_hi: int
+    anchor: AnchorPoint
+    stack_anchor: AnchorPoint | None
+    shadda: bool
+    elongatable: bool
+
+
 @dataclass(frozen=True)
 class LigatureEntry:
     """A ligature glyph and the per-component mark anchors it exposes."""
@@ -215,6 +235,32 @@ class FontDescription:
         return out
 
     @cached_property
+    def sized_marks(self) -> dict[tuple[str, SizeVariant], SizedMark]:
+        """Every (mark id, size) the font draws, to its ``SizedMark``."""
+        out = {}
+        for mid, mark in self.marks.items():
+            cp = self.mark_codepoints.get(mid)
+            for size in VARIANT_ORDER:
+                if size is SizeVariant.NORMAL and mark.variants is None:
+                    glyph = mid
+                elif mark.variants is not None and size in mark.variants:
+                    glyph = mark.variants[size]
+                else:
+                    continue
+                drawn = self.marks[glyph]
+                out[mid, size] = SizedMark(
+                    glyph=glyph,
+                    side=mark.attachment_class,
+                    ink_lo=drawn.ink.x_min,
+                    ink_hi=drawn.ink.x_max,
+                    anchor=drawn.anchor,
+                    stack_anchor=drawn.stack_anchor,
+                    shadda=cp == SHADDA_CP,
+                    elongatable=cp in ELONGATABLE_MARKS,
+                )
+        return out
+
+    @cached_property
     def mark_codepoints(self) -> dict[str, int]:
         """Canonical mark glyph id to the code point that maps to it."""
         return {mid: cp for cp, mid in self.mark_cmap.items()}
@@ -238,14 +284,12 @@ class FontDescription:
     def mass_variant(self, mass: MassClass) -> SizeVariant:
         return self.mass_variants.get(mass, SizeVariant.NORMAL)
 
-    def variant_glyph(self, mark_id: str, variant: SizeVariant) -> str:
-        """Resolve the glyph id of a mark at a given size."""
-        mark = self.marks[mark_id]
-        if variant is SizeVariant.NORMAL and mark.variants is None:
-            return mark_id
-        if mark.variants is None or variant not in mark.variants:
-            raise MissingVariant(f"{mark_id} has no {variant.value} variant")
-        return mark.variants[variant]
+    def sized_mark(self, mark_id: str, variant: SizeVariant) -> SizedMark:
+        """A mark at a given size; MissingVariant if the font lacks that size."""
+        try:
+            return self.sized_marks[mark_id, variant]
+        except KeyError:
+            raise MissingVariant(f"{mark_id} has no {variant.value} variant") from None
 
 
 def glyph_for(font: FontDescription, letter_cp: int, form: Form) -> str:

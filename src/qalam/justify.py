@@ -85,6 +85,10 @@ class JustifyParams:
             raise ValueError(
                 f"line_penalty must lie in [{MIN_LINE_PENALTY}, {MAX_LINE_PENALTY}]"
             )
+        # A negative clearance would push colliding marks further into
+        # each other.
+        if self.gap_epsilon < 0:
+            raise ValueError("gap_epsilon must be >= 0")
 
 
 def badness(ratio: float | None) -> int:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import Diagnostic, MalformedLayout
 from .fontmodel import FontDescription, SizeVariant
 from .justify import ParagraphLayout
-from .shaper import ShapedWord, attachment_root, pen_positions
+from .shaper import ShapedWord
 
 SCHEMA_ID = "qalam-layout/1"
 
@@ -25,36 +25,34 @@ _VARIANT_NAMES = frozenset(v.value for v in SizeVariant)
 def _glyph_records(
     font: FontDescription, word: ShapedWord, word_x: int
 ) -> list[dict]:
-    pens = pen_positions(word)
-    records: dict[int, dict] = {}
-    order: list[int] = []
-    for i, pg in enumerate(word.glyphs):
-        if pg.is_mark:
-            continue
-        records[i] = {
-            "glyph": pg.glyph,
-            "x": word_x + pens[i] + pg.x_offset,
-            "y": pg.y_offset,
-            "advance": pg.advance,
-            "elongation": pg.elongation,
-            "marks": [],
-        }
-        order.append(i)
-    for i, pg in enumerate(word.glyphs):
-        if not pg.is_mark:
-            continue
-        root = attachment_root(word, i)
-        base = word.glyphs[root]
-        mark, size = font.mark_sizes[pg.glyph]
-        records[root]["marks"].append(
+    tables = word.tables
+    glyphs, mark_sizes = word.glyphs, font.mark_sizes
+    records = []
+    for i in tables.bases:
+        pg = glyphs[i]
+        marks = []
+        for mi in tables.marks_of[i]:
+            mg = glyphs[mi]
+            mark, size = mark_sizes[mg.glyph]
+            marks.append(
+                {
+                    "mark": mark,
+                    "variant": size.value,
+                    "dx": mg.x_offset - pg.x_offset,
+                    "dy": mg.y_offset - pg.y_offset,
+                }
+            )
+        records.append(
             {
-                "mark": mark,
-                "variant": size.value,
-                "dx": pg.x_offset - base.x_offset,
-                "dy": pg.y_offset - base.y_offset,
+                "glyph": pg.glyph,
+                "x": word_x + tables.pens[i] + pg.x_offset,
+                "y": pg.y_offset,
+                "advance": pg.advance,
+                "elongation": pg.elongation,
+                "marks": marks,
             }
         )
-    return [records[i] for i in order]
+    return records
 
 
 def shaped_document(

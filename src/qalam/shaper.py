@@ -17,7 +17,8 @@ builds the first alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from . import kashida
 from .errors import EmptyWord, NoGlyph
@@ -54,9 +55,30 @@ class ShapedWord:
     def natural_width(self) -> int:
         return sum(g.advance + g.elongation for g in self.glyphs)
 
+    @cached_property
+    def tables(self) -> "WordTables":
+        """The word's attachment and pen tables, built on first use."""
+        return word_tables(self)
 
-def base_indices(word: ShapedWord) -> list[int]:
-    return [i for i, g in enumerate(word.glyphs) if not g.is_mark]
+
+class WordTables(NamedTuple):
+    """Facts of a word's glyph string that every mark pass reads.
+
+    ``roots``, ``pens`` and ``marks_of`` have one entry per glyph: a base
+    is its own root, a mark rides its root's pen, and ``marks_of`` lists
+    the marks whose root a base is, in order. ``units`` gives each mark the
+    lowest mark of the stack it belongs to (itself when it sits on a base);
+    a stack moves as one when marks are nudged apart. Every table holds
+    only ints, so the garbage collector soon stops tracking them and a
+    finished word carries them cheaply.
+    """
+
+    roots: tuple[int, ...]
+    pens: tuple[int, ...]
+    units: tuple[int, ...]
+    bases: tuple[int, ...]
+    base_pos: dict[int, int]  # base glyph index -> its position in ``bases``
+    marks_of: tuple[tuple[int, ...], ...]
 
 
 def attachment_root(word: ShapedWord, index: int) -> int:
@@ -73,18 +95,51 @@ def attachment_root(word: ShapedWord, index: int) -> int:
     return index
 
 
-def pen_positions(word: ShapedWord) -> list[int]:
-    """Pen x for every glyph: bases advance the pen, marks ride their base."""
-    pens: list[int] = [0] * len(word.glyphs)
+def word_tables(word: ShapedWord) -> WordTables:
+    """Build a word's ``WordTables`` in one forward pass over its glyphs.
+
+    A mark attached to an earlier glyph takes that glyph's root and stack;
+    one attached forward (or not at all) walks its chain, which raises
+    ValueError on a cycle or an unattached mark.
+    """
+    glyphs = word.glyphs
+    roots = list(range(len(glyphs)))
+    units = roots[:]
+    pens = [0] * len(glyphs)
+    base_pos: dict[int, int] = {}
+    marks_of: list[tuple[int, ...]] = [()] * len(glyphs)
     pen = 0
-    for i, g in enumerate(word.glyphs):
+    for i, g in enumerate(glyphs):
         if not g.is_mark:
+            base_pos[i] = len(base_pos)
             pens[i] = pen
             pen += g.advance + g.elongation
-    for i, g in enumerate(word.glyphs):
-        if g.is_mark:
-            pens[i] = pens[attachment_root(word, i)]
-    return pens
+            continue
+        attached = g.attached_to
+        if attached is not None and 0 <= attached[0] < i:
+            below = attached[0]
+            root = roots[i] = roots[below]
+            if glyphs[below].is_mark:
+                units[i] = units[below]
+        else:
+            root = roots[i] = attachment_root(word, i)
+            while attached is not None and glyphs[attached[0]].is_mark:
+                units[i] = attached[0]
+                attached = glyphs[attached[0]].attached_to
+        marks_of[root] += (i,)
+    return WordTables(
+        tuple(roots),
+        tuple([pens[r] for r in roots]),
+        tuple(units),
+        tuple(base_pos),
+        base_pos,
+        tuple(marks_of),
+    )
+
+
+def pen_positions(word: ShapedWord) -> tuple[int, ...]:
+    """Pen x for every glyph: bases advance the pen, marks ride their base."""
+    return word.tables.pens
 
 
 def _stack_order(marks):

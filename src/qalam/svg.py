@@ -29,7 +29,7 @@ def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[str, R
     if mark_id not in font.marks:
         raise MalformedLayout(f"mark {mark_id!r} is not in font {font.font_id!r}")
     try:
-        glyph_id = font.variant_glyph(mark_id, SizeVariant(variant))
+        glyph_id = font.sized_mark(mark_id, SizeVariant(variant)).glyph
     except MissingVariant as exc:
         # The font is sound; the document asks for a size it never offered.
         raise MalformedLayout(str(exc)) from None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -240,6 +241,26 @@ class TestJustify:
         assert "--overlap-penalty" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["shape", "justify"])
+    @pytest.mark.parametrize("value", ["-1", "-50", "abc", "1.5"])
+    def test_bad_gap_epsilon_exit_2(self, capsys, command, value):
+        argv = ["shape", "--font", FONT, "--text", GOLDEN_TEXT]
+        if command == "justify":
+            argv = GOLDEN_ARGS
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--gap-epsilon", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--gap-epsilon" in err
+        assert "Traceback" not in err
+
+    def test_zero_gap_epsilon_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, ["shape", "--font", FONT, "--text", GOLDEN_TEXT, "--gap-epsilon", "0"]
+        )
+        assert code == 0
+        json.loads(out)
+
     def test_saturating_line_penalty_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(GOLDEN_ARGS + ["--line-penalty", "40000000"])
@@ -320,6 +341,51 @@ class TestJustify:
         assert [l.candidate.width for l in layout.lines] == [
             line["width"] for line in golden["lines"]
         ]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestFreshText:
+    """Output identity on text the goldens never saw.
+
+    ``fresh_words.txt`` is the first five 120-word paragraphs of
+    ``perfbench/gen.py``'s ``fresh_paragraphs(6)``: 600 words, none
+    repeated. The digests pin stdout and stderr as the engine wrote them
+    before mark placement was rewritten in linear passes.
+    """
+
+    @pytest.mark.parametrize(
+        "args, stdout_sha, stderr_sha",
+        [
+            pytest.param(
+                ["shape", "--features", "liga,jalt"],
+                "e48c6ccdbbb70a3aaa72a465fb5c07c8e9ad9e52bb60a014a36608d4d313a289",
+                "c9e398c166c43aceb736176052e6a8fc7064f0bdabd8a441c8692a1855b04d32",
+                id="shape",
+            ),
+            pytest.param(
+                ["justify", "--algorithm", "greedy", "--width", "4000"],
+                "b418d12d337c7e88d40dfbbe194ce0a2fffdfaa06152747693e3666fc7e8e94a",
+                "0c6bbe99617c1e328a073033a3555bd1b6e0acc7c1b05336d23e49d2fdf82fdc",
+                id="greedy",
+            ),
+            pytest.param(
+                ["justify", "--algorithm", "optimum", "--variants", "on", "--width", "16000"],
+                "667538d83b31279f32077760b8e7afc35b68ed09a6ec6500e457dc62eadd3592",
+                "785a94f8d15484cb4db3ea9d30638a781fe2ae821a793ed9635f5b1e238f8357",
+                id="optimum",
+            ),
+        ],
+    )
+    def test_matches_recorded_digests(self, capsys, args, stdout_sha, stderr_sha):
+        command, *rest = args
+        code, out, err = run(
+            capsys,
+            [command, "--font", FONT, "--text-file", str(DATA / "fresh_words.txt"), *rest],
+        )
+        assert (code, sha256(out), sha256(err)) == (0, stdout_sha, stderr_sha)
 
 
 class TestRender:

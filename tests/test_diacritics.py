@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import random
 
-from qalam import kashida
+import pytest
+
+from qalam import diacritics, kashida, layout, shaper
 from qalam.diacritics import (
     PlacedMark,
-    measure_gap,
+    _Placer,
     place_diacritics,
     resolve_collisions,
     select_size_variant,
     with_marks,
 )
+from qalam.errors import MissingVariant
 from qalam.fontmodel import SizeVariant, VARIANT_ORDER
 from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
 from qalam.textmodel import Placement
@@ -45,35 +48,40 @@ class TestSelectSizeVariant:
         assert ranks == sorted(ranks)
 
 
+def placed_gap(w, font, index: int, side: Placement) -> int:
+    """Free span over a base glyph once the word's marks are placed."""
+    placer = _Placer(w, font)
+    placer.run()
+    return placer.gap(index, side)
+
+
 class TestMeasureGap:
     def test_bare_glyph_gap_is_ink_width(self, demo_font):
         w = word("س", demo_font)  # seen.isol: ink 20..580
-        gap = measure_gap(w, 0, Placement.ABOVE, demo_font)
-        assert gap.owner == 0
-        assert gap.width == 560
+        assert placed_gap(w, demo_font, 0, Placement.ABOVE) == 560
 
     def test_elongation_adds_to_gap(self, demo_font):
         w = word("س", demo_font)
         stretched = stretch(w, demo_font, {0: 250})
-        assert measure_gap(stretched, 0, Placement.ABOVE, demo_font).width == 560 + 250
+        assert placed_gap(stretched, demo_font, 0, Placement.ABOVE) == 560 + 250
 
     def test_neighbour_mark_subtracts(self):
         font = synth_font(mark_overrides={"damma": {"ink": [0, 0, 800, 140], "anchor": [400, 0]}})
         w = word("دُب", font)  # dal+damma, beh
-        # dal ink [0,280]; its damma ink spans [-260, 540]; beh spans [280, 620].
-        gap = measure_gap(w, 2, Placement.ABOVE, font)
-        assert gap.width == 340 - (540 - 280)
+        # dal ink [0,280]; its damma, centered at 140, spans [-260, 540];
+        # beh spans [280, 620].
+        assert placed_gap(w, font, 2, Placement.ABOVE) == 340 - (540 - 280)
 
     def test_fully_covered_span_clamps_to_zero(self):
         font = synth_font(mark_overrides={"damma": {"ink": [0, 0, 1200, 140], "anchor": [600, 0]}})
         w = word("دُب", font)
-        assert measure_gap(w, 2, Placement.ABOVE, font).width == 0
+        assert placed_gap(w, font, 2, Placement.ABOVE) == 0
 
     def test_below_side_independent(self):
         font = synth_font()
         w = word("دِب", font)  # kasra below on dal
-        assert measure_gap(w, 2, Placement.ABOVE, font).width == 340
-        assert measure_gap(w, 2, Placement.BELOW, font).width == 340
+        assert placed_gap(w, font, 2, Placement.ABOVE) == 340
+        assert placed_gap(w, font, 2, Placement.BELOW) == 340
 
 
 class TestPlaceDiacritics:
@@ -209,7 +217,7 @@ class TestPlaceDiacritics:
             marks, _ = place_diacritics(w, demo_font)
             for m in marks:
                 mark = demo_font.marks[m.mark]
-                glyph_id = demo_font.variant_glyph(m.mark, m.variant)
+                glyph_id = demo_font.sized_mark(m.mark, m.variant).glyph
                 ink = demo_font.marks[glyph_id].ink
                 if mark.attachment_class is Placement.ABOVE:
                     assert m.offset[1] + ink.y_min >= 0
@@ -233,6 +241,12 @@ class TestPlaceDiacritics:
         # the damma sits at offset 650 (ink [650, 770]), overlapped by 70.
         assert fatha.offset[0] == 270 - 450
         assert damma.offset[0] == 650 + 70 + 10
+
+    def test_missing_size_raises_missing_variant(self):
+        # fatha offers no medium size; a gap of 340 over beh asks for it.
+        font = synth_font(mark_overrides={"fatha": {"variants": {"normal": "fatha"}}})
+        with pytest.raises(MissingVariant, match="^fatha has no medium variant$"):
+            place_diacritics(word("بَب", font), font)
 
     def test_space_available_annotation(self, demo_font):
         w = word("س", demo_font)  # bare seen: 560 free units above
@@ -331,7 +345,7 @@ class TestResolveCollisions:
             by_side = {}
             for m in marks:
                 side = demo_font.marks[m.mark].attachment_class
-                glyph_id = demo_font.variant_glyph(m.mark, m.variant)
+                glyph_id = demo_font.sized_mark(m.mark, m.variant).glyph
                 ink = demo_font.marks[glyph_id].ink
                 lo, hi = m.offset[0] + ink.x_min, m.offset[0] + ink.x_max
                 root = m.glyph_index
@@ -353,3 +367,50 @@ class TestResolveCollisions:
                     if min(a_hi, b_hi) - max(a_lo, b_lo) > 0:
                         overlap_found = True
             assert not overlap_found or "unresolvable-overlap" in reported
+
+
+class TestLinearPasses:
+    """Marking a word walks its glyph string a fixed number of times.
+
+    Counts calls rather than time: one table build per word, no separate
+    pen pass, and at most one attachment walk per mark.
+    """
+
+    @pytest.mark.parametrize(
+        "text", ["الْقِطُّ", "لَاب"], ids=["stacked-shadda", "ligature"]
+    )
+    def test_mark_word_work_is_linear(self, demo_font, monkeypatch, text):
+        calls = {"pen_positions": 0, "attachment_root": 0, "word_tables": 0}
+        for name in calls:
+            original = getattr(shaper, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (shaper, diacritics, layout):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        w = word(text, demo_font)
+        marks = sum(g.is_mark for g in w.glyphs)
+        assert any(g.glyph == "shadda" for g in w.glyphs) or any(
+            g.glyph in demo_font.ligature_by_glyph for g in w.glyphs
+        )
+        marked, _ = diacritics.mark_word(w, demo_font, 10, 0)
+        layout.shaped_document(demo_font, [marked])
+        assert calls["word_tables"] <= 1
+        assert calls["pen_positions"] <= 1
+        assert calls["attachment_root"] <= marks
+
+    def test_finished_word_shares_its_tables(self, demo_font, corpus_words):
+        for i, w in enumerate(corpus_words):
+            stretched = w
+            sites = kashida.enumerate_sites(w, demo_font)
+            if sites:
+                stretched = apply_plan(w, ElongationPlan({sites[0].glyph_index: 1}, 0), sites)
+            marked, _ = diacritics.mark_word(stretched, demo_font, 10, i)
+            assert marked.tables is stretched.tables
+            assert marked.tables == shaper.word_tables(marked)

@@ -91,6 +91,12 @@ class TestDemerits:
         with pytest.raises(ValueError):
             JustifyParams(overlap_penalty=-1)
 
+    def test_negative_gap_epsilon_rejected(self):
+        for bad in (-1, -50):
+            with pytest.raises(ValueError):
+                JustifyParams(gap_epsilon=bad)
+        assert JustifyParams(gap_epsilon=0).gap_epsilon == 0
+
     def test_saturating_line_penalty_rejected(self):
         for bad in (40_000_000, MAX_LINE_PENALTY + 1, MIN_LINE_PENALTY - 1):
             with pytest.raises(ValueError):

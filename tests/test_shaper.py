@@ -7,7 +7,14 @@ import pytest
 from qalam import kashida
 from qalam.errors import EmptyWord
 from qalam.fontmodel import glyph_for
-from qalam.shaper import base_indices, pen_positions, shape_word, word_variants
+from qalam.lookups import PlacedGlyph
+from qalam.shaper import (
+    ShapedWord,
+    attachment_root,
+    pen_positions,
+    shape_word,
+    word_variants,
+)
 from qalam.textmodel import Placement, analyze_joining, decompose
 
 from .util import random_word_text, word
@@ -19,7 +26,7 @@ ALL_FEATURES = frozenset({"liga", "jalt", "ss01"})
 class TestShapeWord:
     def test_lam_alef_ligates(self, demo_font):
         w = word("لا", demo_font)  # lam + alef
-        bases = [w.glyphs[i] for i in base_indices(w)]
+        bases = [g for g in w.glyphs if not g.is_mark]
         assert [g.glyph for g in bases] == ["lam_alef.isol"]
         assert w.glyph_clusters[0] == (0, 1)
 
@@ -154,8 +161,6 @@ class TestWordVariants:
 
 class TestGeometryInvariants:
     def test_marks_keep_their_side_over_corpus(self, demo_font, corpus_words):
-        from qalam.shaper import attachment_root
-
         for w in corpus_words:
             for i, g in enumerate(w.glyphs):
                 if not g.is_mark:
@@ -179,7 +184,7 @@ class TestGeometryInvariants:
     def test_pen_positions_monotone(self, demo_font, corpus_words):
         for w in corpus_words:
             pens = pen_positions(w)
-            bases = base_indices(w)
+            bases = [i for i, g in enumerate(w.glyphs) if not g.is_mark]
             for a, b in zip(bases, bases[1:]):
                 assert pens[a] < pens[b]
 
@@ -225,3 +230,67 @@ class TestJoiningAgreement:
                     rejoined.append(expected[k])
                     k += 1
             assert got == rejoined
+
+
+def _unit_walk(w, index: int) -> int:
+    """The lowest mark of the stack that mark ``index`` belongs to."""
+    while True:
+        attached = w.glyphs[index].attached_to
+        if attached is None or not w.glyphs[attached[0]].is_mark:
+            return index
+        index = attached[0]
+
+
+def _placed(*specs):
+    """A word from (advance, attached_to) pairs; an advance of None makes a mark."""
+    glyphs = tuple(
+        PlacedGlyph(
+            glyph=f"g{i}",
+            advance=advance or 0,
+            attached_to=None if attached is None else (attached, Placement.ABOVE),
+            is_mark=advance is None,
+        )
+        for i, (advance, attached) in enumerate(specs)
+    )
+    return ShapedWord(glyphs, (), tuple((i,) for i in range(len(glyphs))), frozenset())
+
+
+class TestWordTables:
+    def test_tables_match_chain_walks_over_corpus(self, corpus_words):
+        for w in corpus_words:
+            tables = w.tables
+            bases = [i for i, g in enumerate(w.glyphs) if not g.is_mark]
+            assert list(tables.bases) == bases
+            assert tables.base_pos == {b: k for k, b in enumerate(bases)}
+            pen = 0
+            for b in bases:
+                assert tables.pens[b] == pen
+                pen += w.glyphs[b].advance + w.glyphs[b].elongation
+            marks_of = [[] for _ in w.glyphs]
+            for i, g in enumerate(w.glyphs):
+                root = attachment_root(w, i) if g.is_mark else i
+                assert tables.roots[i] == root
+                assert tables.pens[i] == tables.pens[root]
+                if g.is_mark:
+                    assert tables.units[i] == _unit_walk(w, i)
+                    marks_of[root].append(i)
+            assert tables.marks_of == tuple(tuple(marks) for marks in marks_of)
+
+    def test_forward_attachment_walks_its_chain(self):
+        # Glyph 0 is a mark stacked on mark 1, which sits on base 2.
+        w = _placed((None, 1), (None, 2), (300, None))
+        assert w.tables.roots == (2, 2, 2)
+        assert w.tables.units == (1, 1, 2)
+        assert w.tables.pens == (0, 0, 0)
+        assert w.tables.marks_of == ((), (), (0, 1))
+
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            (((300, None), (None, 2), (None, 1)), "attachment cycle"),
+            (((300, None), (None, None)), "not attached"),
+        ],
+    )
+    def test_bad_chains_raise(self, specs, message):
+        with pytest.raises(ValueError, match=message):
+            _placed(*specs).tables

@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Check that the working tree's CLI output is the same as a revision's.
+
+    python tools/same_output.py REV [--seeds 1 2 3] [--paragraphs 2] [--words 20]
+
+REV (any git revision: a commit, a branch, ``HEAD~1``) is exported with
+``git archive`` into a temporary directory. Paragraphs come from
+``perfbench/gen.py`` in the working tree: for each seed, ``--paragraphs``
+from the fresh stream and as many from the Zipfian stream, ``--words``
+words each. On every paragraph both trees run, each with its own bundled
+font:
+
+- ``shape``, with and without ``--features liga,jalt``;
+- ``justify --features liga,jalt`` for greedy and optimum, width variants
+  on and off, at widths 1200, 4000 and 16000;
+- ``render`` of every layout that the commands above wrote.
+
+Each tree runs in its own Python subprocess, which imports only that
+tree's ``src`` and calls ``qalam.cli.main`` once per command. The script
+compares stdout, stderr and exit code command by command, prints the first
+difference and exits 1; it exits 0 when every command matched, and 2 when
+REV cannot be exported or either tree cannot run at all.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FEATURES = ("--features", "liga,jalt")
+COMMANDS = [("shape",), ("shape", *FEATURES)] + [
+    ("justify", *FEATURES, "--algorithm", algorithm, "--variants", variants, "--width", width)
+    for algorithm in ("greedy", "optimum")
+    for variants in ("off", "on")
+    for width in ("1200", "4000", "16000")
+]
+
+#: Runs in a fresh interpreter: argv is (src directory, font path), stdin
+#: the JSON list of paragraphs; writes one JSON record per command.
+WORKER = r"""
+import io, json, sys, traceback
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from qalam.cli import main
+
+font = sys.argv[2]
+paragraphs, commands = json.load(sys.stdin)
+
+def run(argv, stdin_text=""):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin_text)
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+records = []
+for label, text in paragraphs:
+    for command in commands:
+        name = " ".join(command)
+        code, out, err = run([command[0], "--font", font, "--text", text, *command[1:]])
+        records.append([f"{label}: {name}", code, out, err])
+        if code == 0:
+            records.append([f"{label}: {name} | render", *run(["render", "--font", font], out)])
+json.dump(records, sys.stdout)
+"""
+
+
+def paragraphs(seeds: list[int], count: int, words: int) -> list[tuple[str, str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    out = []
+    for seed in seeds:
+        for stream in ("fresh", "zipf"):
+            source = getattr(gen, f"{stream}_paragraphs")(seed, words=words)
+            for i, text in enumerate(itertools.islice(source, count)):
+                out.append((f"{stream} seed {seed} #{i}", text))
+    return out
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of ``rev`` into ``dest``."""
+    archive = dest / "rev.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree")
+
+
+class WorkerFailed(Exception):
+    """A tree's worker crashed; the message is its last line of stderr."""
+
+
+def run_tree(tree: Path, cases: list) -> list:
+    font = tree / "src" / "qalam" / "data" / "chawki-demo.qalam-font.json"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", WORKER, str(tree / "src"), str(font)],
+        input=json.dumps(cases),
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode != 0:
+        raise WorkerFailed((done.stderr.strip().splitlines() or ["no output"])[-1])
+    return json.loads(done.stdout)
+
+
+def first_difference(ours: list, theirs: list) -> str | None:
+    for mine, other in zip(ours, theirs):
+        if mine[0] != other[0]:
+            return f"command lists diverge: {other[0]!r} at REV, {mine[0]!r} here"
+        for field, a, b in zip(("exit code", "stdout", "stderr"), other[1:], mine[1:]):
+            if a == b:
+                continue
+            where = f"{mine[0]}: {field} differs"
+            if field == "exit code":
+                return f"{where}: {a} at REV, {b} here"
+            lines_a, lines_b = a.splitlines(), b.splitlines()
+            for n, (line_a, line_b) in enumerate(itertools.zip_longest(lines_a, lines_b)):
+                if line_a != line_b:
+                    return f"{where} at line {n + 1}:\n  REV:  {line_a!r}\n  here: {line_b!r}"
+            return f"{where} only in line endings"
+    if len(ours) != len(theirs):
+        return f"{len(theirs)} commands at REV, {len(ours)} here"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--paragraphs", type=int, default=2, help="per stream and seed")
+    parser.add_argument("--words", type=int, default=20, help="words per paragraph")
+    args = parser.parse_args(argv)
+
+    cases = [paragraphs(args.seeds, args.paragraphs, args.words), COMMANDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            export(args.rev, Path(tmp))
+        except subprocess.CalledProcessError:
+            print(f"error: cannot export revision {args.rev!r}", file=sys.stderr)
+            return 2
+        side = "REV"
+        try:
+            theirs = run_tree(Path(tmp) / "tree", cases)
+            side = "working tree"
+            ours = run_tree(ROOT, cases)
+        except WorkerFailed as exc:
+            print(f"error: the {side} could not run: {exc}", file=sys.stderr)
+            return 2
+    difference = first_difference(ours, theirs)
+    if difference is not None:
+        print(difference)
+        return 1
+    print(f"same output on {len(ours)} commands ({len(cases[0])} paragraphs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
