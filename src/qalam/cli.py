@@ -3,6 +3,13 @@
 Artifacts (layout JSON, SVG) go to stdout; diagnostics go to stderr. Exit
 codes: 0 success, 1 font problem, 2 text or layout-document problem,
 3 unjustifiable paragraph, 4 lint findings of error severity.
+
+Each ``main`` call does its work once: it builds only the parser of the
+subcommand it runs, loads the font once, and within ``shape`` and
+``justify`` shapes, sites and marks each distinct word of the paragraph
+once (the words are told apart by their source text). Those memos are
+locals of the call, so nothing outlives it and a second call starts from
+nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import sys
 
 from . import layout as layout_mod
 from . import svg as svg_mod
-from .diacritics import mark_word
+from .diacritics import at_word, mark_word
 from .errors import (
     Diagnostic,
     FontError,
@@ -31,7 +38,7 @@ from .justify import (
     break_greedy,
     break_optimum,
 )
-from .shaper import shape_word
+from .shaper import shape_words
 from .textmodel import decompose
 
 EXIT_OK = 0
@@ -85,50 +92,64 @@ def _line_penalty(value: str) -> int:
     return penalty
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qalam",
-        description="Arabic shaping and justification engine",
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors keep argparse's message.
+
+    ``error`` prints usage and the message to stderr and exits 2, as
+    argparse does; the ``SystemExit`` it raises carries the message as
+    ``usage_error`` so that ``main`` can also report it on stdout.
+    """
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            exc.usage_error = message
+            raise
+
+
+def _add_font(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--font",
+        default=os.environ.get("QALAM_FONT_PATH"),
+        help="font description path (default: $QALAM_FONT_PATH)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--format",
+        choices=("text", "json-errors"),
+        default="text",
+        help="error reporting style",
+    )
 
-    def add_font(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--font",
-            default=os.environ.get("QALAM_FONT_PATH"),
-            help="font description path (default: $QALAM_FONT_PATH)",
-        )
-        p.add_argument(
-            "--format",
-            choices=("text", "json-errors"),
-            default="text",
-            help="error reporting style",
-        )
 
-    def add_text(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--text", help="input text")
-        group.add_argument("--text-file", help="read input text from a file")
-        p.add_argument(
-            "--features",
-            default="",
-            help="comma-separated optional features (e.g. liga,jalt,ss01)",
-        )
-        p.add_argument(
-            "--gap-epsilon",
-            type=_gap_epsilon,
-            default=10,
-            help="minimum clearance between neighbouring marks, font units: "
-            "a non-negative integer",
-        )
+def _add_text(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--text", help="input text")
+    group.add_argument("--text-file", help="read input text from a file")
+    p.add_argument(
+        "--features",
+        default="",
+        help="comma-separated optional features (e.g. liga,jalt,ss01)",
+    )
+    p.add_argument(
+        "--gap-epsilon",
+        type=_gap_epsilon,
+        default=10,
+        help="minimum clearance between neighbouring marks, font units: "
+        "a non-negative integer",
+    )
 
+
+def _add_shape(sub) -> None:
     shape = sub.add_parser("shape", help="shape text and place marks")
-    add_font(shape)
-    add_text(shape)
+    _add_font(shape)
+    _add_text(shape)
 
+
+def _add_justify(sub) -> None:
     justify = sub.add_parser("justify", help="break and justify a paragraph")
-    add_font(justify)
-    add_text(justify)
+    _add_font(justify)
+    _add_text(justify)
     justify.add_argument("--width", type=int, required=True, help="measure in font units")
     justify.add_argument("--algorithm", choices=("greedy", "optimum"), default="optimum")
     justify.add_argument("--line-penalty", type=_line_penalty, default=10)
@@ -145,16 +166,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     justify.add_argument("--stats", action="store_true", help="print totals to stderr")
 
+
+def _add_render(sub) -> None:
     render = sub.add_parser("render", help="render a layout document to SVG")
-    add_font(render)
+    _add_font(render)
     render.add_argument(
         "--input", default="-", help="layout JSON path, or - for stdin (default)"
     )
 
-    fontlint = sub.add_parser("fontlint", help="check a font description")
-    add_font(fontlint)
 
+def _add_fontlint(sub) -> None:
+    fontlint = sub.add_parser("fontlint", help="check a font description")
+    _add_font(fontlint)
+
+
+#: Each subcommand and what registers its parser, in the order of help.
+_SUBCOMMANDS = {
+    "shape": _add_shape,
+    "justify": _add_justify,
+    "render": _add_render,
+    "fontlint": _add_fontlint,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for a command line whose first word is ``command``.
+
+    When ``command`` names a subcommand, only that subcommand's parser is
+    built, which is all such a command line can reach; the subcommand list
+    in usage lines still names all four. Otherwise (no arguments, ``-h``, an
+    unknown word) the whole tree is built.
+    """
+    parser = _Parser(
+        prog="qalam",
+        description="Arabic shaping and justification engine",
+    )
+    only = command in _SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None,
+    )
+    for name in (command,) if only else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](sub)
     return parser
+
+
+def _asks_for_json_errors(argv: list[str]) -> bool:
+    """Whether ``argv`` selects ``--format json-errors``.
+
+    Read from the raw words, because a usage error stops argparse before it
+    has read every option. Like argparse, this takes ``--format VALUE``,
+    ``--format=VALUE`` and the unambiguous abbreviations ``--for``,
+    ``--form`` and ``--forma``; the last one given wins.
+    """
+    chosen = None
+    for i, word in enumerate(argv):
+        if word == "--":
+            break
+        name, eq, value = word.partition("=")
+        if len(name) >= len("--for") and "--format".startswith(name):
+            if eq:
+                chosen = value
+            elif i + 1 < len(argv):
+                chosen = argv[i + 1]
+    return chosen == "json-errors"
 
 
 def _load_font_arg(args) -> FontDescription:
@@ -186,6 +262,12 @@ def _read_text(args) -> str:
     return text.replace("\r", " ").replace("\n", " ").replace("\t", " ").strip()
 
 
+def _source_words(text: str) -> list[str]:
+    """Each word's source text, in the order ``decompose(text)`` yields the
+    words: a word is a maximal run of characters other than U+0020."""
+    return [word for word in text.split(" ") if word]
+
+
 def _features(args) -> frozenset[str]:
     return frozenset(f for f in args.features.split(",") if f)
 
@@ -202,13 +284,16 @@ def _cmd_shape(args) -> int:
     font = _load_font_arg(args)
     text = _read_text(args)
     features = _features(args)
+    shaped = shape_words(decompose(text), font, features, _source_words(text))
     words = []
     diagnostics = []
-    for wi, clusters in enumerate(decompose(text)):
-        word = shape_word(clusters, font, features)
-        marked, diags = mark_word(word, font, args.gap_epsilon, wi)
-        words.append(marked)
-        diagnostics.extend(diags)
+    marked_by_word = {}  # id(word in ``shaped``) -> mark_word's result
+    for wi, word in enumerate(shaped):
+        marked = marked_by_word.get(id(word))
+        if marked is None:
+            marked = marked_by_word[id(word)] = mark_word(word, font, args.gap_epsilon, wi)
+        words.append(marked[0])
+        diagnostics.extend(at_word(marked[1], wi))
     doc = layout_mod.shaped_document(font, words, diagnostics)
     sys.stdout.write(layout_mod.dumps(doc))
     _print_diagnostics(diagnostics)
@@ -228,8 +313,7 @@ def _cmd_justify(args) -> int:
         kashida_policy=_POLICY_FLAG[args.kashida_policy],
         gap_epsilon=args.gap_epsilon,
     )
-    clusters_per_word = decompose(text)
-    words = [shape_word(clusters, font, features) for clusters in clusters_per_word]
+    words = shape_words(decompose(text), font, features, _source_words(text))
     breaker = break_optimum if args.algorithm == "optimum" else break_greedy
     result = breaker(words, args.width, font, params)
     doc = layout_mod.justified_document(font, result)
@@ -281,9 +365,26 @@ def _cmd_fontlint(args) -> int:
     return EXIT_OK
 
 
+def _print_json_error(code: str, message: str) -> None:
+    import json
+
+    sys.stdout.write(
+        json.dumps({"error": {"code": code, "message": message}}, sort_keys=True) + "\n"
+    )
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code; see the module
+    docstring for what each call builds afresh."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        message = getattr(exc, "usage_error", None)
+        if message is not None and _asks_for_json_errors(argv):
+            _print_json_error("UsageError", message)
+        raise
     handlers = {
         "shape": _cmd_shape,
         "justify": _cmd_justify,
@@ -294,15 +395,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except QalamError as exc:
         if getattr(args, "format", "text") == "json-errors":
-            import json
-
-            sys.stdout.write(
-                json.dumps(
-                    {"error": {"code": type(exc).__name__, "message": str(exc)}},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            _print_json_error(type(exc).__name__, str(exc))
         else:
             print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, FontError):

@@ -416,3 +416,13 @@ def mark_word(
         Diagnostic(d.severity, d.code, d.message, (index, *d.location))
         for d in diagnostics
     ]
+
+
+def at_word(diagnostics: Sequence[Diagnostic], index: int) -> list[Diagnostic]:
+    """``mark_word``'s diagnostics moved to word ``index``: a word that
+    recurs is marked once, and each occurrence reports at its own index."""
+    return [
+        d if d.location[0] == index
+        else Diagnostic(d.severity, d.code, d.message, (index, *d.location[1:]))
+        for d in diagnostics
+    ]

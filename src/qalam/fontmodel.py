@@ -333,80 +333,153 @@ def _as_list(value, ctx: str) -> list:
     return value
 
 
-def _parse_point(value, ctx: str) -> AnchorPoint:
-    if not (isinstance(value, list) and len(value) == 2):
+# Enum members by value for the loader: a dict lookup costs a fraction of
+# an ``Enum(value)`` call.
+_PLACEMENTS = {p.value: p for p in Placement}
+_MASS_CLASSES = {m.value: m for m in MassClass}
+_SIZE_VARIANTS = {v.value: v for v in SizeVariant}
+_FORMS = {f.value: f for f in Form}
+
+
+def _checked(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``.
+
+    ``__init__`` is skipped, with its per-field ``object.__setattr__``
+    calls and its ``__post_init__`` checks: callers pass only values they
+    have already checked as ``__post_init__`` would. The loader builds
+    several such records per glyph.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _point(value, ctx: str) -> AnchorPoint:
+    if type(value) is not list or len(value) != 2:
         raise SchemaError(f"{ctx}: expected [x, y], got {value!r}")
-    return AnchorPoint(_as_int(value[0], ctx), _as_int(value[1], ctx))
+    x, y = value
+    for v in value:
+        if type(v) is not int:
+            raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
+    return _checked(AnchorPoint, {"x": x, "y": y})
 
 
-def _parse_rect(value, ctx: str) -> Rect:
-    if not (isinstance(value, list) and len(value) == 4):
+def _ink(value, ctx: str) -> Rect:
+    if type(value) is not list or len(value) != 4:
         raise SchemaError(f"{ctx}: expected [x_min, y_min, x_max, y_max], got {value!r}")
-    return Rect(*(_as_int(v, ctx) for v in value))
+    x_min, y_min, x_max, y_max = value
+    for v in value:
+        if type(v) is not int:
+            raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
+    if x_min > x_max or y_min > y_max:
+        raise SchemaError(f"degenerate ink box ({x_min},{y_min},{x_max},{y_max})")
+    return _checked(
+        Rect, {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max}
+    )
 
 
-def _parse_anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
-    if not isinstance(value, dict):
+def _anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
+    if type(value) is not dict:
         raise SchemaError(f"{ctx}: anchors must be an object")
     out = {}
     for key, point in value.items():
-        try:
-            side = Placement(key)
-        except ValueError:
-            raise SchemaError(f"{ctx}: unknown attachment class {key!r}") from None
-        out[side] = _parse_point(point, f"{ctx}.{key}")
+        side = _PLACEMENTS.get(key)
+        if side is None:
+            raise SchemaError(f"{ctx}: unknown attachment class {key!r}")
+        if type(point) is list and len(point) == 2:
+            x, y = point
+            if type(x) is int and type(y) is int:
+                out[side] = _checked(AnchorPoint, {"x": x, "y": y})
+                continue
+        _point(point, f"{ctx}.{key}")  # raises this point's error
     return out
 
 
 def _parse_glyph(gid: str, obj) -> GlyphMetrics:
     ctx = f"glyph {gid}"
-    obj = _as_dict(obj, ctx)
+    if type(obj) is not dict:
+        raise SchemaError(f"{ctx}: expected an object, got {obj!r}")
     mass = obj.get("mass_class", "medium")
     try:
-        mass_class = MassClass(mass)
-    except (ValueError, TypeError):
+        mass_class = _MASS_CLASSES[mass]
+    except (KeyError, TypeError):
         raise SchemaError(f"{ctx}: unknown mass class {mass!r}") from None
     svg_path = obj.get("svg_path")
-    if svg_path is not None:
-        svg_path = _as_str(svg_path, f"{ctx}.svg_path")
-    return GlyphMetrics(
-        advance=_as_int(_require(obj, "advance", ctx), ctx),
-        ink=_parse_rect(_require(obj, "ink", ctx), ctx),
-        anchors=_parse_anchor_map(obj.get("anchors", {}), ctx),
-        max_extension=_as_int(obj.get("max_extension", 0), ctx),
-        mass_class=mass_class,
-        svg_path=svg_path,
+    if svg_path is not None and type(svg_path) is not str:
+        raise SchemaError(f"{ctx}.svg_path: expected a string, got {svg_path!r}")
+    if "advance" not in obj:
+        raise SchemaError(f"{ctx}: missing required field 'advance'")
+    advance = obj["advance"]
+    if type(advance) is not int:
+        raise SchemaError(f"{ctx}: expected an integer, got {advance!r}")
+    if "ink" not in obj:
+        raise SchemaError(f"{ctx}: missing required field 'ink'")
+    ink = _ink(obj["ink"], ctx)
+    anchors = _anchor_map(obj.get("anchors", {}), ctx)
+    max_extension = obj.get("max_extension", 0)
+    if type(max_extension) is not int:
+        raise SchemaError(f"{ctx}: expected an integer, got {max_extension!r}")
+    if advance < 0:
+        raise SchemaError("glyph advance must be >= 0")
+    if max_extension < 0:
+        raise SchemaError("max_extension must be >= 0")
+    return _checked(
+        GlyphMetrics,
+        {
+            "advance": advance,
+            "ink": ink,
+            "anchors": anchors,
+            "max_extension": max_extension,
+            "mass_class": mass_class,
+            "svg_path": svg_path,
+        },
     )
 
 
 def _parse_mark(mid: str, obj) -> MarkGlyph:
     ctx = f"mark {mid}"
-    obj = _as_dict(obj, ctx)
+    if type(obj) is not dict:
+        raise SchemaError(f"{ctx}: expected an object, got {obj!r}")
+    if "class" not in obj:
+        raise SchemaError(f"{ctx}: missing required field 'class'")
     try:
-        side = Placement(_require(obj, "class", ctx))
-    except (ValueError, TypeError):
+        side = _PLACEMENTS[obj["class"]]
+    except (KeyError, TypeError):
         raise SchemaError(f"{ctx}: unknown attachment class") from None
     variants = None
     if "variants" in obj:
+        sizes = obj["variants"]
+        if type(sizes) is not dict:
+            raise SchemaError(f"{ctx}.variants: expected an object, got {sizes!r}")
         variants = {}
-        for key, vid in _as_dict(obj["variants"], f"{ctx}.variants").items():
-            try:
-                variants[SizeVariant(key)] = _as_str(vid, f"{ctx}.variants")
-            except ValueError:
-                raise SchemaError(f"{ctx}: unknown size variant {key!r}") from None
+        for key, vid in sizes.items():
+            if type(vid) is not str:
+                raise SchemaError(f"{ctx}.variants: expected a string, got {vid!r}")
+            size = _SIZE_VARIANTS.get(key)
+            if size is None:
+                raise SchemaError(f"{ctx}: unknown size variant {key!r}")
+            variants[size] = vid
     stack_anchor = None
     if obj.get("stack_anchor") is not None:
-        stack_anchor = _parse_point(obj["stack_anchor"], f"{ctx}.stack_anchor")
+        stack_anchor = _point(obj["stack_anchor"], f"{ctx}.stack_anchor")
     svg_path = obj.get("svg_path")
-    if svg_path is not None:
-        svg_path = _as_str(svg_path, f"{ctx}.svg_path")
-    return MarkGlyph(
-        attachment_class=side,
-        anchor=_parse_point(_require(obj, "anchor", ctx), ctx),
-        ink=_parse_rect(_require(obj, "ink", ctx), ctx),
-        variants=variants,
-        stack_anchor=stack_anchor,
-        svg_path=svg_path,
+    if svg_path is not None and type(svg_path) is not str:
+        raise SchemaError(f"{ctx}.svg_path: expected a string, got {svg_path!r}")
+    if "anchor" not in obj:
+        raise SchemaError(f"{ctx}: missing required field 'anchor'")
+    anchor = _point(obj["anchor"], ctx)
+    if "ink" not in obj:
+        raise SchemaError(f"{ctx}: missing required field 'ink'")
+    return _checked(
+        MarkGlyph,
+        {
+            "attachment_class": side,
+            "anchor": anchor,
+            "ink": _ink(obj["ink"], ctx),
+            "variants": variants,
+            "stack_anchor": stack_anchor,
+            "svg_path": svg_path,
+        },
     )
 
 
@@ -423,7 +496,7 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
             f"got {len(components)}"
         )
     anchors = tuple(
-        _parse_anchor_map(a, f"{ctx}.component_anchors[{i}]")
+        _anchor_map(a, f"{ctx}.component_anchors[{i}]")
         for i, a in enumerate(_as_list(_require(obj, "component_anchors", ctx), ctx))
     )
     try:
@@ -439,28 +512,26 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
 
 
 def _rule_glyph_refs(rule: LookupRule):
-    yield from rule.coverage.glyphs
+    """The glyph ids a rule names, in groups, in the order they are checked."""
+    yield rule.coverage.glyphs
     payload = rule.payload
     if rule.kind is LookupKind.SINGLE_SUB:
-        yield from payload.values()
+        yield payload.values()
     elif rule.kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
-        for seq in payload.values():
-            yield from seq
+        yield from payload.values()
     elif rule.kind is LookupKind.LIGATURE_SUB:
         for entry in payload:
-            yield from entry.components
-            yield entry.ligature
+            yield entry.components
+            yield (entry.ligature,)
     elif rule.kind is LookupKind.CONTEXTUAL_SUB:
         for entry in payload:
-            yield from entry.match
-            for _, glyph in entry.substitutions:
-                yield glyph
+            yield entry.match
+            yield [glyph for _, glyph in entry.substitutions]
     elif rule.kind is LookupKind.PAIR_ADJ:
         for entry in payload:
-            yield entry.first
-            yield entry.second
+            yield (entry.first, entry.second)
     elif rule.kind in (LookupKind.MARK_TO_BASE, LookupKind.MARK_TO_LIGATURE, LookupKind.MARK_TO_MARK):
-        yield from payload.glyphs
+        yield payload.glyphs
 
 
 def load_font(source) -> FontDescription:
@@ -516,12 +587,15 @@ def load_font(source) -> FontDescription:
             cp = int(cp_hex, 16)
         except ValueError:
             raise SchemaError(f"cmap: bad code point key {cp_hex!r}") from None
-        for form_name, gid in _as_dict(forms, f"cmap {cp_hex}").items():
-            try:
-                form = Form(form_name)
-            except (ValueError, TypeError):
-                raise SchemaError(f"cmap {cp_hex}: unknown form {form_name!r}") from None
-            cmap[(cp, form)] = _as_str(gid, f"cmap {cp_hex} {form_name}")
+        if type(forms) is not dict:
+            raise SchemaError(f"cmap {cp_hex}: expected an object, got {forms!r}")
+        for form_name, gid in forms.items():
+            form = _FORMS.get(form_name)
+            if form is None:
+                raise SchemaError(f"cmap {cp_hex}: unknown form {form_name!r}")
+            if type(gid) is not str:
+                raise SchemaError(f"cmap {cp_hex} {form_name}: expected a string, got {gid!r}")
+            cmap[(cp, form)] = gid
 
     mark_cmap: dict[int, str] = {}
     for cp_hex, mid in _as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():
@@ -553,18 +627,14 @@ def load_font(source) -> FontDescription:
 
     mass_positions: dict[MassClass, dict[Placement, int]] = {}
     for mass_name, sides in _as_dict(doc.get("mass_positions", {}), "mass_positions").items():
-        try:
-            mass = MassClass(mass_name)
-        except (ValueError, TypeError):
-            raise SchemaError(f"mass_positions: unknown class {mass_name!r}") from None
+        mass = _MASS_CLASSES.get(mass_name)
+        if mass is None:
+            raise SchemaError(f"mass_positions: unknown class {mass_name!r}")
         mass_positions[mass] = {}
         for side, dy in _as_dict(sides, f"mass_positions {mass_name}").items():
-            try:
-                placement = Placement(side)
-            except (ValueError, TypeError):
-                raise SchemaError(
-                    f"mass_positions {mass_name}: unknown side {side!r}"
-                ) from None
+            placement = _PLACEMENTS.get(side)
+            if placement is None:
+                raise SchemaError(f"mass_positions {mass_name}: unknown side {side!r}")
             mass_positions[mass][placement] = _as_int(dy, "mass_positions")
 
     mass_variants: dict[MassClass, SizeVariant] = {}
@@ -572,8 +642,8 @@ def load_font(source) -> FontDescription:
         doc.get("mass_variants", {}), "mass_variants"
     ).items():
         try:
-            mass_variants[MassClass(mass_name)] = SizeVariant(variant_name)
-        except (ValueError, TypeError):
+            mass_variants[_MASS_CLASSES[mass_name]] = _SIZE_VARIANTS[variant_name]
+        except (KeyError, TypeError):
             raise SchemaError(
                 f"mass_variants: bad entry {mass_name!r}: {variant_name!r}"
             ) from None
@@ -629,8 +699,9 @@ def _validate_references(font: FontDescription) -> None:
             raise RefError(entry.glyph, "ligature result")
     for label, rules in (("gsub", font.gsub), ("gpos", font.gpos)):
         for rule in rules:
-            for gid in _rule_glyph_refs(rule):
-                if gid not in known:
+            for group in _rule_glyph_refs(rule):
+                if not known.issuperset(group):
+                    gid = next(gid for gid in group if gid not in known)
                     raise RefError(gid, f"{label} {rule.kind.value} rule")
     # A variant id names one size of one mark, so every mark glyph reads
     # back as a single (mark, size) pair (``FontDescription.mark_sizes``).

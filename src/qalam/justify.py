@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import kashida
-from .diacritics import mark_word
+from .diacritics import at_word, mark_word
 from .errors import Diagnostic, Infeasible, NoFeasibleBreak, Severity, WordTooWide
 from .fontmodel import FontDescription, GlueSpec
 from .shaper import ShapedWord, WordVariant, default_variant, word_variants
@@ -364,9 +364,20 @@ class ParagraphLayout:
 def _variant_lists(
     words: Sequence[ShapedWord], font: FontDescription, params: JustifyParams
 ) -> list[tuple[WordVariant, ...]]:
-    if params.variants:
-        return [word_variants(word, font) for word in words]
-    return [(default_variant(word, font),) for word in words]
+    """Each word's width variants, built once per distinct word object:
+    repeats of a word that ``shape_words`` shaped once share one list."""
+    by_word: dict[int, tuple[WordVariant, ...]] = {}
+    out = []
+    for word in words:
+        variants = by_word.get(id(word))
+        if variants is None:
+            if params.variants:
+                variants = word_variants(word, font)
+            else:
+                variants = (default_variant(word, font),)
+            by_word[id(word)] = variants
+        out.append(variants)
+    return out
 
 
 def _check_widths(
@@ -391,6 +402,10 @@ def _finalize(
     lines = []
     diagnostics: list[Diagnostic] = []
     prev_signature: frozenset[int] = frozenset()
+    # (id(variant word), plan) -> mark_word's result. A word that recurs
+    # with the same elongation plan is stretched and marked once. ``chosen``
+    # holds every variant word until the loop ends, so no id is reused.
+    marked_by_key: dict = {}
     for li, (candidate, variants) in enumerate(chosen):
         if li < len(chosen) - 1 and not candidate.fills_measure:
             diagnostics.append(
@@ -406,15 +421,19 @@ def _finalize(
             )
         final_words = []
         for k, variant in enumerate(variants):
-            plan = kashida.ElongationPlan(
-                allocations=dict(candidate.plans[k]), residual=0
-            )
-            stretched = kashida.apply_plan(variant.word, plan, variant.sites)
-            marked, word_diags = mark_word(
-                stretched, font, params.gap_epsilon, candidate.word_range[0] + k
-            )
-            final_words.append(marked)
-            diagnostics.extend(word_diags)
+            index = candidate.word_range[0] + k
+            key = (id(variant.word), candidate.plans[k])
+            marked = marked_by_key.get(key)
+            if marked is None:
+                plan = kashida.ElongationPlan(
+                    allocations=dict(candidate.plans[k]), residual=0
+                )
+                stretched = kashida.apply_plan(variant.word, plan, variant.sites)
+                marked = marked_by_key[key] = mark_word(
+                    stretched, font, params.gap_epsilon, index
+                )
+            final_words.append(marked[0])
+            diagnostics.extend(at_word(marked[1], index))
         if candidate.signature & prev_signature:
             diagnostics.append(
                 Diagnostic(

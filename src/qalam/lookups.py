@@ -207,7 +207,10 @@ def _json_dict(value, ctx: str) -> Mapping:
 def _json_strs(value, ctx: str) -> list[str]:
     if not isinstance(value, list):
         raise SchemaError(f"{ctx}: expected an array of glyph ids, got {value!r}")
-    return [_json_str(v, ctx) for v in value]
+    for v in value:
+        if not isinstance(v, str):
+            raise SchemaError(f"{ctx}: expected a glyph id string, got {v!r}")
+    return value
 
 
 def _json_point(value, ctx: str) -> tuple[int, int]:

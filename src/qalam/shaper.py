@@ -12,6 +12,9 @@ enumerates a shaped word's width variants (ligature off, registered
 allographs) for the justifier, which may pick between them when filling a
 line; only a caller that reads them builds them, and ``default_variant``
 builds the first alone.
+
+``shape_words`` shapes a paragraph with one memo for that call: a word
+that recurs is shaped once and every occurrence shares the result.
 """
 
 from __future__ import annotations
@@ -198,6 +201,32 @@ def shape_word(
     # keeps the nominal glyph and word_variants enumerates the alternates.
     items = apply_gsub_tracked(font.eager_gsub, items, feats)
     return _finish(items, clusters, font, feats)
+
+
+def shape_words(
+    clusters_per_word: Sequence[Sequence[Cluster]],
+    font: FontDescription,
+    features: frozenset[str] | set[str],
+    keys: Sequence[str],
+) -> list[ShapedWord]:
+    """Shape a paragraph's words, each distinct word once.
+
+    ``keys`` names each word, one key per entry of ``clusters_per_word``:
+    words with equal keys must have equal clusters, and share one
+    ``ShapedWord``. The command line passes each word's source text. The
+    memo lives only for this call, so it holds at most the paragraph's
+    distinct words.
+    """
+    if len(keys) != len(clusters_per_word):
+        raise ValueError(f"{len(keys)} keys for {len(clusters_per_word)} words")
+    shaped: dict[str, ShapedWord] = {}
+    out = []
+    for clusters, key in zip(clusters_per_word, keys):
+        word = shaped.get(key)
+        if word is None:
+            word = shaped[key] = shape_word(clusters, font, features)
+        out.append(word)
+    return out
 
 
 def _reposition(

@@ -3,14 +3,24 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qalam.cli import main
+import qalam.cli
+import qalam.diacritics
+import qalam.shaper
+from qalam.cli import _build_parser, _source_words, main
 from qalam.justify import MAX_LINE_PENALTY
+from qalam.textmodel import decompose
 
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 FONT = str(DEMO_FONT_PATH)
 DATA = Path(__file__).resolve().parent / "data"
@@ -574,3 +584,216 @@ class TestFontlint:
         bad.write_text("definitely not json", encoding="utf-8")
         code, _, _ = run(capsys, ["fontlint", "--font", str(bad)])
         assert code == 1
+
+
+def usage_error(capsys, argv):
+    """Exit code, stdout and stderr of a command line argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def json_usage_error(err: str) -> str:
+    """The stdout line ``--format json-errors`` adds for a usage error."""
+    message = err.splitlines()[-1].split(": error: ", 1)[1]
+    record = {"error": {"code": "UsageError", "message": message}}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+class TestUsageErrorsAsJson:
+    """``--format json-errors`` reports flag errors on stdout as well."""
+
+    BAD_FLAGS = [
+        pytest.param(
+            ["shape", "--font", FONT, "--text", "ب", "--gap-epsilon", "-1"], id="gap-epsilon"
+        ),
+        pytest.param(GOLDEN_ARGS + ["--line-penalty", "40000000"], id="line-penalty"),
+        pytest.param(GOLDEN_ARGS + ["--overlap-penalty", "-5"], id="overlap-penalty"),
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
+    @pytest.mark.parametrize("where", ["after", "before"])
+    def test_error_record_on_stdout(self, capsys, argv, where):
+        fmt = ["--format", "json-errors"]
+        json_argv = argv + fmt if where == "after" else argv[:1] + fmt + argv[1:]
+        default = usage_error(capsys, argv)
+        assert usage_error(capsys, argv + ["--format", "text"]) == default
+        assert default[:2] == (2, "")
+        code, out, err = usage_error(capsys, json_argv)
+        assert (code, err) == (2, default[2])
+        assert out == json_usage_error(err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fmt",
+        [["--format=json-errors"], ["--form", "json-errors"], ["--for=json-errors"],
+         ["--format", "text", "--format", "json-errors"]],
+    )
+    def test_spellings_argparse_accepts(self, capsys, fmt):
+        code, out, err = usage_error(capsys, ["shape", "--gap-epsilon", "-1", *fmt])
+        assert code == 2
+        assert out == json_usage_error(err)
+
+    @pytest.mark.parametrize(
+        "fmt", [[], ["--format", "text"], ["--format", "json-errors", "--format", "text"]]
+    )
+    def test_text_format_prints_nothing_on_stdout(self, capsys, fmt):
+        code, out, _ = usage_error(capsys, ["shape", "--gap-epsilon", "-1", *fmt])
+        assert (code, out) == (2, "")
+
+    def test_help_is_not_an_error(self, capsys):
+        code, out, err = usage_error(capsys, ["shape", "-h", "--format", "json-errors"])
+        assert code == 0
+        assert out.startswith("usage: qalam shape")
+        assert "error" not in out.splitlines()[-1]
+        assert err == ""
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, namespace, captured.out, captured.err
+
+
+class TestParserScope:
+    """A parser built for one subcommand reads every command line of that
+    subcommand as the whole tree does."""
+
+    @pytest.mark.parametrize("command", ["shape", "justify", "render", "fontlint"])
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            ["-h"],
+            ["--font", FONT, "--text", "ب"],  # justify: --width is missing
+            ["--width"],
+            ["--bogus"],
+            ["--gap-epsilon", "-1"],
+            ["--gap-epsilon", "3", "--width", "4000", "--text", "ب"],
+            ["extra"],
+        ],
+    )
+    def test_same_outcome_as_full_tree(self, capsys, command, rest):
+        argv = [command, *rest]
+        full = parse_outcome(capsys, _build_parser(None), argv)
+        assert parse_outcome(capsys, _build_parser(command), argv) == full
+
+    def test_builds_only_the_chosen_subcommand(self):
+        parser = _build_parser("render")
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert list(sub.choices) == ["render"]
+        (sub,) = [a for a in _build_parser(None)._actions if a.dest == "command"]
+        assert list(sub.choices) == ["shape", "justify", "render", "fontlint"]
+
+    def test_font_default_read_at_call_time(self, monkeypatch):
+        monkeypatch.setenv("QALAM_FONT_PATH", "one.json")
+        assert _build_parser("shape").parse_args(["shape"]).font == "one.json"
+        monkeypatch.setenv("QALAM_FONT_PATH", "two.json")
+        assert _build_parser("shape").parse_args(["shape"]).font == "two.json"
+
+
+#: Words repeat, one of them with an unresolvable mark overlap (feh-yeh
+#: with tanween under ``liga``), so the memos of ``shape`` and ``justify``
+#: have hits and a hit carries a diagnostic.
+REPEATED_TEXT = " ".join(["فًيَ", *GOLDEN_TEXT.split(), "فًيَ", *GOLDEN_TEXT.split()] * 2)
+REPEATED_ARGS = ["--font", FONT, "--text", REPEATED_TEXT, "--features", "liga,jalt"]
+
+
+def count_calls(monkeypatch, module, name, key):
+    """Wrap ``module.name``; return the list that each call's key is added to."""
+    keys = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        keys.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return keys
+
+
+def shape_key(clusters, font, features=frozenset()):
+    return tuple(clusters), frozenset(features)
+
+
+def marked_key(word, font, gap_epsilon=10):
+    return tuple(word.clusters), tuple((g.glyph, g.elongation) for g in word.glyphs)
+
+
+class TestWordMemo:
+    """Each distinct word is shaped, and each distinct (word, elongation)
+    marked, once per command, and nothing is kept between commands."""
+
+    COMMANDS = [
+        pytest.param(["shape"], id="shape"),
+        pytest.param(["justify", "--algorithm", "greedy", "--width", "4000"], id="greedy"),
+        pytest.param(
+            ["justify", "--algorithm", "greedy", "--width", "4000", "--variants", "on"],
+            id="greedy-variants",
+        ),
+        pytest.param(["justify", "--width", "4000"], id="optimum"),
+        pytest.param(["justify", "--width", "4000", "--variants", "on"], id="optimum-variants"),
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_work_done_once_per_distinct_word(self, capsys, monkeypatch, command):
+        shaped = count_calls(monkeypatch, qalam.shaper, "shape_word", shape_key)
+        marked = count_calls(monkeypatch, qalam.diacritics, "place_diacritics", marked_key)
+        code, _, _ = run(capsys, [command[0], *REPEATED_ARGS, *command[1:]])
+        assert code == 0
+        distinct = set(REPEATED_TEXT.split())
+        assert len(shaped) == len(set(shaped))
+        requested = frozenset({"liga", "jalt"})
+        assert sum(f == requested for _, f in shaped) == len(distinct)
+        assert len(marked) == len(set(marked))
+        assert len(marked) < len(REPEATED_TEXT.split())
+
+    def test_no_state_outlives_main(self, capsys, monkeypatch):
+        loads = count_calls(monkeypatch, qalam.cli, "load_font", lambda source: None)
+        shaped = count_calls(monkeypatch, qalam.shaper, "shape_word", shape_key)
+        argv = ["justify", *REPEATED_ARGS, "--algorithm", "greedy", "--width", "4000"]
+        outputs = []
+        for _ in range(2):
+            outputs.append(run(capsys, argv))
+            assert len(loads) == 1
+            assert len(shaped) == len(set(REPEATED_TEXT.split()))
+            loads.clear()
+            shaped.clear()
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["shape"], ["justify", "--algorithm", "greedy", "--width", "1200"],
+         ["justify", "--width", "1200", "--variants", "on"]],
+    )
+    def test_each_occurrence_reports_its_own_diagnostic(self, capsys, command):
+        argv = [command[0], "--font", FONT, "--text", "فًيَ بَ فًيَ",
+                "--features", "liga,jalt", *command[1:]]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        overlap = (
+            "error: unresolvable-overlap: required shift 750 exceeds the ink span "
+            "480 of glyph 0"
+        )
+        assert err.splitlines() == [f"{overlap} @0,0", f"{overlap} @2,0"]
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=12),
+        gaps=st.lists(st.integers(1, 3), min_size=11, max_size=11),
+        lead=st.integers(0, 3),
+        trail=st.integers(0, 3),
+    )
+    def test_source_words_match_decomposed_words(self, seeds, gaps, lead, trail):
+        words = [gen.random_word(random.Random(seed)) for seed in seeds]
+        text = " " * lead + words[0]
+        for word, gap in zip(words[1:], gaps):
+            text += " " * gap + word
+        text += " " * trail
+        keys = _source_words(text)
+        decomposed = decompose(text)
+        assert keys == words
+        assert [decompose(key) for key in keys] == [[clusters] for clusters in decomposed]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -151,6 +152,16 @@ class TestRoundTrip:
     def test_serialize_is_canonical_fixed_point(self, demo_font):
         text = DEMO_FONT_PATH.read_text(encoding="utf-8")
         assert serialize_font(demo_font) == text
+
+    @pytest.mark.parametrize("kind", ["text", "bytes", "file"])
+    def test_load_then_serialize_is_byte_identical(self, kind):
+        raw = DEMO_FONT_PATH.read_bytes()
+        source = {
+            "text": raw.decode("utf-8"),
+            "bytes": raw,
+            "file": io.BytesIO(raw),
+        }[kind]
+        assert serialize_font(load_font(source)).encode("utf-8") == raw
 
     def test_load_serialize_load_identity(self, demo_font):
         again = load_font(serialize_font(demo_font))

@@ -7,6 +7,7 @@ a raw KeyError/TypeError/AttributeError escaping a parser is a bug.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
 
@@ -14,7 +15,7 @@ import pytest
 
 from qalam.cli import main
 from qalam.errors import QalamError
-from qalam.fontmodel import load_font
+from qalam.fontmodel import load_font, serialize_font
 from qalam.layout import validate_document
 from qalam.textmodel import CharacterTable
 
@@ -33,25 +34,30 @@ def _paths(node, prefix=()):
             yield from _paths(v, prefix + (i,))
 
 
-def _mutate(rng, base):
-    doc = copy.deepcopy(base)
-    paths = [p for p in _paths(doc) if p]
-    p = rng.choice(paths)
-    node = doc
-    for key in p[:-1]:
-        node = node[key]
-    if rng.random() < 0.4 and isinstance(node, dict):
-        del node[p[-1]]
-    else:
-        node[p[-1]] = rng.choice(REPLACEMENTS)
-    return doc, p
+def _mutations(seed, base, count):
+    """``count`` seeded copies of ``base``, each with one node deleted or
+    replaced, paired with the path of that node.
+
+    A copy shares every subtree off the edited path with ``base``; only
+    the containers on the path are copied, so ``base`` stays intact.
+    """
+    rng = random.Random(seed)
+    paths = [p for p in _paths(base) if p]
+    for _ in range(count):
+        p = rng.choice(paths)
+        doc = node = copy.copy(base)
+        for key in p[:-1]:
+            node[key] = node = copy.copy(node[key])
+        if rng.random() < 0.4 and isinstance(node, dict):
+            del node[p[-1]]
+        else:
+            node[p[-1]] = rng.choice(REPLACEMENTS)
+        yield doc, p
 
 
 def test_font_loader_survives_mutation():
     base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
-    rng = random.Random(400)
-    for _ in range(1500):
-        doc, path = _mutate(rng, base)
+    for doc, path in _mutations(400, base, 1500):
         try:
             load_font(json.dumps(doc))
         except QalamError:
@@ -60,13 +66,36 @@ def test_font_loader_survives_mutation():
             pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
 
 
+#: sha256 over the outcome of each seed-400 font mutation, one line each:
+#: the error class and message, or ``ok`` and the sha256 of the loaded
+#: font's canonical serialization. Any change in which error a malformed
+#: font raises first, in its message, or in what a valid one loads as,
+#: changes this digest.
+FONT_MUTATION_OUTCOMES_SHA256 = (
+    "ce9bc5686ae091d7dbdb0fd4f12cd2fdfc868cf42ba018a47c9f3730969f0b11"
+)
+
+
+def test_font_loader_mutation_outcomes_are_pinned():
+    base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+    outcomes = []
+    for doc, _ in _mutations(400, base, 1500):
+        try:
+            font = load_font(json.dumps(doc))
+        except QalamError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        else:
+            text = serialize_font(font).encode("utf-8")
+            outcomes.append("ok " + hashlib.sha256(text).hexdigest())
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    assert digest == FONT_MUTATION_OUTCOMES_SHA256
+
+
 def test_layout_validator_survives_mutation(capsys):
     code = main(["shape", "--font", str(DEMO_FONT_PATH), "--text", "سَبُّ"])
     assert code == 0
     base = json.loads(capsys.readouterr().out)
-    rng = random.Random(401)
-    for _ in range(800):
-        doc, path = _mutate(rng, base)
+    for doc, path in _mutations(401, base, 800):
         try:
             validate_document(doc)
         except QalamError:
@@ -95,9 +124,7 @@ def test_character_table_survives_mutation():
              "category": "language"}
         ],
     }
-    rng = random.Random(402)
-    for _ in range(600):
-        doc, path = _mutate(rng, base)
+    for doc, path in _mutations(402, base, 600):
         try:
             CharacterTable.from_json(json.dumps(doc))
         except QalamError:

@@ -13,6 +13,7 @@ from qalam.shaper import (
     attachment_root,
     pen_positions,
     shape_word,
+    shape_words,
     word_variants,
 )
 from qalam.textmodel import Placement, analyze_joining, decompose
@@ -111,6 +112,19 @@ class TestShapeWord:
         snapshot = list(clusters)
         shape_word(clusters, demo_font, ALL_FEATURES)
         assert list(clusters) == snapshot
+
+
+class TestShapeWords:
+    def test_repeats_share_one_shaped_word(self, demo_font):
+        text = "بَا لَا بَا بَا"
+        words = shape_words(decompose(text), demo_font, ALL_FEATURES, text.split(" "))
+        assert words[0] is words[2] is words[3]
+        assert words[1] is not words[0]
+        assert words == [shape_word(c, demo_font, ALL_FEATURES) for c in decompose(text)]
+
+    def test_one_key_per_word(self, demo_font):
+        with pytest.raises(ValueError):
+            shape_words(decompose("بَا لَا"), demo_font, ALL_FEATURES, ["بَا"])
 
 
 class TestWordVariants:

@@ -15,6 +15,13 @@ font:
   on and off, at widths 1200, 4000 and 16000;
 - ``render`` of every layout that the commands above wrote.
 
+Before the paragraphs, each tree also runs a fixed list of command lines
+(``CLI_LINES``): ``qalam -h`` and each ``<command> -h``, flag errors with
+the default and the ``json-errors`` format, and ``fontlint`` on its
+bundled font. A flag error with ``--format json-errors`` may differ only
+by the one ``{"error": ...}`` line that such a tree prints on stdout, so
+that a revision from before that line was added still compares equal.
+
 Each tree runs in its own Python subprocess, which imports only that
 tree's ``src`` and calls ``qalam.cli.main`` once per command. The script
 compares stdout, stderr and exit code command by command, prints the first
@@ -42,8 +49,29 @@ COMMANDS = [("shape",), ("shape", *FEATURES)] + [
     for width in ("1200", "4000", "16000")
 ]
 
+_TEXT = ("--text", "\u0628")
+_JSON_ERRORS = ("--format", "json-errors")
+_FLAG_ERRORS = [
+    ("shape", *_TEXT, "--gap-epsilon", "-1"),
+    ("justify", *_TEXT, "--width", "4000", "--line-penalty", "40000000"),
+    ("justify", *_TEXT, "--width", "4000", "--overlap-penalty", "-5"),
+]
+#: Command lines run once per tree; ``{font}`` stands for its bundled font.
+CLI_LINES = [
+    (),
+    ("-h",),
+    ("bogus",),
+    *[(command, "-h") for command in ("shape", "justify", "render", "fontlint")],
+    *_FLAG_ERRORS,
+    *[(*argv, *_JSON_ERRORS) for argv in _FLAG_ERRORS],
+    ("justify", *_TEXT),
+    ("render", "--bogus"),
+    ("fontlint", "--font", "{font}"),
+]
+
 #: Runs in a fresh interpreter: argv is (src directory, font path), stdin
-#: the JSON list of paragraphs; writes one JSON record per command.
+#: the JSON list of paragraphs, commands and fixed command lines; writes
+#: one JSON record per command.
 WORKER = r"""
 import io, json, sys, traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -51,7 +79,7 @@ sys.path.insert(0, sys.argv[1])
 from qalam.cli import main
 
 font = sys.argv[2]
-paragraphs, commands = json.load(sys.stdin)
+paragraphs, commands, cli_lines = json.load(sys.stdin)
 
 def run(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
@@ -67,6 +95,9 @@ def run(argv, stdin_text=""):
     return code, out.getvalue(), err.getvalue()
 
 records = []
+for line in cli_lines:
+    argv = [font if word == "{font}" else word for word in line]
+    records.append(["qalam " + " ".join(line), *run(argv)])
 for label, text in paragraphs:
     for command in commands:
         name = " ".join(command)
@@ -117,7 +148,24 @@ def run_tree(tree: Path, cases: list) -> list:
     return json.loads(done.stdout)
 
 
+def _usage_error_json(stderr: str) -> str:
+    """The stdout line ``--format json-errors`` adds to a flag error."""
+    message = stderr.splitlines()[-1].split(": error: ", 1)[-1]
+    record = {"error": {"code": "UsageError", "message": message}}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _comparable(record: list) -> list:
+    """``record`` without the stdout line a json-errors flag error may add."""
+    label, code, out, err = record
+    if code == 2 and label.endswith(" ".join(_JSON_ERRORS)):
+        out = out.replace(_usage_error_json(err), "", 1)
+    return [label, code, out, err]
+
+
 def first_difference(ours: list, theirs: list) -> str | None:
+    ours = [_comparable(record) for record in ours]
+    theirs = [_comparable(record) for record in theirs]
     for mine, other in zip(ours, theirs):
         if mine[0] != other[0]:
             return f"command lists diverge: {other[0]!r} at REV, {mine[0]!r} here"
@@ -145,7 +193,7 @@ def main(argv=None) -> int:
     parser.add_argument("--words", type=int, default=20, help="words per paragraph")
     args = parser.parse_args(argv)
 
-    cases = [paragraphs(args.seeds, args.paragraphs, args.words), COMMANDS]
+    cases = [paragraphs(args.seeds, args.paragraphs, args.words), COMMANDS, CLI_LINES]
     with tempfile.TemporaryDirectory() as tmp:
         try:
             export(args.rev, Path(tmp))
