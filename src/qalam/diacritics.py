@@ -1,5 +1,12 @@
 """Mark placement and resizing: filling the space a word offers.
 
+This module computes every mark position. Shaping only decides what each
+mark attaches to and emits it with zero offsets (``lookups.position_marks``).
+The anchor arithmetic is here: a mark's anchor point is brought onto the
+attachment point of its class on the glyph it rides (a base, one component
+of a ligature, or the stacking anchor of the mark below it), so the mark's
+origin is that point minus the mark's anchor.
+
 Placement sweeps the word glyph by glyph in logical order. Each glyph's
 marks first land at their default size on the glyph's attachment points
 (shifted vertically by the font's mass position table). When the sweep
@@ -50,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import Diagnostic, MissingAnchor, Severity
+from .errors import Diagnostic, Severity
 from .fontmodel import FontDescription, SizedMark, SizeVariant
 from .lookups import PlacedGlyph
 from .shaper import ShapedWord
@@ -128,11 +135,10 @@ class _Placer:
             if attached is not None and glyphs[attached[0]].is_mark:
                 stacked_on = attached[0]
 
+            # Shaping checked that every anchor read here exists.
             if stacked_on is not None:
                 lower = states[stacked_on]
                 stack = lower.sized.stack_anchor
-                if stack is None:
-                    raise MissingAnchor(f"{lower.mark_id} has no stacking anchor")
                 ax = lower.x + stack.x
                 ay = lower.y + stack.y
             else:
@@ -140,18 +146,9 @@ class _Placer:
                 if ligature is not None:
                     cluster = word.glyph_clusters[mi][0]
                     component = word.glyph_clusters[base_i].index(cluster)
-                    anchor = ligature.component_anchors[component].get(side)
-                    if anchor is None:
-                        raise MissingAnchor(
-                            f"{base.glyph} component {component} has no "
-                            f"{side.value!r} anchor"
-                        )
+                    anchor = ligature.component_anchors[component][side]
                 else:
-                    anchor = metrics.anchors.get(side)
-                    if anchor is None:
-                        raise MissingAnchor(
-                            f"{base.glyph} has no {side.value!r} anchor for {mark_id}"
-                        )
+                    anchor = metrics.anchors[side]
                 ax = base_x + anchor.x
                 ay = base.y_offset + anchor.y + font.mass_offset(metrics.mass_class, side)
 

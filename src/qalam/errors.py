@@ -103,10 +103,6 @@ class NoFeasibleBreak(LayoutError):
     """No sequence of feasible lines covers the paragraph."""
 
 
-class Infeasible(LayoutError):
-    """A single line cannot be justified within its shrink limit."""
-
-
 class CapacityExceeded(LayoutError):
     """An elongation plan assigns more than a glyph's stretch capacity."""
 

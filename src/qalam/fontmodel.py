@@ -275,9 +275,6 @@ class FontDescription:
         """Client-choice alternate rules, which only width variants apply."""
         return tuple(r for r in self.gsub if r.kind is LookupKind.ALTERNATE_SUB)
 
-    def is_mark_glyph(self, glyph_id: str) -> bool:
-        return glyph_id in self.marks
-
     def mass_offset(self, mass: MassClass, side: Placement) -> int:
         return self.mass_positions.get(mass, {}).get(side, 0)
 
@@ -721,6 +718,22 @@ def _validate_references(font: FontDescription) -> None:
                     raise SchemaError(
                         f"mark {vid} is listed as both {size_of[vid]} and {here}"
                     )
+                # Shaping checks anchors for the mark's class and placement
+                # reads them for every size, so all sizes share one class.
+                variant_class = font.marks[vid].attachment_class
+                if variant_class is not mark.attachment_class:
+                    raise SchemaError(
+                        f"mark {vid!r}, the {size.value} size of {mid!r}, has class "
+                        f"{variant_class.value!r}, not {mark.attachment_class.value!r}"
+                    )
+    # Text maps to a mark at its normal size; placement picks the size.
+    for cp, mid in font.mark_cmap.items():
+        canonical, size = font.mark_sizes[mid]
+        if size is not SizeVariant.NORMAL:
+            raise SchemaError(
+                f"mark_cmap U+{cp:04X} maps to {mid!r}, the {size.value} size of "
+                f"{canonical!r}, not to a mark at its normal size"
+            )
 
 
 # --- serialization ---------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Sequence
 
 from . import kashida
 from .diacritics import at_word, mark_word
-from .errors import Diagnostic, Infeasible, NoFeasibleBreak, Severity, WordTooWide
+from .errors import Diagnostic, NoFeasibleBreak, Severity, WordTooWide
 from .fontmodel import FontDescription, GlueSpec
 from .shaper import ShapedWord, WordVariant, default_variant, word_variants
 
@@ -311,25 +311,6 @@ def line_candidate(
         width=width,
         fills_measure=fills,
     )
-
-
-def justify_line(
-    variants: Sequence[WordVariant],
-    measure: int,
-    font: FontDescription,
-    params: JustifyParams | None = None,
-    is_last: bool = False,
-) -> LineCandidate:
-    """Justify one line; raises Infeasible when it cannot fit the measure."""
-    params = params or JustifyParams()
-    candidate = line_candidate(
-        variants, (0, len(variants)), measure, font, params, is_last
-    )
-    if candidate.badness >= INF:
-        raise Infeasible(
-            f"line of natural width {candidate.natural} cannot shrink to {measure}"
-        )
-    return candidate
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 This is a deliberately small smart-font engine. Substitution rules rewrite
 a glyph sequence (ligatures, alternates, contextual swaps); positioning
-rules place marks by aligning anchor points and apply simple metric
-adjustments.
+rules attach marks and apply simple metric adjustments.
 
 Rules execute in font order, one left-to-right pass each, with no
 recursive re-matching, so a rule set's effect is deterministic and easy to
@@ -12,11 +11,11 @@ marks standing between ligature components neither block the ligature nor
 get lost; they are carried over and re-attached to the component they
 originally rode on.
 
-Mark positioning is anchor arithmetic: the mark's anchor point is brought
-onto the base glyph's attachment point for the mark's class, so the mark's
-offset is ``base_origin + base_anchor - mark_anchor``. Ligatures expose
-one attachment point per original component; marks may also stack on other
-marks through a dedicated stacking anchor.
+Mark positioning here is structural only: for each mark it decides which
+rule attaches it, to which glyph (a base, one component of a ligature, or
+a mark below it in a stack), and checks that every anchor the attachment
+needs exists. Marks leave with zero offsets; ``diacritics`` computes where
+each one goes, from those same anchors and the word's geometry.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BadComponent, MissingAnchor, SchemaError
 from .textmodel import Placement
 
 if TYPE_CHECKING:
-    from .fontmodel import FontDescription, GlyphMetrics, LigatureEntry, MarkGlyph
+    from .fontmodel import FontDescription, LigatureEntry
 
 
 @dataclass(frozen=True)
@@ -373,9 +372,11 @@ class PlacedGlyph:
     """One glyph with resolved position data.
 
     Base glyphs advance the pen; their offsets are relative to their own
-    pen position. Mark glyphs never advance the pen; their offsets are
-    relative to the origin of the glyph they attach to, recorded in
-    ``attached_to`` as (glyph index, attachment class).
+    pen position. Mark glyphs never advance the pen and record the glyph
+    they attach to in ``attached_to`` as (glyph index, attachment class).
+    A mark's offsets are zero until ``diacritics.mark_word`` writes them:
+    x relative to the pen of the base at the root of its attachment chain,
+    and y.
     """
 
     glyph: str
@@ -522,99 +523,33 @@ def apply_gsub_tracked(
     return current
 
 
-def apply_gsub(
-    rules: Sequence[LookupRule],
-    glyphs: Sequence[str],
-    enabled_features: frozenset[str] | set[str],
-    is_mark: Callable[[str], bool] | None = None,
-) -> list[str]:
-    """Substitution over a bare glyph id sequence.
-
-    ``is_mark`` tells the scanner which glyph ids are marks (for
-    ``ignore_marks`` handling); by default nothing is a mark.
-    """
-    mark_test = is_mark or (lambda g: False)
-    items = [
-        GlyphItem(glyph=g, clusters=(i,), is_mark=mark_test(g))
-        for i, g in enumerate(glyphs)
-    ]
-    return [it.glyph for it in apply_gsub_tracked(rules, items, enabled_features)]
+def _covers(rules: Sequence[LookupRule], kind: LookupKind, glyph: str, other: str) -> bool:
+    """Whether a ``kind`` rule covers ``glyph`` with ``other`` in its payload."""
+    for r in rules:
+        if r.kind is kind and r.coverage.covers(glyph) and r.payload.covers(other):
+            return True
+    return False
 
 
-# --- mark attachment arithmetic -------------------------------------------
-
-
-def attach_mark_to_base(
-    base: PlacedGlyph,
-    base_metrics: "GlyphMetrics",
-    mark: "MarkGlyph",
-    mark_glyph_id: str,
-    base_index: int,
-) -> PlacedGlyph:
-    """Align the mark's anchor with the base's attachment point."""
-    anchor = base_metrics.anchors.get(mark.attachment_class)
-    if anchor is None:
-        raise MissingAnchor(
-            f"{base.glyph} has no {mark.attachment_class.value!r} anchor for {mark_glyph_id}"
-        )
-    return PlacedGlyph(
-        glyph=mark_glyph_id,
-        advance=0,
-        x_offset=base.x_offset + anchor.x - mark.anchor.x,
-        y_offset=base.y_offset + anchor.y - mark.anchor.y,
-        attached_to=(base_index, mark.attachment_class),
-        is_mark=True,
-    )
-
-
-def attach_mark_to_ligature(
-    lig: PlacedGlyph,
-    entry: "LigatureEntry",
-    mark: "MarkGlyph",
-    mark_glyph_id: str,
-    component_index: int,
-    lig_index: int,
-) -> PlacedGlyph:
-    """Attach a mark to one component of a ligature glyph."""
-    if not 0 <= component_index < len(entry.components):
+def _check_component(
+    entry: "LigatureEntry", owner: GlyphItem, cluster: int, mark_glyph: str, side: Placement
+) -> None:
+    """Check that the ligature component a mark rides has a ``side`` anchor."""
+    try:
+        component = owner.clusters.index(cluster)
+    except ValueError as exc:
         raise BadComponent(
-            f"component {component_index} out of range for {entry.glyph} "
+            f"mark {mark_glyph} belongs to no component of {owner.glyph}"
+        ) from exc
+    if component >= len(entry.components):
+        raise BadComponent(
+            f"component {component} out of range for {entry.glyph} "
             f"({len(entry.components)} components)"
         )
-    anchor = entry.component_anchors[component_index].get(mark.attachment_class)
-    if anchor is None:
+    if side not in entry.component_anchors[component]:
         raise MissingAnchor(
-            f"{entry.glyph} component {component_index} has no "
-            f"{mark.attachment_class.value!r} anchor"
+            f"{entry.glyph} component {component} has no {side.value!r} anchor"
         )
-    return PlacedGlyph(
-        glyph=mark_glyph_id,
-        advance=0,
-        x_offset=lig.x_offset + anchor.x - mark.anchor.x,
-        y_offset=lig.y_offset + anchor.y - mark.anchor.y,
-        attached_to=(lig_index, mark.attachment_class),
-        is_mark=True,
-    )
-
-
-def attach_mark_to_mark(
-    lower: PlacedGlyph,
-    lower_mark: "MarkGlyph",
-    upper: "MarkGlyph",
-    upper_glyph_id: str,
-    lower_index: int,
-) -> PlacedGlyph:
-    """Stack a mark on an already placed mark via its stacking anchor."""
-    if lower_mark.stack_anchor is None:
-        raise MissingAnchor(f"{lower.glyph} has no stacking anchor for {upper_glyph_id}")
-    return PlacedGlyph(
-        glyph=upper_glyph_id,
-        advance=0,
-        x_offset=lower.x_offset + lower_mark.stack_anchor.x - upper.anchor.x,
-        y_offset=lower.y_offset + lower_mark.stack_anchor.y - upper.anchor.y,
-        attached_to=(lower_index, upper.attachment_class),
-        is_mark=True,
-    )
 
 
 def position_marks(
@@ -630,6 +565,9 @@ def position_marks(
     the pair, attaches to its ligature component when a mark-to-ligature
     rule covers the ligature, and otherwise attaches to its base glyph
     under a mark-to-base rule. A mark no rule covers is an error.
+
+    Marks come out with zero offsets. Every anchor that placing them will
+    read is checked here, so a font that lacks one fails at shape time.
     """
     placed: list[PlacedGlyph | None] = []
     owner_of: list[int | None] = []
@@ -680,62 +618,41 @@ def position_marks(
     for idx, it in enumerate(items):
         if not it.is_mark:
             continue
-        mark = font.marks[it.glyph]
-        side = mark.attachment_class
+        side = font.marks[it.glyph].attachment_class
         cluster = it.clusters[0]
         owner_idx = owner_of[idx]
         if owner_idx is None:
             raise MissingAnchor(f"mark {it.glyph} has no base glyph before it")
         owner = items[owner_idx]
+        entry = ligature_map.get(owner.glyph)
 
         prev_idx = last_mark.get((cluster, side))
-        attached: PlacedGlyph | None = None
-        if prev_idx is not None:
-            lower_glyph = items[prev_idx].glyph
-            for rule in mark_rules:
-                if (
-                    rule.kind is LookupKind.MARK_TO_MARK
-                    and rule.coverage.covers(it.glyph)
-                    and rule.payload.covers(lower_glyph)
-                ):
-                    attached = attach_mark_to_mark(
-                        placed[prev_idx], font.marks[lower_glyph], mark, it.glyph, prev_idx
-                    )
-                    break
-        if attached is None and owner.glyph in ligature_map:
-            entry = ligature_map[owner.glyph]
-            for rule in mark_rules:
-                if (
-                    rule.kind is LookupKind.MARK_TO_LIGATURE
-                    and rule.coverage.covers(owner.glyph)
-                    and rule.payload.covers(it.glyph)
-                ):
-                    try:
-                        component_index = owner.clusters.index(cluster)
-                    except ValueError as exc:
-                        raise BadComponent(
-                            f"mark {it.glyph} belongs to no component of {owner.glyph}"
-                        ) from exc
-                    attached = attach_mark_to_ligature(
-                        placed[owner_idx], entry, mark, it.glyph, component_index, owner_idx
-                    )
-                    break
-        if attached is None:
-            for rule in mark_rules:
-                if (
-                    rule.kind is LookupKind.MARK_TO_BASE
-                    and rule.coverage.covers(owner.glyph)
-                    and rule.payload.covers(it.glyph)
-                ):
-                    attached = attach_mark_to_base(
-                        placed[owner_idx], font.glyphs[owner.glyph], mark, it.glyph, owner_idx
-                    )
-                    break
-        if attached is None:
+        if prev_idx is not None and _covers(
+            mark_rules, LookupKind.MARK_TO_MARK, it.glyph, items[prev_idx].glyph
+        ):
+            lower = items[prev_idx].glyph
+            # Placement stacks on the lower mark at its normal size.
+            if font.marks[font.mark_sizes[lower][0]].stack_anchor is None:
+                raise MissingAnchor(f"{lower} has no stacking anchor for {it.glyph}")
+            target = prev_idx
+        elif entry is not None and _covers(
+            mark_rules, LookupKind.MARK_TO_LIGATURE, owner.glyph, it.glyph
+        ):
+            _check_component(entry, owner, cluster, it.glyph, side)
+            target = owner_idx
+        elif _covers(mark_rules, LookupKind.MARK_TO_BASE, owner.glyph, it.glyph):
+            if side not in font.glyphs[owner.glyph].anchors:
+                raise MissingAnchor(
+                    f"{owner.glyph} has no {side.value!r} anchor for {it.glyph}"
+                )
+            if entry is not None:  # placement reads a ligature's component anchors
+                _check_component(entry, owner, cluster, it.glyph, side)
+            target = owner_idx
+        else:
             raise MissingAnchor(
                 f"no positioning rule attaches {it.glyph} to {owner.glyph}"
             )
-        placed[idx] = attached
+        placed[idx] = PlacedGlyph(it.glyph, 0, attached_to=(target, side), is_mark=True)
         last_mark[(cluster, side)] = idx
 
     return [pg for pg in placed if pg is not None]

@@ -4,7 +4,8 @@ Shaping runs the classic pipeline: joining analysis picks each letter's
 contextual form, the character map yields glyph ids, substitution rules
 rewrite the glyph string (the LamAlef ligature is linguistic and always
 on; aesthetic ligatures and alternates only when their features are
-enabled), and positioning rules attach every mark at its default size.
+enabled), and positioning rules decide what each mark attaches to. Marks
+leave shaping with zero offsets; ``diacritics.mark_word`` places them.
 
 Glyphs are stored in logical order with offsets in a logical frame; the
 renderer is responsible for right-to-left layout. ``word_variants``
@@ -138,11 +139,6 @@ def word_tables(word: ShapedWord) -> WordTables:
         base_pos,
         tuple(marks_of),
     )
-
-
-def pen_positions(word: ShapedWord) -> tuple[int, ...]:
-    """Pen x for every glyph: bases advance the pen, marks ride their base."""
-    return word.tables.pens
 
 
 def _stack_order(marks):

@@ -12,17 +12,15 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from qalam import kashida
 from qalam.cli import main
-from qalam.diacritics import place_diacritics, with_marks
+from qalam.diacritics import mark_word, place_diacritics, with_marks
 from qalam.fontmodel import (
     AnchorPoint,
-    GlyphMetrics,
-    MarkGlyph,
-    Rect,
     SizeVariant,
     VARIANT_ORDER,
     lint_font,
@@ -34,14 +32,13 @@ from qalam.justify import (
     break_greedy,
     break_optimum,
 )
-from qalam.lookups import PlacedGlyph, attach_mark_to_base
 from qalam.shaper import shape_word, word_variants
 from qalam.textmodel import DEFAULT_TABLE, Placement, decompose
 
 from .break_oracle import oracle_best
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
 from .joining_oracle import reference_forms
-from .util import random_word_text
+from .util import BEH, DAMMA, cluster, random_word_text, synth_font
 
 FONT = str(DEMO_FONT_PATH)
 ALL_FEATURES = frozenset({"liga", "jalt"})
@@ -142,26 +139,30 @@ def test_criterion_2_lam_alef_mandatory(demo_font):
 
 def test_criterion_3_attachment_arithmetic():
     with criterion(3, "attachment arithmetic exact and translation-equivariant"):
+        # A non-growable mark on a word's last base keeps its default
+        # position: the base anchor minus the mark anchor, plus the mass
+        # offset in y. Moving the base moves the mark by the same amount.
         rng = random.Random(93)
         for _ in range(1000):
             bx, by = rng.randint(-2000, 2000), rng.randint(-2000, 2000)
             mx, my = rng.randint(-2000, 2000), rng.randint(-2000, 2000)
             dx, dy = rng.randint(-2000, 2000), rng.randint(-2000, 2000)
-            metrics = GlyphMetrics(
-                advance=500,
-                ink=Rect(0, 0, 500, 300),
-                anchors={Placement.ABOVE: AnchorPoint(bx, by)},
+            mass = rng.randint(-200, 200)
+            font = synth_font(
+                letter_widths={BEH: 500},
+                anchor_above=(bx, by),
+                mass_positions={"medium": {"above": mass}},
+                mark_overrides={"damma": {"anchor": [mx, my]}},
             )
-            mark = MarkGlyph(
-                attachment_class=Placement.ABOVE,
-                anchor=AnchorPoint(mx, my),
-                ink=Rect(0, 0, 100, 50),
-            )
-            base = PlacedGlyph(glyph="g", advance=500)
-            placed = attach_mark_to_base(base, metrics, mark, "m", 0)
-            assert (placed.x_offset, placed.y_offset) == (bx - mx, by - my)
-            shifted_base = PlacedGlyph(glyph="g", advance=500, x_offset=dx, y_offset=dy)
-            shifted = attach_mark_to_base(shifted_base, metrics, mark, "m", 0)
+            word = shape_word([cluster(BEH, DAMMA)], font)
+            base, mark = word.glyphs
+            assert (mark.x_offset, mark.y_offset) == (0, 0)
+            offset = font.mass_offset(font.glyphs[base.glyph].mass_class, Placement.ABOVE)
+            assert offset == mass
+            placed = mark_word(word, font, 10, 0)[0].glyphs[1]
+            assert (placed.x_offset, placed.y_offset) == (bx - mx, by + offset - my)
+            moved = replace(word, glyphs=(replace(base, x_offset=dx, y_offset=dy), mark))
+            shifted = mark_word(moved, font, 10, 0)[0].glyphs[1]
             assert shifted.x_offset == placed.x_offset + dx
             assert shifted.y_offset == placed.y_offset + dy
 

@@ -372,15 +372,15 @@ class TestResolveCollisions:
 class TestLinearPasses:
     """Marking a word walks its glyph string a fixed number of times.
 
-    Counts calls rather than time: one table build per word, no separate
-    pen pass, and at most one attachment walk per mark.
+    Counts calls rather than time: one table build per word and at most
+    one attachment walk per mark.
     """
 
     @pytest.mark.parametrize(
         "text", ["الْقِطُّ", "لَاب"], ids=["stacked-shadda", "ligature"]
     )
     def test_mark_word_work_is_linear(self, demo_font, monkeypatch, text):
-        calls = {"pen_positions": 0, "attachment_root": 0, "word_tables": 0}
+        calls = {"attachment_root": 0, "word_tables": 0}
         for name in calls:
             original = getattr(shaper, name, None)
             if original is None:
@@ -402,7 +402,6 @@ class TestLinearPasses:
         marked, _ = diacritics.mark_word(w, demo_font, 10, 0)
         layout.shaped_document(demo_font, [marked])
         assert calls["word_tables"] <= 1
-        assert calls["pen_positions"] <= 1
         assert calls["attachment_root"] <= marks
 
     def test_finished_word_shares_its_tables(self, demo_font, corpus_words):

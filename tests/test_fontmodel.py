@@ -31,12 +31,9 @@ from qalam.fontmodel import (
 from qalam.textmodel import Form, Placement
 
 from .conftest import DEMO_FONT_PATH
+from .util import demo_font_doc
 
 BEH, ALEF, SEEN = 0x0628, 0x0627, 0x0633
-
-
-def demo_doc() -> dict:
-    return json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
 
 
 def load_doc(doc: dict) -> FontDescription:
@@ -65,50 +62,50 @@ class TestLoad:
             load_font(b"\xff\xfe{}")
 
     def test_missing_field_is_schema_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         del doc["units_per_em"]
         with pytest.raises(SchemaError):
             load_doc(doc)
 
     def test_wrong_schema_id(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["schema"] = "somebody-else/9"
         with pytest.raises(SchemaError):
             load_doc(doc)
 
     def test_dangling_ligature_component_is_ref_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["ligatures"][0]["components"] = ["xx", "alef.fina"]
         with pytest.raises(RefError) as err:
             load_doc(doc)
         assert err.value.glyph_id == "xx"
 
     def test_dangling_cmap_is_ref_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["cmap"]["0628"]["isolated"] = "nope"
         with pytest.raises(RefError):
             load_doc(doc)
 
     def test_inverted_thresholds_is_range_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["size_thresholds"] = {"medium": 450, "large": 200}
         with pytest.raises(RangeError):
             load_doc(doc)
 
     def test_equal_thresholds_is_range_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["size_thresholds"] = {"medium": 300, "large": 300}
         with pytest.raises(RangeError):
             load_doc(doc)
 
     def test_nonpositive_units_is_range_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["units_per_em"] = 0
         with pytest.raises(RangeError):
             load_doc(doc)
 
     def test_three_component_ligature_rejected(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         entry = doc["ligatures"][0]
         entry["components"] = ["lam.init", "alef.fina", "alef.fina"]
         entry["component_anchors"] = entry["component_anchors"] + [
@@ -118,7 +115,7 @@ class TestLoad:
             load_doc(doc)
 
     def test_normal_variant_must_be_self(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["marks"]["fatha"]["variants"]["normal"] = "fatha.medium"
         with pytest.raises(SchemaError):
             load_doc(doc)
@@ -128,19 +125,37 @@ class TestLoad:
     )
     def test_variant_of_two_sizes_rejected(self, owner, size):
         # fatha.medium under fathatan, or at a second size of fatha.
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["marks"][owner]["variants"][size] = "fatha.medium"
         with pytest.raises(SchemaError, match="fatha.medium is listed as both"):
             load_doc(doc)
 
+    @pytest.mark.parametrize("size", ["medium", "large"])
+    def test_size_of_another_class_rejected(self, size):
+        doc = demo_font_doc()
+        doc["marks"][f"fatha.{size}"]["class"] = "below"
+        with pytest.raises(
+            SchemaError, match=f"'fatha.{size}', the {size} size of 'fatha', has class 'below'"
+        ):
+            load_doc(doc)
+
+    @pytest.mark.parametrize("size", ["medium", "large"])
+    def test_mark_cmap_to_other_size_rejected(self, size):
+        doc = demo_font_doc()
+        doc["mark_cmap"]["064E"] = f"fatha.{size}"
+        with pytest.raises(
+            SchemaError, match=f"064E maps to 'fatha.{size}', the {size} size of 'fatha'"
+        ):
+            load_doc(doc)
+
     def test_cmap_to_mark_rejected(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["cmap"]["0628"]["isolated"] = "fatha"
         with pytest.raises(SchemaError):
             load_doc(doc)
 
     def test_rule_with_unknown_glyph_is_ref_error(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["gsub"].append(
             {"kind": "single_sub", "feature": "zz01", "map": {"beh.isol": "ghost"}}
         )
@@ -205,31 +220,31 @@ class TestLint:
         return {d.code for d in lint_font(load_doc(doc))}
 
     def test_missing_cmap_entry(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         del doc["cmap"]["0628"]["medial"]
         assert "missing-cmap-entry" in self.codes(doc)
 
     def test_missing_anchor(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         del doc["glyphs"]["beh.medi"]["anchors"]["above"]
         findings = lint_font(load_doc(doc))
         hits = [d for d in findings if d.code == "missing-anchor"]
         assert len(hits) == 1 and "beh.medi" in hits[0].message
 
     def test_missing_variant(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         del doc["marks"]["fatha"]["variants"]["large"]
         findings = lint_font(load_doc(doc))
         hits = [d for d in findings if d.code == "missing-variant"]
         assert len(hits) == 1 and "large" in hits[0].message
 
     def test_zero_capacity(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["glyphs"]["beh.init"]["max_extension"] = 0
         assert "zero-capacity" in self.codes(doc)
 
     def test_unreachable_stretch(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         doc["glyphs"]["alef.isol"]["max_extension"] = 100
         findings = lint_font(load_doc(doc))
         hits = [d for d in findings if d.code == "unreachable-stretch"]
@@ -251,12 +266,12 @@ class TestLint:
         assert "multilevel-ligature" in {d.code for d in lint_font(font)}
 
     def test_ligature_anchor_gap(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         del doc["ligatures"][0]["component_anchors"][1]["below"]
         assert "ligature-anchor-gap" in self.codes(doc)
 
     def test_mass_class_mismatch_is_info(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         current = doc["glyphs"]["beh.isol"]["mass_class"]
         doc["glyphs"]["beh.isol"]["mass_class"] = (
             "heavy" if current != "heavy" else "light"
@@ -267,7 +282,7 @@ class TestLint:
         assert findings and all(d.severity is Severity.INFO for d in findings)
 
     def test_spurious_variants(self):
-        doc = demo_doc()
+        doc = demo_font_doc()
         # Sizes of its own: a variant id belongs to one mark.
         for size in ("medium", "large"):
             doc["marks"][f"damma.{size}"] = dict(doc["marks"][f"fatha.{size}"])

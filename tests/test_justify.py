@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qalam.errors import Infeasible, WordTooWide
+from qalam.errors import WordTooWide
 from qalam.justify import (
     INF,
     MAX_BADNESS,
@@ -16,7 +16,6 @@ from qalam.justify import (
     break_greedy,
     break_optimum,
     demerits,
-    justify_line,
     line_candidate,
 )
 from qalam.shaper import shape_word, word_variants
@@ -119,12 +118,15 @@ class TestJustifyLine:
             letter_widths={SEEN: 560, ALEF: 40, DAL: 30, BEH: 50}, **kw
         )
 
+    def fit(self, words, measure, font, params=JustifyParams()):
+        """The words set as one non-final line at their default variants."""
+        variants = [word_variants(w, font)[0] for w in words]
+        return line_candidate(variants, (0, len(words)), measure, font, params, False)
+
     def test_zero_deficit_identity(self):
         font = self.font()
         words = make_words(font, "ا د")  # 40 + 10 + 30 = 80
-        line = justify_line(
-            [word_variants(w, font)[0] for w in words], 80, font, JustifyParams()
-        )
+        line = self.fit(words, 80, font)
         assert line.width == 80
         assert line.glue_widths == (10,)
         assert all(p == () for p in line.plans)
@@ -133,9 +135,7 @@ class TestJustifyLine:
     def test_kashida_before_glue(self):
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")  # 560 + 10 + 40 = 610
-        line = justify_line(
-            [word_variants(w, font)[0] for w in words], 640, font, JustifyParams()
-        )
+        line = self.fit(words, 640, font)
         assert dict(line.plans[0]) == {0: 30}
         assert line.glue_widths == (10,)
         assert line.width == 640
@@ -143,9 +143,7 @@ class TestJustifyLine:
     def test_glue_takes_remainder_after_kashida(self):
         font = self.font(letter_extensions={SEEN: 100}, glue=(10, 60, 3))
         words = make_words(font, "س ا")
-        line = justify_line(
-            [word_variants(w, font)[0] for w in words], 610 + 150, font, JustifyParams()
-        )
+        line = self.fit(words, 610 + 150, font)
         assert dict(line.plans[0]) == {0: 100}
         assert line.glue_widths == (10 + 50,)
         assert line.width == 760
@@ -153,28 +151,21 @@ class TestJustifyLine:
     def test_surplus_comes_from_shrink(self):
         font = self.font()
         words = make_words(font, "ا د")  # natural 80
-        line = justify_line(
-            [word_variants(w, font)[0] for w in words], 78, font, JustifyParams()
-        )
+        line = self.fit(words, 78, font)
         assert line.glue_widths == (8,)
         assert line.width == 78
         assert line.ratio < 0
 
-    def test_infeasible_raises(self):
+    def test_infeasible_line_costs_inf(self):
         font = self.font()
         words = make_words(font, "ا د")
-        with pytest.raises(Infeasible):
-            justify_line(
-                [word_variants(w, font)[0] for w in words], 70, font, JustifyParams()
-            )
+        assert self.fit(words, 70, font).badness >= INF
 
     def test_kashida_off_policy(self):
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")
         params = JustifyParams(kashida_policy="off")
-        line = justify_line(
-            [word_variants(w, font)[0] for w in words], 640, font, params
-        )
+        line = self.fit(words, 640, font, params)
         assert all(p == () for p in line.plans)
         assert line.glue_widths == (40,)
 

@@ -1,30 +1,26 @@
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qalam.diacritics import mark_word
 from qalam.errors import BadComponent, MissingAnchor, SchemaError
-from qalam.fontmodel import (
-    AnchorPoint,
-    GlyphMetrics,
-    LigatureEntry,
-    LigatureKind,
-    MarkGlyph,
-    Rect,
-)
+from qalam.fontmodel import FontDescription, load_font
 from qalam.lookups import (
     CoverageTable,
+    GlyphItem,
     LookupKind,
     LookupRule,
-    PlacedGlyph,
-    apply_gsub,
-    attach_mark_to_base,
-    attach_mark_to_ligature,
-    attach_mark_to_mark,
+    position_marks,
     rule_from_json,
     rule_to_json,
 )
 from qalam.textmodel import Placement
+
+from .util import BEH, DELETE, demo_font_doc, gsub_glyphs, set_path, synth_font, word
 
 
 def lam_alef_rule(flags=("ignore_marks",)) -> LookupRule:
@@ -42,12 +38,12 @@ def lam_alef_rule(flags=("ignore_marks",)) -> LookupRule:
 
 class TestApplyGsub:
     def test_ligature_on_exact_pair(self):
-        out = apply_gsub([lam_alef_rule()], ["lam.init", "alef.fina"], {"rlig"})
+        out = gsub_glyphs([lam_alef_rule()], ["lam.init", "alef.fina"], {"rlig"})
         assert out == ["lam_alef.isol"]
 
     def test_empty_rule_set_is_identity(self):
         glyphs = ["beh.init", "alef.fina"]
-        assert apply_gsub([], glyphs, {"rlig"}) == glyphs
+        assert gsub_glyphs([], glyphs, {"rlig"}) == glyphs
 
     def test_disabled_feature_is_identity(self):
         rule = rule_from_json(
@@ -58,29 +54,29 @@ class TestApplyGsub:
             }
         )
         glyphs = ["beh.isol"]
-        assert apply_gsub([rule], glyphs, set()) == glyphs
-        assert apply_gsub([rule], glyphs, {"ss01"}) == ["beh.isol.expanded"]
+        assert gsub_glyphs([rule], glyphs, set()) == glyphs
+        assert gsub_glyphs([rule], glyphs, {"ss01"}) == ["beh.isol.expanded"]
 
     def test_marks_skipped_inside_ligature_run(self):
-        out = apply_gsub(
+        out = gsub_glyphs(
             [lam_alef_rule()],
             ["lam.init", "fatha", "alef.fina"],
             {"rlig"},
-            is_mark=lambda g: g == "fatha",
+            marks={"fatha"},
         )
         assert out == ["lam_alef.isol", "fatha"]
 
     def test_marks_block_without_ignore_marks(self):
-        out = apply_gsub(
+        out = gsub_glyphs(
             [lam_alef_rule(flags=())],
             ["lam.init", "fatha", "alef.fina"],
             {"rlig"},
-            is_mark=lambda g: g == "fatha",
+            marks={"fatha"},
         )
         assert out == ["lam.init", "fatha", "alef.fina"]
 
     def test_non_covered_glyphs_preserved_in_order(self):
-        out = apply_gsub(
+        out = gsub_glyphs(
             [lam_alef_rule()],
             ["beh.init", "lam.init", "alef.fina", "dal.isol"],
             {"rlig"},
@@ -95,7 +91,7 @@ class TestApplyGsub:
                 "sequences": {"a": ["b", "c"]},
             }
         )
-        assert apply_gsub([rule], ["x", "a", "y"], {"ccmp"}) == ["x", "b", "c", "y"]
+        assert gsub_glyphs([rule], ["x", "a", "y"], {"ccmp"}) == ["x", "b", "c", "y"]
 
     def test_alternate_sub_picks_first(self):
         rule = rule_from_json(
@@ -105,7 +101,7 @@ class TestApplyGsub:
                 "alternates": {"a": ["a.wide", "a.wider"]},
             }
         )
-        assert apply_gsub([rule], ["a"], {"jalt"}) == ["a.wide"]
+        assert gsub_glyphs([rule], ["a"], {"jalt"}) == ["a.wide"]
 
     def test_contextual_sub_replaces_at_offset(self):
         rule = rule_from_json(
@@ -115,8 +111,8 @@ class TestApplyGsub:
                 "contexts": [{"match": ["a", "b"], "replace": {"1": "b.alt"}}],
             }
         )
-        assert apply_gsub([rule], ["a", "b", "b"], {"calt"}) == ["a", "b.alt", "b"]
-        assert apply_gsub([rule], ["b", "a"], {"calt"}) == ["b", "a"]
+        assert gsub_glyphs([rule], ["a", "b", "b"], {"calt"}) == ["a", "b.alt", "b"]
+        assert gsub_glyphs([rule], ["b", "a"], {"calt"}) == ["b", "a"]
 
     def test_rules_apply_in_font_order_one_pass(self):
         first = rule_from_json(
@@ -127,19 +123,15 @@ class TestApplyGsub:
         )
         # Within one rule there is no re-matching, but a later rule sees the
         # earlier rule's output.
-        assert apply_gsub([first, second], ["a"], {"t"}) == ["c"]
-        assert apply_gsub([second, first], ["a"], {"t"}) == ["b"]
+        assert gsub_glyphs([first, second], ["a"], {"t"}) == ["c"]
+        assert gsub_glyphs([second, first], ["a"], {"t"}) == ["b"]
 
     def test_demo_rules_idempotent_on_corpus(self, demo_font, corpus_words):
         features = frozenset({"rlig", "liga", "jalt", "ss01", "mark", "mkmk"})
         for word in corpus_words:
             ids = [g.glyph for g in word.glyphs]
-            once = apply_gsub(
-                demo_font.gsub, ids, features, is_mark=demo_font.is_mark_glyph
-            )
-            twice = apply_gsub(
-                demo_font.gsub, once, features, is_mark=demo_font.is_mark_glyph
-            )
+            once = gsub_glyphs(demo_font.gsub, ids, features, marks=demo_font.marks)
+            twice = gsub_glyphs(demo_font.gsub, once, features, marks=demo_font.marks)
             assert once == twice
 
     def test_payload_shape_validated(self):
@@ -177,60 +169,75 @@ class TestApplyGsub:
                 "map": {"a": "a.alt", "b": "b.alt"},
             }
         )
-        assert apply_gsub([rule], ["a", "b"], {"t"}) == ["a.alt", "b"]
+        assert gsub_glyphs([rule], ["a", "b"], {"t"}) == ["a.alt", "b"]
 
     def test_rule_json_round_trip(self, demo_font):
         for rule in demo_font.gsub + demo_font.gpos:
             assert rule_from_json(rule_to_json(rule)) == rule
 
 
-def make_base(anchors: dict[Placement, tuple[int, int]]) -> GlyphMetrics:
-    return GlyphMetrics(
-        advance=500,
-        ink=Rect(20, 0, 480, 400),
-        anchors={side: AnchorPoint(*xy) for side, xy in anchors.items()},
+# Mark attachment: shaping decides what each mark rides and checks the
+# anchors; ``mark_word`` computes the position. A mark on a word's last
+# base that cannot grow keeps its default position, the anchor arithmetic
+# plus the font's mass offset, so these words expose it exactly.
+
+BEH_DAMMA = "\u0628\u064f"
+BEH_SHADDA_DAMMA = "\u0628\u0651\u064f"
+
+
+def attach_font(base_above=(120, 400), **marks) -> FontDescription:
+    """A synthetic font whose beh has its above anchor at ``base_above``,
+    with a nonzero mass offset above and the given mark overrides."""
+    return synth_font(
+        letter_widths={BEH: 500},
+        anchor_above=base_above,
+        mass_positions={"medium": {"above": 30}},
+        mark_overrides=marks,
     )
 
 
-def make_mark(
-    anchor: tuple[int, int],
-    side: Placement = Placement.ABOVE,
-    stack_anchor: tuple[int, int] | None = None,
-) -> MarkGlyph:
-    return MarkGlyph(
-        attachment_class=side,
-        anchor=AnchorPoint(*anchor),
-        ink=Rect(0, 0, 120, 60),
-        stack_anchor=AnchorPoint(*stack_anchor) if stack_anchor else None,
-    )
+def mass_above(font: FontDescription, glyph: str) -> int:
+    return font.mass_offset(font.glyphs[glyph].mass_class, Placement.ABOVE)
+
+
+def marked(text: str, font: FontDescription, shift=(0, 0)):
+    """The word's glyphs once marked, its first base moved by ``shift``."""
+    w = word(text, font)
+    base = replace(w.glyphs[0], x_offset=shift[0], y_offset=shift[1])
+    w = replace(w, glyphs=(base, *w.glyphs[1:]))
+    return mark_word(w, font, 10, 0)[0].glyphs
+
+
+def font_without(*path) -> FontDescription:
+    """The demo font with the key at ``path`` deleted from its document."""
+    doc = demo_font_doc()
+    set_path(doc, path, DELETE)
+    return load_font(json.dumps(doc))
 
 
 class TestMarkToBase:
     def test_offset_formula(self):
-        base = PlacedGlyph(glyph="b", advance=500)
-        mark = make_mark((30, 0))
-        placed = attach_mark_to_base(
-            base, make_base({Placement.ABOVE: (120, 400)}), mark, "m", 0
+        font = attach_font(damma={"anchor": [30, 0]})
+        shaped = word(BEH_DAMMA, font).glyphs[1]
+        assert shaped.advance == 0
+        assert shaped.attached_to == (0, Placement.ABOVE)
+        assert shaped.is_mark
+        mark = marked(BEH_DAMMA, font)[1]
+        assert (mark.x_offset, mark.y_offset) == (
+            90, 400 + mass_above(font, "beh.isolated")
         )
-        assert (placed.x_offset, placed.y_offset) == (90, 400)
-        assert placed.advance == 0
-        assert placed.attached_to == (0, Placement.ABOVE)
-        assert placed.is_mark
 
     def test_zero_mark_anchor_gives_base_anchor(self):
-        base = PlacedGlyph(glyph="b", advance=500)
-        placed = attach_mark_to_base(
-            base, make_base({Placement.ABOVE: (120, 400)}), make_mark((0, 0)), "m", 0
+        font = attach_font(damma={"anchor": [0, 0]})
+        mark = marked(BEH_DAMMA, font)[1]
+        assert (mark.x_offset, mark.y_offset) == (
+            120, 400 + mass_above(font, "beh.isolated")
         )
-        assert (placed.x_offset, placed.y_offset) == (120, 400)
 
     def test_missing_anchor(self):
-        base = PlacedGlyph(glyph="b", advance=500)
-        kasra = make_mark((30, 0), side=Placement.BELOW)
-        with pytest.raises(MissingAnchor):
-            attach_mark_to_base(
-                base, make_base({Placement.ABOVE: (120, 400)}), kasra, "kasra", 0
-            )
+        font = font_without("glyphs", "beh.isol", "anchors", "below")
+        with pytest.raises(MissingAnchor, match="beh.isol has no 'below' anchor for kasra"):
+            word("\u0628\u0650", font)
 
     @given(
         bx=st.integers(-1000, 1000),
@@ -241,103 +248,92 @@ class TestMarkToBase:
         dy=st.integers(-1000, 1000),
     )
     def test_translation_equivariance(self, bx, by, mx, my, dx, dy):
-        metrics = make_base({Placement.ABOVE: (bx, by)})
-        mark = make_mark((mx, my))
-        at_origin = attach_mark_to_base(
-            PlacedGlyph(glyph="b", advance=500), metrics, mark, "m", 0
-        )
-        shifted = attach_mark_to_base(
-            PlacedGlyph(glyph="b", advance=500, x_offset=dx, y_offset=dy),
-            metrics,
-            mark,
-            "m",
-            0,
-        )
+        font = attach_font((bx, by), damma={"anchor": [mx, my]})
+        at_origin = marked(BEH_DAMMA, font)[1]
+        shifted = marked(BEH_DAMMA, font, (dx, dy))[1]
         assert shifted.x_offset == at_origin.x_offset + dx
         assert shifted.y_offset == at_origin.y_offset + dy
-        assert at_origin.x_offset == bx - mx and at_origin.y_offset == by - my
+        assert at_origin.x_offset == bx - mx
+        assert at_origin.y_offset == by + mass_above(font, "beh.isolated") - my
 
 
-def lam_alef_entry() -> LigatureEntry:
-    return LigatureEntry(
-        components=("lam.init", "alef.fina"),
-        glyph="lam_alef.isol",
-        component_anchors=(
-            {Placement.ABOVE: AnchorPoint(80, 600)},
-            {Placement.ABOVE: AnchorPoint(300, 620)},
-        ),
-        kind=LigatureKind.LINGUISTIC,
+def assert_on_component(font: FontDescription, text: str, component: int) -> None:
+    """The damma of a one-ligature word sits on the component's anchor."""
+    w = word(text, font)
+    assert w.glyphs[1].attached_to == (0, Placement.ABOVE)
+    mark = mark_word(w, font, 10, 0)[0].glyphs[1]
+    entry = font.ligature_by_glyph["lam_alef.isol"]
+    anchor = entry.component_anchors[component][Placement.ABOVE]
+    damma = font.marks["damma"].anchor
+    assert (mark.x_offset, mark.y_offset) == (
+        anchor.x - damma.x,
+        anchor.y + mass_above(font, "lam_alef.isol") - damma.y,
     )
 
 
 class TestMarkToLigature:
-    def test_component_zero(self):
-        lig = PlacedGlyph(glyph="lam_alef.isol", advance=340)
-        placed = attach_mark_to_ligature(
-            lig, lam_alef_entry(), make_mark((30, 0)), "fatha", 0, 0
-        )
-        assert (placed.x_offset, placed.y_offset) == (50, 600)
+    def test_component_zero(self, demo_font):
+        assert_on_component(demo_font, "\u0644\u064f\u0627", 0)  # lam+damma alef
 
-    def test_component_one(self):
-        lig = PlacedGlyph(glyph="lam_alef.isol", advance=340)
-        placed = attach_mark_to_ligature(
-            lig, lam_alef_entry(), make_mark((30, 0)), "fatha", 1, 0
-        )
-        assert (placed.x_offset, placed.y_offset) == (270, 620)
+    def test_component_one(self, demo_font):
+        assert_on_component(demo_font, "\u0644\u0627\u064f", 1)  # lam alef+damma
 
-    def test_out_of_range_component(self):
-        lig = PlacedGlyph(glyph="lam_alef.isol", advance=340)
-        with pytest.raises(BadComponent):
-            attach_mark_to_ligature(
-                lig, lam_alef_entry(), make_mark((30, 0)), "fatha", 2, 0
-            )
+    def test_out_of_range_component(self, demo_font):
+        items = [GlyphItem("lam_alef.isol", (0, 1, 2)), GlyphItem("fatha", (2,), True)]
+        with pytest.raises(BadComponent, match="component 2 out of range"):
+            position_marks(demo_font, items, {"mark"})
 
     def test_component_missing_anchor(self):
-        lig = PlacedGlyph(glyph="lam_alef.isol", advance=340)
-        kasra = make_mark((30, 0), side=Placement.BELOW)
-        with pytest.raises(MissingAnchor):
-            attach_mark_to_ligature(lig, lam_alef_entry(), kasra, "kasra", 0, 0)
+        font = font_without("ligatures", 0, "component_anchors", 0, "below")
+        assert font.ligatures[0].glyph == "lam_alef.isol"
+        with pytest.raises(MissingAnchor, match="lam_alef.isol component 0 has no 'below'"):
+            word("\u0644\u0650\u0627", font)  # lam+kasra alef
+
+    def test_base_rule_on_ligature_checks_component_anchor(self):
+        # Placement reads a ligature's component anchors whichever rule
+        # attached the mark, so shaping checks them under mark-to-base too.
+        doc = demo_font_doc()
+        to_base, to_ligature = doc["gpos"][0], doc["gpos"][1]
+        assert (to_base["kind"], to_ligature["kind"]) == ("mark_to_base", "mark_to_ligature")
+        to_ligature["coverage"].remove("lam_alef.isol")
+        to_base["coverage"].append("lam_alef.isol")
+        doc["glyphs"]["lam_alef.isol"]["anchors"] = {"above": [170, 800]}
+        del doc["ligatures"][0]["component_anchors"][0]["above"]
+        font = load_font(json.dumps(doc))
+        with pytest.raises(MissingAnchor, match="lam_alef.isol component 0 has no 'above'"):
+            word("\u0644\u064e\u0627", font)  # lam+fatha alef
 
 
 class TestMarkToMark:
-    def test_stack_formula(self):
-        shadda_mark = make_mark((35, 0), stack_anchor=(35, 120))
-        shadda = PlacedGlyph(
-            glyph="shadda", advance=0, x_offset=90, y_offset=400,
-            attached_to=(0, Placement.ABOVE), is_mark=True,
+    def stack_font(self, upper_anchor) -> FontDescription:
+        return attach_font(
+            (125, 400),
+            shadda={"anchor": [35, 0], "stack_anchor": [35, 120]},
+            damma={"anchor": list(upper_anchor)},
         )
-        fatha = attach_mark_to_mark(shadda, shadda_mark, make_mark((30, 0)), "fatha", 1)
-        assert (fatha.x_offset, fatha.y_offset) == (95, 520)
-        assert fatha.attached_to == (1, Placement.ABOVE)
+
+    def test_stack_formula(self):
+        font = self.stack_font((30, 0))
+        shaped = word(BEH_SHADDA_DAMMA, font).glyphs
+        assert [g.glyph for g in shaped] == ["beh.isolated", "shadda", "damma"]
+        assert shaped[2].attached_to == (1, Placement.ABOVE)
+        _, shadda, damma = marked(BEH_SHADDA_DAMMA, font)
+        mass = mass_above(font, "beh.isolated")
+        assert (shadda.x_offset, shadda.y_offset) == (90, 400 + mass)
+        assert (damma.x_offset, damma.y_offset) == (95, 520 + mass)
 
     def test_upper_anchor_equal_to_stack_anchor_cancels(self):
-        shadda_mark = make_mark((35, 0), stack_anchor=(35, 120))
-        shadda = PlacedGlyph(
-            glyph="shadda", advance=0, x_offset=90, y_offset=400,
-            attached_to=(0, Placement.ABOVE), is_mark=True,
-        )
-        upper = attach_mark_to_mark(
-            shadda, shadda_mark, make_mark((35, 120)), "m", 1
-        )
-        assert (upper.x_offset, upper.y_offset) == (90, 400)
+        _, shadda, damma = marked(BEH_SHADDA_DAMMA, self.stack_font((35, 120)))
+        assert (damma.x_offset, damma.y_offset) == (shadda.x_offset, shadda.y_offset)
 
     def test_missing_stack_anchor(self):
-        plain = make_mark((35, 0))
-        lower = PlacedGlyph(
-            glyph="fatha", advance=0, x_offset=0, y_offset=0,
-            attached_to=(0, Placement.ABOVE), is_mark=True,
-        )
-        with pytest.raises(MissingAnchor):
-            attach_mark_to_mark(lower, plain, make_mark((0, 0)), "m", 1)
+        font = font_without("marks", "shadda", "stack_anchor")
+        with pytest.raises(MissingAnchor, match="shadda has no stacking anchor for fatha"):
+            word("\u0628\u0651\u064e", font)
 
 
 class TestAdjustmentRules:
     def test_single_pair_cursive(self):
-        import json as json_mod
-
-        from qalam.fontmodel import load_font
-        from qalam.lookups import GlyphItem, position_marks
-
         doc = {
             "schema": "qalam-font/1",
             "font_id": "adj",
@@ -373,7 +369,7 @@ class TestAdjustmentRules:
             ],
             "size_thresholds": {"medium": 200, "large": 450},
         }
-        font = load_font(json_mod.dumps(doc))
+        font = load_font(json.dumps(doc))
         items = [GlyphItem("a", (0,)), GlyphItem("b", (1,))]
         placed = position_marks(font, items, {"dist", "kern", "curs"})
         first, second = placed

@@ -20,6 +20,7 @@ from qalam.layout import validate_document
 from qalam.textmodel import CharacterTable
 
 from .conftest import DEMO_FONT_PATH
+from .util import DELETE, demo_font_doc, set_path
 
 REPLACEMENTS = [None, 3, "zz", [], {}, [1], {"x": 1}, True, -7, 3.5]
 
@@ -131,3 +132,68 @@ def test_character_table_survives_mutation():
             pass
         except Exception as exc:  # pragma: no cover - failure reporting
             pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
+
+
+BEH_WITHOUT_ABOVE = (("glyphs", "beh.isol", "anchors", "above"), DELETE)
+CMAP_TO_LARGE_FATHA = (("mark_cmap", "064E"), "fatha.large")
+LARGE_FATHA_BELOW = (("marks", "fatha.large", "class"), "below")
+
+
+@pytest.mark.parametrize(
+    "edits, text, message",
+    [
+        pytest.param(
+            [BEH_WITHOUT_ABOVE], "بَ",
+            "beh.isol has no 'above' anchor for fatha",
+            id="base-without-anchor",
+        ),
+        pytest.param(
+            [(("marks", "shadda", "stack_anchor"), DELETE)], "بَّ",
+            "shadda has no stacking anchor for fatha",
+            id="shadda-without-stack-anchor",
+        ),
+        pytest.param(
+            [(("ligatures", 0, "component_anchors", 0, "above"), DELETE)], "لَا",
+            "lam_alef.isol component 0 has no 'above' anchor",
+            id="ligature-component-without-anchor",
+        ),
+        pytest.param(
+            [CMAP_TO_LARGE_FATHA], "بَ",
+            "mark_cmap U+064E maps to 'fatha.large', the large size of 'fatha', "
+            "not to a mark at its normal size",
+            id="mark-cmap-to-large-size",
+        ),
+        pytest.param(
+            [LARGE_FATHA_BELOW], "بَ",
+            "mark 'fatha.large', the large size of 'fatha', has class 'below', "
+            "not 'above'",
+            id="size-of-another-class",
+        ),
+        pytest.param(
+            [CMAP_TO_LARGE_FATHA, LARGE_FATHA_BELOW, BEH_WITHOUT_ABOVE], "بَ",
+            "mark 'fatha.large', the large size of 'fatha', has class 'below', "
+            "not 'above'",
+            id="large-size-below-on-base-without-above",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["shape"], ["justify", "--width", "4000"]], ids=["shape", "justify"]
+)
+def test_font_missing_mark_geometry_is_one_error(
+    tmp_path, capsys, edits, text, message, command
+):
+    """A font that lacks an anchor a mark needs, or whose mark sizes
+    disagree with their mark, fails with one error line before any mark
+    is placed."""
+    doc = demo_font_doc()
+    assert doc["ligatures"][0]["glyph"] == "lam_alef.isol"
+    for path, value in edits:
+        set_path(doc, path, value)
+    font = tmp_path / "font.json"
+    font.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([*command, "--font", str(font), "--text", text])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]

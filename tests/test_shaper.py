@@ -5,13 +5,13 @@ import random
 import pytest
 
 from qalam import kashida
+from qalam.diacritics import mark_word
 from qalam.errors import EmptyWord
 from qalam.fontmodel import glyph_for
 from qalam.lookups import PlacedGlyph
 from qalam.shaper import (
     ShapedWord,
     attachment_root,
-    pen_positions,
     shape_word,
     shape_words,
     word_variants,
@@ -22,6 +22,15 @@ from .util import random_word_text, word
 
 LIGA_FEATURES = frozenset({"liga"})
 ALL_FEATURES = frozenset({"liga", "jalt", "ss01"})
+
+
+def marked(w, font):
+    """The word's glyphs once ``mark_word`` has placed its marks."""
+    return mark_word(w, font, 10, 0)[0].glyphs
+
+
+def mass_above(font, glyph: str) -> int:
+    return font.mass_offset(font.glyphs[glyph].mass_class, Placement.ABOVE)
 
 
 class TestShapeWord:
@@ -46,12 +55,15 @@ class TestShapeWord:
         base, mark = w.glyphs
         assert base.glyph == "beh.isol"
         assert mark.glyph == "fatha"
+        assert mark.advance == 0
+        # On the word's last glyph the fatha takes its mass size and keeps
+        # the attachment point.
+        mark = marked(w, demo_font)[1]
         metrics = demo_font.glyphs["beh.isol"]
         anchor = metrics.anchors[Placement.ABOVE]
-        fatha = demo_font.marks["fatha"]
-        assert mark.x_offset == anchor.x - fatha.anchor.x
-        assert mark.y_offset == anchor.y - fatha.anchor.y
-        assert mark.advance == 0
+        drawn = demo_font.marks[mark.glyph].anchor
+        assert mark.x_offset == anchor.x - drawn.x
+        assert mark.y_offset == anchor.y + mass_above(demo_font, "beh.isol") - drawn.y
 
     def test_forms_follow_joining(self, demo_font):
         w = word("باب", demo_font)  # beh alef beh
@@ -61,31 +73,37 @@ class TestShapeWord:
         w = word("لَا", demo_font)  # lam + fatha + alef
         ids = [g.glyph for g in w.glyphs]
         assert ids == ["lam_alef.isol", "fatha"]
-        mark = w.glyphs[1]
+        assert w.glyphs[1].attached_to == (0, Placement.ABOVE)
+        mark = marked(w, demo_font)[1]
         entry = demo_font.ligature_by_glyph["lam_alef.isol"]
         anchor = entry.component_anchors[0][Placement.ABOVE]
-        fatha = demo_font.marks["fatha"]
-        assert mark.x_offset == anchor.x - fatha.anchor.x
-        assert mark.attached_to == (0, Placement.ABOVE)
+        drawn = demo_font.marks[mark.glyph].anchor
+        assert mark.x_offset == anchor.x - drawn.x
+        assert mark.y_offset == (
+            anchor.y + mass_above(demo_font, "lam_alef.isol") - drawn.y
+        )
 
     def test_marks_on_both_ligature_components(self, demo_font):
         w = word("لَاً", demo_font)  # lam+fatha alef+fathatan
         ids = [g.glyph for g in w.glyphs]
         assert ids == ["lam_alef.isol", "fatha", "fathatan"]
         entry = demo_font.ligature_by_glyph["lam_alef.isol"]
-        first, second = w.glyphs[1], w.glyphs[2]
-        assert first.x_offset == entry.component_anchors[0][Placement.ABOVE].x - 70
-        assert second.x_offset == entry.component_anchors[1][Placement.ABOVE].x - 70
+        glyphs = marked(w, demo_font)
+        for component, mark in enumerate(glyphs[1:]):
+            anchor = entry.component_anchors[component][Placement.ABOVE]
+            assert mark.x_offset == anchor.x - demo_font.marks[mark.glyph].anchor.x
 
     def test_shadda_stack(self, demo_font):
-        w = word("بَّ", demo_font)  # beh + shadda + fatha
+        w = word("بَّ", demo_font)  # beh + shadda + fatha
         ids = [g.glyph for g in w.glyphs]
         assert ids == ["beh.isol", "shadda", "fatha"]
-        shadda, fatha = w.glyphs[1], w.glyphs[2]
-        assert shadda.attached_to == (0, Placement.ABOVE)
-        assert fatha.attached_to == (1, Placement.ABOVE)
-        mark = demo_font.marks["shadda"]
-        assert fatha.y_offset == shadda.y_offset + mark.stack_anchor.y - 0
+        assert w.glyphs[1].attached_to == (0, Placement.ABOVE)
+        assert w.glyphs[2].attached_to == (1, Placement.ABOVE)
+        _, shadda, fatha = marked(w, demo_font)
+        stack = demo_font.marks["shadda"].stack_anchor
+        drawn = demo_font.marks[fatha.glyph].anchor
+        assert fatha.x_offset == shadda.x_offset + stack.x - drawn.x
+        assert fatha.y_offset == shadda.y_offset + stack.y - drawn.y
 
     def test_shadda_stacks_even_written_after_vowel(self, demo_font):
         before = word("بَّ", demo_font)
@@ -174,14 +192,21 @@ class TestWordVariants:
 
 
 class TestGeometryInvariants:
-    def test_marks_keep_their_side_over_corpus(self, demo_font, corpus_words):
+    def test_marks_leave_shaping_unplaced(self, corpus_words):
         for w in corpus_words:
-            for i, g in enumerate(w.glyphs):
+            for g in w.glyphs:
+                if g.is_mark:
+                    assert (g.x_offset, g.y_offset) == (0, 0)
+
+    def test_marks_keep_their_side_over_corpus(self, demo_font, corpus_words):
+        for i, w in enumerate(corpus_words):
+            marked_word, _ = mark_word(w, demo_font, 10, i)
+            for j, g in enumerate(marked_word.glyphs):
                 if not g.is_mark:
                     continue
                 mark = demo_font.marks[g.glyph]
-                root = attachment_root(w, i)
-                base_ink = demo_font.glyphs[w.glyphs[root].glyph].ink
+                root = attachment_root(marked_word, j)
+                base_ink = demo_font.glyphs[marked_word.glyphs[root].glyph].ink
                 mark_ink = mark.ink
                 if mark.attachment_class is Placement.ABOVE:
                     assert g.y_offset + mark_ink.y_min >= base_ink.y_max
@@ -197,7 +222,7 @@ class TestGeometryInvariants:
 
     def test_pen_positions_monotone(self, demo_font, corpus_words):
         for w in corpus_words:
-            pens = pen_positions(w)
+            pens = w.tables.pens
             bases = [i for i, g in enumerate(w.glyphs) if not g.is_mark]
             for a, b in zip(bases, bases[1:]):
                 assert pens[a] < pens[b]

@@ -6,8 +6,11 @@ import json
 import random
 
 from qalam.fontmodel import FontDescription, load_font
+from qalam.lookups import GlyphItem, LookupRule, apply_gsub_tracked
 from qalam.shaper import ShapedWord, shape_word
 from qalam.textmodel import DEFAULT_TABLE, Cluster, JoiningClass
+
+from .conftest import DEMO_FONT_PATH
 
 #: Letters usable in synthetic single-letter-word tests, keyed by intent.
 ALEF, BEH, SEEN, DAL, LAM, MEEM, FEH, YEH, KAF = (
@@ -137,6 +140,33 @@ def synth_font(
         "glue": {"width": glue[0], "stretch": glue[1], "shrink": glue[2]},
     }
     return load_font(json.dumps(doc))
+
+
+def demo_font_doc() -> dict:
+    """A fresh copy of the bundled demo font's JSON document, to edit."""
+    return json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+
+
+#: ``set_path``'s value that deletes the key instead.
+DELETE = object()
+
+
+def set_path(doc, path: tuple, value) -> None:
+    """Set the node at ``path`` in a JSON document; DELETE removes it."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+def gsub_glyphs(
+    rules: list[LookupRule], glyphs: list[str], features, marks=frozenset()
+) -> list[str]:
+    """``apply_gsub_tracked`` over bare glyph ids; ids in ``marks`` are marks."""
+    items = [GlyphItem(g, (i,), g in marks) for i, g in enumerate(glyphs)]
+    return [it.glyph for it in apply_gsub_tracked(rules, items, frozenset(features))]
 
 
 def word(text: str, font, features=frozenset()) -> ShapedWord:
