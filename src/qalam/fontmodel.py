@@ -672,6 +672,37 @@ def load_font(source) -> FontDescription:
     return font
 
 
+def _check_substitution_roles(font: FontDescription) -> None:
+    """Reject a substitution that turns a mark into a base or back.
+
+    Shaping keeps each glyph's role through ``gsub``: a mark that became a
+    base, or a base that became a mark, would leave marks attached to
+    nothing.
+    """
+
+    def role(gid: str) -> str:
+        return "mark" if gid in font.marks else "base"
+
+    for rule in font.gsub:
+        kind = rule.kind
+        if kind in (LookupKind.SINGLE_SUB, LookupKind.ALTERNATE_SUB):
+            for source, outputs in rule.payload.items():
+                if kind is LookupKind.SINGLE_SUB:
+                    outputs = (outputs,)
+                for target in outputs:
+                    if role(source) != role(target):
+                        raise SchemaError(
+                            f"gsub {kind.value} rule maps {role(source)} {source!r} "
+                            f"to {role(target)} {target!r}"
+                        )
+        elif kind is LookupKind.LIGATURE_SUB:
+            for entry in rule.payload:
+                if entry.ligature in font.marks:
+                    raise SchemaError(
+                        f"gsub ligature_sub rule makes mark {entry.ligature!r} a ligature"
+                    )
+
+
 def load_font_path(path) -> FontDescription:
     with open(path, "rb") as fh:
         return load_font(fh)
@@ -700,6 +731,7 @@ def _validate_references(font: FontDescription) -> None:
                 if not known.issuperset(group):
                     gid = next(gid for gid in group if gid not in known)
                     raise RefError(gid, f"{label} {rule.kind.value} rule")
+    _check_substitution_roles(font)
     # A variant id names one size of one mark, so every mark glyph reads
     # back as a single (mark, size) pair (``FontDescription.mark_sizes``).
     size_of: dict[str, str] = {}

@@ -18,12 +18,22 @@ The dynamic program's state is (break position, quantized x-intervals of
 the just-laid line's elongations), which is exactly what the next line's
 overlap penalty depends on, so the search is exact for the cost model.
 
+The search reads two numbers of a line: its badness and its signature.
+Each width variant's numbers under the elongation policy (width, capacity,
+the elongation that uses its whole capacity, where each elongation
+starts) are worked out once per call. A line's variant choice is a chain
+of links, so growing it by a word copies nothing. Badness comes from the
+line's width and capacity sums; the signature comes from ``_stretch``, the
+helper that also sets the lines ``line_candidate`` builds. A state keeps
+its line as (start word, variants), and ``LineCandidate`` records are
+built only for the lines of the chain the search returns.
+
 Breaks are visited in increasing order, so every state at an earlier break
-is final when lines ending at break j are built. Each line from i to j
+is final when lines ending at break j are set. Each line from i to j
 with its choice of variants is scored by a lower bound on the total of
 any state it can produce: the least total at i plus the line's demerits
-with no overlap charge. Full line candidates are then built in ascending
-bound order under a dominance rule. Let theta be the least
+with no overlap charge. Lines are then set, for their signatures, in
+ascending bound order under a dominance rule. Let theta be the least
 ``total + overlap_penalty * |signature|`` over the states built at j so
 far. A state at j whose total exceeds theta is dropped, and building stops
 at the first bound above theta. The rule is exact. Whatever line follows,
@@ -42,7 +52,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from . import kashida
 from .diacritics import at_word, mark_word
@@ -100,9 +112,10 @@ def badness(ratio: float | None) -> int:
     """
     if ratio is None or ratio < -1:
         return INF
-    if math.isinf(ratio):
+    if ratio == math.inf:
         return MAX_BADNESS
-    return min(MAX_BADNESS, round(100 * abs(ratio) ** 3))
+    cost = round(100 * abs(ratio) ** 3)
+    return cost if cost < MAX_BADNESS else MAX_BADNESS
 
 
 @dataclass(frozen=True)
@@ -136,12 +149,22 @@ def demerits(
     prev_signature: frozenset[int] = frozenset(),
 ) -> int:
     """Aggregate cost of a line following a line with ``prev_signature``."""
-    if line.badness >= INF:
+    return _demerits(line.badness, line.signature, params, prev_signature)
+
+
+def _demerits(
+    cost: int,
+    signature: frozenset[int],
+    params: JustifyParams,
+    prev_signature: frozenset[int],
+) -> int:
+    """``demerits`` of a line given only its badness and signature."""
+    if cost >= INF:
         return INF
-    overlap = len(line.signature & prev_signature)
+    overlap = len(signature & prev_signature)
     if overlap and params.overlap_penalty >= INF:
         return INF
-    value = (params.line_penalty + line.badness) ** 2 + params.overlap_penalty * overlap
+    value = (params.line_penalty + cost) ** 2 + params.overlap_penalty * overlap
     return min(value, INF)
 
 
@@ -155,56 +178,92 @@ def _signature(intervals: Sequence[tuple[int, int]], measure: int) -> frozenset[
     return frozenset(covered)
 
 
-def _word_intervals(
-    variant: WordVariant,
-    allocations: dict[int, int],
-    word_x: int,
-    font: FontDescription,
-) -> list[tuple[int, int]]:
-    """Absolute x intervals of a word's elongations, at line position word_x."""
-    if not allocations:
-        return []
-    out = []
-    pen = 0
-    for gi, pg in enumerate(variant.word.glyphs):
-        if pg.is_mark:
-            continue
-        amount = allocations.get(gi, 0)
-        if amount:
-            ink = font.glyphs[pg.glyph].ink
-            start = word_x + pen + pg.x_offset + ink.x_max
-            out.append((start, start + amount))
-        pen += pg.advance + amount
-    return out
+class _Fit:
+    """A width variant's numbers under an elongation policy.
+
+    ``full`` (glyph -> elongation that uses the whole capacity) and
+    ``starts`` (glyph -> where its elongation starts in the word) are
+    worked out on first use and kept, so a search that sets many lines
+    with one variant works them out once.
+    """
+
+    __slots__ = ("variant", "width", "capacity", "policy", "_full", "_starts")
+
+    def __init__(self, variant: WordVariant, policy: str) -> None:
+        self.variant = variant
+        self.width = variant.width
+        self.capacity = kashida.word_capacity(variant.sites, policy)
+        self.policy = policy
+        self._full: dict[int, int] | None = None
+        self._starts: dict[int, int] | None = None
+
+    @property
+    def full(self) -> dict[int, int]:
+        if self._full is None:
+            plan = kashida.allocate(self.variant.sites, self.capacity, self.policy)
+            self._full = plan.allocations
+        return self._full
+
+    @property
+    def starts(self) -> dict[int, int]:
+        if self._starts is None:
+            self._starts = {s.glyph_index: s.x for s in self.variant.sites}
+        return self._starts
 
 
 def _allocate_line_kashida(
-    variants: Sequence[WordVariant], deficit: int, policy: str
-) -> tuple[list[dict[int, int]], int]:
+    fits: Sequence[_Fit], deficit: int
+) -> tuple[list[dict[int, int] | None], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
     Words are served in priority order (best stretch class first, then
     nearest the line end); within a word the elongation policy applies.
-    Returns per-word allocations plus the amount actually absorbed.
+    Every word served before the last takes its whole capacity. Returns
+    per-word allocations (None for a word that does not stretch) plus the
+    amount actually absorbed.
     """
-    allocations: list[dict[int, int]] = [{} for _ in variants]
-    ranked = []
-    for wi, variant in enumerate(variants):
-        sites = variant.sites
-        if not sites:
-            continue
-        capacity = kashida.word_capacity(sites, policy)
-        ranked.append((sites[0].priority[0], wi, capacity, sites))
-    ranked.sort(key=lambda t: (t[0], t[1]), reverse=True)
+    allocations: list[dict[int, int] | None] = [None] * len(fits)
+    ranked = sorted(
+        [(f.variant.sites[0].priority[0], wi) for wi, f in enumerate(fits) if f.capacity],
+        reverse=True,
+    )
     remaining = deficit
-    for _, wi, capacity, sites in ranked:
-        if remaining == 0:
+    for _, wi in ranked:
+        fit = fits[wi]
+        if remaining >= fit.capacity:
+            allocations[wi] = fit.full
+            remaining -= fit.capacity
+        else:
+            plan = kashida.allocate(fit.variant.sites, remaining, fit.policy)
+            allocations[wi] = plan.allocations
+            remaining = plan.residual
+        if not remaining:
             break
-        take = min(remaining, capacity)
-        plan = kashida.allocate(sites, take, policy)
-        allocations[wi] = dict(plan.allocations)
-        remaining -= take - plan.residual
     return allocations, deficit - remaining
+
+
+def _line_intervals(
+    fits: Sequence[_Fit],
+    allocations: Sequence[dict[int, int] | None],
+    glue_widths: Sequence[int],
+) -> list[tuple[int, int]]:
+    """Absolute x intervals of a line's elongations, left to right.
+
+    A site's elongation starts at the site's ``x`` in its word, moved right
+    by the elongations of the sites before it in the word.
+    """
+    out = []
+    x = 0
+    for fit, allocation, glue_width in zip(fits, allocations, (*glue_widths, 0)):
+        if allocation:
+            # Glyph order is pen order.
+            for gi in sorted(allocation):
+                amount = allocation[gi]
+                start = x + fit.starts[gi]
+                out.append((start, start + amount))
+                x += amount
+        x += fit.width + glue_width
+    return out
 
 
 def _distribute(amount: int, gaps: int) -> list[int]:
@@ -215,33 +274,87 @@ def _distribute(amount: int, gaps: int) -> list[int]:
     return [share + (1 if i < extra else 0) for i in range(gaps)]
 
 
-def _line_fit(
-    widths: int,
-    capacity: int,
-    gaps: int,
-    measure: int,
-    glue: GlueSpec,
-    is_last: bool,
-) -> tuple[int, int, int, float, int]:
-    """Natural width, total stretch, total shrink, ratio and badness of a line.
+def _ratio(deficit: int, total_stretch: int, total_shrink: int, is_last: bool) -> float:
+    """Adjustment ratio of a line ``deficit`` units short of the measure.
 
-    ``widths`` and ``capacity`` are the sums over the line's words of their
-    widths and elongation capacities; ``gaps`` counts inter-word spaces.
+    A final line may stay short at no cost.
     """
-    natural = widths + glue.width * gaps
-    total_stretch = glue.stretch * gaps + capacity
-    total_shrink = glue.shrink * gaps
+    if deficit == 0 or (is_last and deficit > 0):
+        return 0.0
+    if deficit > 0:
+        return deficit / total_stretch if total_stretch else math.inf
+    return deficit / total_shrink if total_shrink else -math.inf
 
+
+class _Stretch(NamedTuple):
+    """How one line is set: its cost, and the assignment behind it."""
+
+    natural: int
+    total_stretch: int
+    total_shrink: int
+    ratio: float
+    badness: int
+    allocations: list[dict[int, int] | None]  # per word: glyph -> elongation
+    glue_widths: list[int]
+    width: int
+    fills_measure: bool
+    intervals: list[tuple[int, int]]
+    signature: frozenset[int]
+
+
+def _stretch(
+    fits: Sequence[_Fit], measure: int, glue: GlueSpec, is_last: bool
+) -> _Stretch:
+    """Set one line: badness, elongations, glue split and signature.
+
+    Elongation absorbs a deficit before glue does; glue shrink alone
+    absorbs a surplus.
+    """
+    gaps = len(fits) - 1
+    natural = sum(f.width for f in fits) + glue.width * gaps
+    total_stretch = glue.stretch * gaps + sum(f.capacity for f in fits)
+    total_shrink = glue.shrink * gaps
     deficit = measure - natural
-    if is_last and deficit >= 0:
-        ratio = 0.0
-    elif deficit == 0:
-        ratio = 0.0
-    elif deficit > 0:
-        ratio = deficit / total_stretch if total_stretch else math.inf
-    else:
-        ratio = deficit / total_shrink if total_shrink else -math.inf
-    return natural, total_stretch, total_shrink, ratio, badness(ratio)
+    ratio = _ratio(deficit, total_stretch, total_shrink, is_last)
+    cost = badness(ratio)
+    allocations: list[dict[int, int] | None] = [None] * len(fits)
+    glue_widths = [glue.width] * gaps
+    width = natural
+    fills = True
+    intervals: list[tuple[int, int]] = []
+
+    if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
+        if deficit > 0:
+            allocations, absorbed = _allocate_line_kashida(fits, deficit)
+            rest = deficit - absorbed
+            if gaps:
+                glue_widths = [
+                    glue.width + d for d in _distribute(rest, gaps)
+                ]
+                width = measure
+            else:
+                width = natural + absorbed
+                fills = width == measure
+            if absorbed:
+                intervals = _line_intervals(fits, allocations, glue_widths)
+        else:
+            takes = _distribute(-deficit, gaps)
+            glue_widths = [glue.width - t for t in takes]
+            width = measure
+
+    return _Stretch(
+        natural,
+        total_stretch,
+        total_shrink,
+        ratio,
+        cost,
+        allocations,
+        glue_widths,
+        width,
+        fills,
+        intervals,
+        _signature(intervals, measure),
+    )
 
 
 def line_candidate(
@@ -253,63 +366,22 @@ def line_candidate(
     is_last: bool,
 ) -> LineCandidate:
     """Cost and full width assignment for one candidate line."""
-    glue = font.glue
-    gaps = len(variants) - 1
-    natural, total_stretch, total_shrink, ratio, cost = _line_fit(
-        sum(v.width for v in variants),
-        sum(kashida.word_capacity(v.sites, params.kashida_policy) for v in variants),
-        gaps,
-        measure,
-        glue,
-        is_last,
-    )
-    deficit = measure - natural
-    allocations: list[dict[int, int]] = [{} for _ in variants]
-    glue_widths = [glue.width] * gaps
-    width = natural
-    fills = True
-
-    if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
-        if deficit > 0:
-            allocations, absorbed = _allocate_line_kashida(
-                variants, deficit, params.kashida_policy
-            )
-            rest = deficit - absorbed
-            if gaps:
-                glue_widths = [
-                    glue.width + d for d in _distribute(rest, gaps)
-                ]
-                width = measure
-            else:
-                width = natural + absorbed
-                fills = width == measure
-        else:
-            takes = _distribute(-deficit, gaps)
-            glue_widths = [glue.width - t for t in takes]
-            width = measure
-
-    intervals: list[tuple[int, int]] = []
-    x = 0
-    for wi, variant in enumerate(variants):
-        intervals.extend(_word_intervals(variant, allocations[wi], x, font))
-        x += variant.width + sum(allocations[wi].values())
-        if wi < gaps:
-            x += glue_widths[wi]
-
+    fits = [_Fit(v, params.kashida_policy) for v in variants]
+    line = _stretch(fits, measure, font.glue, is_last)
     return LineCandidate(
         word_range=word_range,
         variant_ids=tuple(v.id for v in variants),
-        natural=natural,
-        total_stretch=total_stretch,
-        total_shrink=total_shrink,
-        ratio=ratio,
-        badness=cost,
-        kashida_intervals=tuple(intervals),
-        signature=_signature(intervals, measure),
-        plans=tuple(tuple(sorted(a.items())) for a in allocations),
-        glue_widths=tuple(glue_widths),
-        width=width,
-        fills_measure=fills,
+        natural=line.natural,
+        total_stretch=line.total_stretch,
+        total_shrink=line.total_shrink,
+        ratio=line.ratio,
+        badness=line.badness,
+        kashida_intervals=tuple(line.intervals),
+        signature=line.signature,
+        plans=tuple(tuple(sorted(a.items())) if a else () for a in line.allocations),
+        glue_widths=tuple(line.glue_widths),
+        width=line.width,
+        fills_measure=line.fills_measure,
     )
 
 
@@ -323,7 +395,7 @@ class BreakNode:
     breaks: tuple[int, ...]
     variant_ids: tuple[str, ...]
     predecessor: tuple[int, frozenset[int]] | None
-    candidate: LineCandidate | None
+    line: tuple[int, tuple[WordVariant, ...]] | None  # (start word, variants)
 
 
 @dataclass(frozen=True)
@@ -503,11 +575,11 @@ def break_optimum(
     _check_widths(variant_lists, measure)
     n = len(words)
 
-    min_widths = [min(v.width for v in vl) for vl in variant_lists]
-    fits = [
-        [(v, v.width, kashida.word_capacity(v.sites, params.kashida_policy)) for v in vl]
-        for vl in variant_lists
-    ]
+    # min_prefix[k]: the narrowest packing of words[:k], glue aside.
+    min_prefix = list(
+        accumulate((min(v.width for v in vl) for vl in variant_lists), initial=0)
+    )
+    fits = [[_Fit(v, params.kashida_policy) for v in vl] for vl in variant_lists]
 
     start_key = (0, frozenset())
     nodes: dict[tuple[int, frozenset[int]], BreakNode] = {
@@ -518,7 +590,7 @@ def break_optimum(
             breaks=(),
             variant_ids=(),
             predecessor=None,
-            candidate=None,
+            line=None,
         )
     }
     by_index: dict[int, list[tuple[int, frozenset[int]]]] = {0: [start_key]}
@@ -532,63 +604,75 @@ def break_optimum(
         # total of any state it can produce: the cheapest state at its
         # start plus its demerits without an overlap charge.
         scored = []
-        # (width sum, capacity sum, variants) for every variant choice over
-        # words[i:j], grown by one word leftward per step.
-        combos: list[tuple[int, int, tuple[WordVariant, ...]]] = [(0, 0, ())]
+        # One entry per variant choice over words[i:j], grown by one word
+        # leftward per step: (width sum, capacity sum, fit of word i,
+        # entry for words[i+1:j]). The root entry ends every chain.
+        combos: list[tuple] = [(0, 0, None, None)]
         for i in range(j - 1, -1, -1):
+            gaps = j - i - 1
             # Even the narrowest packing of words[i:j] must shrink-fit.
-            min_natural = sum(min_widths[i:j]) + glue.width * (j - i - 1)
-            if min_natural > measure + glue.shrink * (j - i - 1):
+            total_shrink = glue.shrink * gaps
+            if min_prefix[j] - min_prefix[i] + glue.width * gaps > measure + total_shrink:
                 break
             combos = [
-                (width + w, cap + c, (v,) + combo)
-                for v, w, c in fits[i]
-                for width, cap, combo in combos
+                (combo[0] + fit.width, combo[1] + fit.capacity, fit, combo)
+                for fit in fits[i]
+                for combo in combos
             ]
             keys = by_index[i]
             if not keys:
                 continue
             floor = min(nodes[key].total_demerits for key in keys)
-            for width, cap, combo in combos:
-                cost = _line_fit(width, cap, j - i - 1, measure, glue, is_last)[-1]
+            short = measure - glue.width * gaps
+            glue_stretch = glue.stretch * gaps
+            for combo in combos:
+                cost = badness(
+                    _ratio(short - combo[0], glue_stretch + combo[1], total_shrink, is_last)
+                )
                 if cost < INF:
-                    bound = floor + min((params.line_penalty + cost) ** 2, INF)
-                    scored.append((bound, i, combo))
-        scored.sort(key=lambda t: t[0])
+                    # JustifyParams bounds line_penalty so that this stays below INF.
+                    bound = floor + (params.line_penalty + cost) ** 2
+                    scored.append((bound, i, combo, cost))
+        scored.sort(key=itemgetter(0))
 
         # theta: the least total + overlap_penalty * |signature| over the
         # states built at j so far. A state above it is dominated; see the
         # module docstring.
         theta: float = math.inf
         at_j: list[tuple[int, frozenset[int]]] = []
-        for bound, i, combo in scored:
+        for bound, i, combo, cost in scored:
             if bound > theta:
                 break
-            candidate = line_candidate(combo, (i, j), measure, font, params, is_last)
-            new_key = (j, candidate.signature)
+            line_fits = []
+            while combo[2] is not None:
+                line_fits.append(combo[2])
+                combo = combo[3]
+            signature = _stretch(line_fits, measure, glue, is_last).signature
+            variants = tuple(fit.variant for fit in line_fits)
+            variant_ids = tuple(v.id for v in variants)
+            new_key = (j, signature)
             for key in by_index[i]:
                 node = nodes[key]
-                d = demerits(candidate, params, node.signature)
-                total = node.total_demerits + d
+                total = node.total_demerits + _demerits(
+                    cost, signature, params, node.signature
+                )
                 if total > theta:
                     continue
                 new = BreakNode(
-                    signature=candidate.signature,
+                    signature=signature,
                     total_demerits=total,
                     line_count=node.line_count + 1,
                     breaks=node.breaks + (j,),
-                    variant_ids=node.variant_ids + candidate.variant_ids,
+                    variant_ids=node.variant_ids + variant_ids,
                     predecessor=key,
-                    candidate=candidate,
+                    line=(i, variants),
                 )
                 old = nodes.get(new_key)
                 if old is None or rank(new) < rank(old):
                     if old is None:
                         at_j.append(new_key)
                     nodes[new_key] = new
-                theta = min(
-                    theta, total + params.overlap_penalty * len(candidate.signature)
-                )
+                theta = min(theta, total + params.overlap_penalty * len(signature))
         kept = []
         for key in at_j:
             if nodes[key].total_demerits > theta:
@@ -604,21 +688,14 @@ def break_optimum(
         )
     best = min(finals, key=rank)
 
-    chain: list[BreakNode] = []
-    node: BreakNode | None = best
-    while node is not None and node.candidate is not None:
-        chain.append(node)
-        node = nodes[node.predecessor] if node.predecessor != start_key else None
-    chain.reverse()
-
+    # Only the lines of the winning chain are built in full.
     chosen = []
-    for node in chain:
-        candidate = node.candidate
-        i, j = candidate.word_range
-        id_by_word = dict(zip(range(i, j), candidate.variant_ids))
-        variants = tuple(
-            next(v for v in variant_lists[wi] if v.id == id_by_word[wi])
-            for wi in range(i, j)
-        )
+    node = best
+    while node.line is not None:
+        i, variants = node.line
+        j = node.breaks[-1]
+        candidate = line_candidate(variants, (i, j), measure, font, params, j == n)
         chosen.append((candidate, variants))
+        node = nodes[node.predecessor]
+    chosen.reverse()
     return _finalize(words, chosen, measure, font, best.total_demerits, params)

@@ -15,7 +15,9 @@ elongates. Whatever cannot be placed is returned as the residual, so
 allocations plus residual always equal the requested deficit.
 
 Only ``enumerate_sites`` reads the font; capacity, allocation and
-application all take the word's enumerated sites.
+application all take the word's enumerated sites. Each site also records
+where its elongation starts in the word (``StretchSite.x``), so that a
+line breaker can place elongations without reading glyphs or the font.
 """
 
 from __future__ import annotations
@@ -37,9 +39,18 @@ HINT_BOOST = 1000
 
 @dataclass(frozen=True)
 class StretchSite:
+    """A glyph that may elongate, and where in its word the elongation starts.
+
+    ``x`` is measured in the unstretched word: the pen before the glyph
+    (advances of the base glyphs before it), plus the glyph's ``x_offset``,
+    plus its ink's right edge. An elongation at an earlier site of the same
+    word moves it right by that elongation.
+    """
+
     glyph_index: int
     capacity: int
     priority: tuple[int, int]  # (stretch-class rank, position weight)
+    x: int
 
 
 @dataclass(frozen=True)
@@ -51,10 +62,14 @@ class ElongationPlan:
 def enumerate_sites(word: "ShapedWord", font: "FontDescription") -> list[StretchSite]:
     """Legal elongation sites, best first."""
     sites = []
+    pen = 0
     for gi, placed in enumerate(word.glyphs):
         if placed.is_mark:
             continue
-        capacity = font.glyphs[placed.glyph].max_extension
+        x = pen
+        pen += placed.advance
+        glyph = font.glyphs[placed.glyph]
+        capacity = glyph.max_extension
         if capacity <= 0:
             continue
         stretch_class = max(
@@ -66,7 +81,14 @@ def enumerate_sites(word: "ShapedWord", font: "FontDescription") -> list[Stretch
         rank = font.kashida_priority.get(stretch_class, stretch_class)
         if any(word.clusters[ci].stretch_hint for ci in word.glyph_clusters[gi]):
             rank += HINT_BOOST
-        sites.append(StretchSite(glyph_index=gi, capacity=capacity, priority=(rank, gi)))
+        sites.append(
+            StretchSite(
+                glyph_index=gi,
+                capacity=capacity,
+                priority=(rank, gi),
+                x=x + placed.x_offset + glyph.ink.x_max,
+            )
+        )
     sites.sort(key=lambda s: s.priority, reverse=True)
     return sites
 

@@ -111,6 +111,18 @@ class TestShape:
         code, _, _ = run(capsys, ["shape", "--font", FONT, "--text", "hello"])
         assert code == 2
 
+    @pytest.mark.parametrize("mapping", [{"fatha": "beh.isol"}, {"beh.isol": "fatha"}])
+    def test_substitution_swapping_mark_and_base_exit_1(self, capsys, tmp_path, mapping):
+        doc = json.loads(Path(FONT).read_text(encoding="utf-8"))
+        doc["gsub"].append({"kind": "single_sub", "feature": "rlig", "map": mapping})
+        font = tmp_path / "font.json"
+        font.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["shape", "--font", str(font), "--text", "بَ"])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_non_utf8_text_file_exit_2(self, capsys, tmp_path):
         argv = ["shape", "--font", FONT, "--text-file", non_utf8_file(tmp_path)]
         assert_one_error_exit_2(*run(capsys, argv))

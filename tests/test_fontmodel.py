@@ -162,6 +162,25 @@ class TestLoad:
         with pytest.raises(RefError):
             load_doc(doc)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"kind": "single_sub", "feature": "rlig", "map": {"fatha": "beh.isol"}},
+            {"kind": "single_sub", "feature": "rlig", "map": {"beh.isol": "fatha"}},
+            {"kind": "alternate_sub", "feature": "jalt", "alternates": {"beh.isol": ["fatha"]}},
+            {
+                "kind": "ligature_sub",
+                "feature": "liga",
+                "ligatures": [{"components": ["beh.init", "beh.fina"], "glyph": "fatha"}],
+            },
+        ],
+    )
+    def test_substitution_that_changes_mark_role_rejected(self, rule):
+        doc = demo_font_doc()
+        doc["gsub"].append(rule)
+        with pytest.raises(SchemaError, match=f"gsub {rule['kind']} rule"):
+            load_doc(doc)
+
 
 class TestRoundTrip:
     def test_serialize_is_canonical_fixed_point(self, demo_font):

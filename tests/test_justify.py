@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,9 @@ from qalam.textmodel import decompose
 
 from .break_oracle import oracle_best
 from .util import ALEF, BEH, DAL, SEEN, random_word_text, synth_font
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 def make_words(font, letters: str):
@@ -333,6 +338,53 @@ class TestBreakOptimum:
         # enumerates them again.
         assert len(built) == len(words)
         assert len(calls) == sum(built)
+
+    def test_builds_only_returned_lines(self, demo_font, corpus_lines, monkeypatch):
+        from qalam import justify
+
+        words = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"}))
+            for c in decompose(" ".join(corpus_lines))
+        ]
+        built = []
+        real_candidate = justify.line_candidate
+
+        def counted_candidate(variants, word_range, *rest):
+            built.append(word_range)
+            return real_candidate(variants, word_range, *rest)
+
+        monkeypatch.setattr(justify, "line_candidate", counted_candidate)
+        layout = break_optimum(words, 4000, demo_font, JustifyParams(variants=True))
+        assert len(layout.lines) > 1
+        assert sorted(built) == [line.candidate.word_range for line in layout.lines]
+
+    @pytest.mark.parametrize("policy", ["single_site", "spread", "off"])
+    @pytest.mark.parametrize("overlap_penalty", [0, 3000, INF])
+    def test_total_matches_returned_lines_on_long_paragraphs(
+        self, demo_font, policy, overlap_penalty
+    ):
+        # The search scores lines from badness and signature alone; the
+        # returned lines are built in full afterwards. Their demerits must
+        # add up to the total the search found, on paragraphs longer than
+        # the oracle can check.
+        params = JustifyParams(
+            overlap_penalty=overlap_penalty, variants=True, kashida_policy=policy
+        )
+        rng = random.Random(17)
+        for stream in (gen.fresh_paragraphs, gen.zipf_paragraphs):
+            text = next(stream(rng.randint(1, 1000), words=rng.randint(30, 60)))
+            words = [
+                shape_word(c, demo_font, frozenset({"liga", "jalt"}))
+                for c in decompose(text)
+            ]
+            for measure in (4000, 9000, 16000):
+                layout = break_optimum(words, measure, demo_font, params)
+                total = 0
+                prev_signature: frozenset[int] = frozenset()
+                for line in layout.lines:
+                    total += demerits(line.candidate, params, prev_signature)
+                    prev_signature = line.candidate.signature
+                assert layout.total_demerits == total, (text, measure)
 
     def test_dominates_greedy(self, demo_font):
         rng = random.Random(31)

@@ -13,6 +13,10 @@ font:
 - ``shape``, with and without ``--features liga,jalt``;
 - ``justify --features liga,jalt`` for greedy and optimum, width variants
   on and off, at widths 1200, 4000 and 16000;
+- ``justify --features liga,jalt --algorithm optimum --variants on`` at
+  the same widths with each of ``--kashida-policy spread``,
+  ``--kashida-policy off``, ``--overlap-penalty 0`` and
+  ``--overlap-penalty inf``;
 - ``render`` of every layout that the commands above wrote.
 
 Before the paragraphs, each tree also runs a fixed list of command lines
@@ -42,12 +46,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FEATURES = ("--features", "liga,jalt")
-COMMANDS = [("shape",), ("shape", *FEATURES)] + [
-    ("justify", *FEATURES, "--algorithm", algorithm, "--variants", variants, "--width", width)
-    for algorithm in ("greedy", "optimum")
-    for variants in ("off", "on")
-    for width in ("1200", "4000", "16000")
+WIDTHS = ("1200", "4000", "16000")
+#: Breaker settings other than the defaults (``--kashida-policy single``,
+#: ``--overlap-penalty 3000``), each run on its own.
+BREAKER_OPTIONS = [
+    ("--kashida-policy", "spread"),
+    ("--kashida-policy", "off"),
+    ("--overlap-penalty", "0"),
+    ("--overlap-penalty", "inf"),
 ]
+COMMANDS = (
+    [("shape",), ("shape", *FEATURES)]
+    + [
+        ("justify", *FEATURES, "--algorithm", algorithm, "--variants", variants, "--width", width)
+        for algorithm in ("greedy", "optimum")
+        for variants in ("off", "on")
+        for width in WIDTHS
+    ]
+    + [
+        ("justify", *FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", width,
+         *option)
+        for option in BREAKER_OPTIONS
+        for width in WIDTHS
+    ]
+)
 
 _TEXT = ("--text", "\u0628")
 _JSON_ERRORS = ("--format", "json-errors")
