@@ -6,6 +6,10 @@ resize diacritics to fill the space words offer (diacritics), plan
 elongations (kashida), and break paragraphs into justified lines
 (justify). The qalam CLI drives the whole chain and emits layout JSON and
 SVG proofs.
+
+Records are ``typing.NamedTuple``s (``errors.checked`` adds field checks)
+and mutable working state is a ``__slots__`` class. No module uses
+``dataclasses``: generating their methods cost most of a command's start-up.
 """
 
 from .errors import Diagnostic, QalamError, Severity

@@ -15,7 +15,9 @@ nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 
 from . import layout as layout_mod
@@ -196,16 +198,25 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     built, which is all such a command line can reach; the subcommand list
     in usage lines still names all four. Otherwise (no arguments, ``-h``, an
     unknown word) the whole tree is built.
+
+    The terminal width is read once here, where argparse would read it
+    again for every argument that a parser adds. It is the width argparse
+    itself would use, so help and usage text do not change.
     """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _Parser(
         prog="qalam",
         description="Arabic shaping and justification engine",
+        formatter_class=formatter,
     )
     only = command in _SUBCOMMANDS
     sub = parser.add_subparsers(
         dest="command",
         required=True,
         metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None,
+        parser_class=functools.partial(_Parser, formatter_class=formatter),
     )
     for name in (command,) if only else _SUBCOMMANDS:
         _SUBCOMMANDS[name](sub)

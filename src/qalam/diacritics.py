@@ -54,8 +54,7 @@ The passes run in this order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import Diagnostic, Severity
 from .fontmodel import FontDescription, SizedMark, SizeVariant
@@ -64,8 +63,7 @@ from .shaper import ShapedWord
 from .textmodel import Placement
 
 
-@dataclass(frozen=True)
-class PlacedMark:
+class PlacedMark(NamedTuple):
     """A mark's final identity, size, and absolute position in the word.
 
     ``mark`` is the canonical mark id (the normal-size glyph); the glyph
@@ -89,16 +87,33 @@ def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     return SizeVariant.NORMAL
 
 
-@dataclass
 class _MarkState:
-    mark_id: str
-    sized: SizedMark  # the mark at its current size
-    stacked_on: int | None
-    anchor_x: int
-    anchor_y: int
-    x: int
-    y: int
-    variant: SizeVariant = SizeVariant.NORMAL
+    """One mark as the sweep places it: ``sized`` is the mark at its
+    current size, ``anchor_x``/``anchor_y`` the point it attaches to, and
+    ``x``/``y`` its origin."""
+
+    __slots__ = (
+        "mark_id", "sized", "stacked_on", "anchor_x", "anchor_y", "x", "y", "variant"
+    )
+
+    def __init__(
+        self,
+        mark_id: str,
+        sized: SizedMark,
+        stacked_on: int | None,
+        anchor_x: int,
+        anchor_y: int,
+        x: int,
+        y: int,
+    ) -> None:
+        self.mark_id = mark_id
+        self.sized = sized
+        self.stacked_on = stacked_on
+        self.anchor_x = anchor_x
+        self.anchor_y = anchor_y
+        self.x = x
+        self.y = y
+        self.variant = SizeVariant.NORMAL
 
 
 class _Placer:
@@ -239,17 +254,23 @@ class _Placer:
         ]
 
 
-@dataclass
 class _StackUnit:
     """Marks that move together: a mark on a base and the marks stacked
-    on it, with their joint ink x interval."""
+    on it, with their joint ink x interval [``lo``, ``hi``]. ``side`` is
+    the side of the unit's first mark; a ``pinned`` unit carries a
+    gemination mark, so it never moves; ``dx`` is the unit's nudge."""
 
-    marks: list[PlacedMark]
-    side: Placement  # the side of the unit's first mark
-    lo: int
-    hi: int
-    pinned: bool  # carries a gemination mark, so it never moves
-    dx: int = 0
+    __slots__ = ("marks", "side", "lo", "hi", "pinned", "dx")
+
+    def __init__(
+        self, marks: list[PlacedMark], side: Placement, lo: int, hi: int, pinned: bool
+    ) -> None:
+        self.marks = marks
+        self.side = side
+        self.lo = lo
+        self.hi = hi
+        self.pinned = pinned
+        self.dx = 0
 
 
 _SIDES = (Placement.ABOVE, Placement.BELOW, Placement.THROUGH)

@@ -8,12 +8,15 @@ cannot be set at the requested measure).
 Diagnostics are non-fatal findings: font lint results, unresolvable mark
 overlaps, leftover space annotations. They carry a stable machine-readable
 code (documented in docs/layout-format.md) plus a human message.
+
+``checked`` makes a ``NamedTuple`` record check its fields whenever one is
+built.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class QalamError(Exception):
@@ -115,8 +118,7 @@ class Severity(enum.Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One non-fatal finding, with a stable code for tooling."""
 
     severity: Severity
@@ -131,3 +133,22 @@ class Diagnostic:
             "message": self.message,
             "location": list(self.location),
         }
+
+
+def checked(cls):
+    """Decorate a ``NamedTuple`` class so that every record ``cls(...)``,
+    ``cls._make`` or ``record._replace`` builds runs ``record._check()``,
+    which raises on bad field values. ``tuple.__new__(cls, values)`` builds
+    a record without the check, for values already checked."""
+
+    def with_check(build):
+        def build_checked(*args, **kwargs):
+            record = build(*args, **kwargs)
+            record._check()
+            return record
+
+        return build_checked
+
+    cls.__new__ = with_check(cls.__new__)
+    cls._make = classmethod(with_check(cls._make.__func__))
+    return cls

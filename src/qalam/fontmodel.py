@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     RefError,
     SchemaError,
     Severity,
+    checked,
 )
 from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
 from .textmodel import (
@@ -61,20 +62,23 @@ class LigatureKind(enum.Enum):
     AESTHETIC = "aesthetic"
 
 
-@dataclass(frozen=True)
-class AnchorPoint:
+#: The default of a mapping field: records share it, so it is read-only.
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+class AnchorPoint(NamedTuple):
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class Rect:
+@checked
+class Rect(NamedTuple):
     x_min: int
     y_min: int
     x_max: int
     y_max: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise SchemaError(
                 f"degenerate ink box ({self.x_min},{self.y_min},{self.x_max},{self.y_max})"
@@ -93,26 +97,25 @@ class Rect:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class GlyphMetrics:
+@checked
+class GlyphMetrics(NamedTuple):
     """Metrics of one base glyph."""
 
     advance: int
     ink: Rect
-    anchors: Mapping[Placement, AnchorPoint] = field(default_factory=dict)
+    anchors: Mapping[Placement, AnchorPoint] = _NO_ENTRIES
     max_extension: int = 0
     mass_class: MassClass = MassClass.MEDIUM
     svg_path: str | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.advance < 0:
             raise SchemaError("glyph advance must be >= 0")
         if self.max_extension < 0:
             raise SchemaError("max_extension must be >= 0")
 
 
-@dataclass(frozen=True)
-class MarkGlyph:
+class MarkGlyph(NamedTuple):
     """Metrics of one mark glyph.
 
     ``variants`` maps size names to mark glyph ids and is present only on
@@ -146,8 +149,8 @@ class SizedMark(NamedTuple):
     elongatable: bool
 
 
-@dataclass(frozen=True)
-class LigatureEntry:
+@checked
+class LigatureEntry(NamedTuple):
     """A ligature glyph and the per-component mark anchors it exposes."""
 
     components: tuple[str, ...]
@@ -155,7 +158,7 @@ class LigatureEntry:
     component_anchors: tuple[Mapping[Placement, AnchorPoint], ...]
     kind: LigatureKind
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.component_anchors) != len(self.components):
             raise SchemaError(
                 f"ligature {self.glyph}: {len(self.component_anchors)} anchor sets "
@@ -163,14 +166,14 @@ class LigatureEntry:
             )
 
 
-@dataclass(frozen=True)
-class SizeThresholds:
+@checked
+class SizeThresholds(NamedTuple):
     """Free-span widths at which a growable mark switches size."""
 
     medium: int
     large: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.medium < self.large:
             raise RangeError(
                 f"size thresholds must satisfy 0 < medium < large, "
@@ -178,23 +181,22 @@ class SizeThresholds:
             )
 
 
-@dataclass(frozen=True)
-class GlueSpec:
+@checked
+class GlueSpec(NamedTuple):
     """Inter-word space: natural width, stretch and shrink allowances."""
 
     width: int
     stretch: int
     shrink: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if min(self.width, self.stretch, self.shrink) < 0:
             raise SchemaError("glue values must be >= 0")
         if self.shrink > self.width:
             raise SchemaError("glue shrink cannot exceed its width")
 
 
-@dataclass(frozen=True)
-class FontDescription:
+class _FontFields(NamedTuple):
     font_id: str
     units_per_em: int
     glyphs: Mapping[str, GlyphMetrics]
@@ -205,12 +207,15 @@ class FontDescription:
     gsub: tuple[LookupRule, ...]
     gpos: tuple[LookupRule, ...]
     size_thresholds: SizeThresholds
-    kashida_priority: Mapping[int, int] = field(default_factory=dict)
-    mass_positions: Mapping[MassClass, Mapping[Placement, int]] = field(default_factory=dict)
-    mass_variants: Mapping[MassClass, SizeVariant] = field(default_factory=dict)
+    kashida_priority: Mapping[int, int] = _NO_ENTRIES
+    mass_positions: Mapping[MassClass, Mapping[Placement, int]] = _NO_ENTRIES
+    mass_variants: Mapping[MassClass, SizeVariant] = _NO_ENTRIES
     glue: GlueSpec = GlueSpec(250, 125, 80)
 
-    # Tables derived from the font, built once per font on first use.
+
+class FontDescription(_FontFields):
+    """A font's fields, and the tables derived from them, each built once
+    per font on first use and kept in the instance's ``__dict__``."""
 
     @cached_property
     def ligature_by_glyph(self) -> dict[str, LigatureEntry]:
@@ -338,19 +343,6 @@ _SIZE_VARIANTS = {v.value: v for v in SizeVariant}
 _FORMS = {f.value: f for f in Form}
 
 
-def _checked(cls, fields: dict):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``.
-
-    ``__init__`` is skipped, with its per-field ``object.__setattr__``
-    calls and its ``__post_init__`` checks: callers pass only values they
-    have already checked as ``__post_init__`` would. The loader builds
-    several such records per glyph.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
-
-
 def _point(value, ctx: str) -> AnchorPoint:
     if type(value) is not list or len(value) != 2:
         raise SchemaError(f"{ctx}: expected [x, y], got {value!r}")
@@ -358,7 +350,7 @@ def _point(value, ctx: str) -> AnchorPoint:
     for v in value:
         if type(v) is not int:
             raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
-    return _checked(AnchorPoint, {"x": x, "y": y})
+    return AnchorPoint(x, y)
 
 
 def _ink(value, ctx: str) -> Rect:
@@ -370,9 +362,7 @@ def _ink(value, ctx: str) -> Rect:
             raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
     if x_min > x_max or y_min > y_max:
         raise SchemaError(f"degenerate ink box ({x_min},{y_min},{x_max},{y_max})")
-    return _checked(
-        Rect, {"x_min": x_min, "y_min": y_min, "x_max": x_max, "y_max": y_max}
-    )
+    return tuple.__new__(Rect, value)  # checked above
 
 
 def _anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
@@ -386,7 +376,7 @@ def _anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
         if type(point) is list and len(point) == 2:
             x, y = point
             if type(x) is int and type(y) is int:
-                out[side] = _checked(AnchorPoint, {"x": x, "y": y})
+                out[side] = AnchorPoint(x, y)
                 continue
         _point(point, f"{ctx}.{key}")  # raises this point's error
     return out
@@ -420,16 +410,8 @@ def _parse_glyph(gid: str, obj) -> GlyphMetrics:
         raise SchemaError("glyph advance must be >= 0")
     if max_extension < 0:
         raise SchemaError("max_extension must be >= 0")
-    return _checked(
-        GlyphMetrics,
-        {
-            "advance": advance,
-            "ink": ink,
-            "anchors": anchors,
-            "max_extension": max_extension,
-            "mass_class": mass_class,
-            "svg_path": svg_path,
-        },
+    return tuple.__new__(  # checked above
+        GlyphMetrics, (advance, ink, anchors, max_extension, mass_class, svg_path)
     )
 
 
@@ -467,17 +449,7 @@ def _parse_mark(mid: str, obj) -> MarkGlyph:
     anchor = _point(obj["anchor"], ctx)
     if "ink" not in obj:
         raise SchemaError(f"{ctx}: missing required field 'ink'")
-    return _checked(
-        MarkGlyph,
-        {
-            "attachment_class": side,
-            "anchor": anchor,
-            "ink": _ink(obj["ink"], ctx),
-            "variants": variants,
-            "stack_anchor": stack_anchor,
-            "svg_path": svg_path,
-        },
-    )
+    return MarkGlyph(side, anchor, _ink(obj["ink"], ctx), variants, stack_anchor, svg_path)
 
 
 def _parse_ligature(obj, index: int) -> LigatureEntry:

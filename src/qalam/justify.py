@@ -51,14 +51,13 @@ signature is non-empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import kashida
 from .diacritics import at_word, mark_word
-from .errors import Diagnostic, NoFeasibleBreak, Severity, WordTooWide
+from .errors import Diagnostic, NoFeasibleBreak, Severity, WordTooWide, checked
 from .fontmodel import FontDescription, GlueSpec
 from .shaper import ShapedWord, WordVariant, default_variant, word_variants
 
@@ -79,8 +78,8 @@ MIN_LINE_PENALTY = -math.isqrt(INF - 1)
 MAX_LINE_PENALTY = math.isqrt(INF - 1) - MAX_BADNESS
 
 
-@dataclass(frozen=True)
-class JustifyParams:
+@checked
+class JustifyParams(NamedTuple):
     line_penalty: int = 10
     overlap_penalty: int = 3000
     variants: bool = False
@@ -88,7 +87,7 @@ class JustifyParams:
     width_tolerance: int = 1
     gap_epsilon: int = 10
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # A negative penalty would reward stacked elongations and void the
         # breaker's dominance bound.
         if self.overlap_penalty < 0:
@@ -118,8 +117,7 @@ def badness(ratio: float | None) -> int:
     return cost if cost < MAX_BADNESS else MAX_BADNESS
 
 
-@dataclass(frozen=True)
-class LineCandidate:
+class LineCandidate(NamedTuple):
     """One candidate line: break range, variant choice, cost, assignment.
 
     ``fills_measure`` is False only for a non-final line that physically
@@ -385,8 +383,7 @@ def line_candidate(
     )
 
 
-@dataclass(frozen=True)
-class BreakNode:
+class BreakNode(NamedTuple):
     """Dynamic-programming state after laying a line."""
 
     signature: frozenset[int]
@@ -398,16 +395,14 @@ class BreakNode:
     line: tuple[int, tuple[WordVariant, ...]] | None  # (start word, variants)
 
 
-@dataclass(frozen=True)
-class LineLayout:
+class LineLayout(NamedTuple):
     """A finished line: its candidate and its stretched, marked words."""
 
     candidate: LineCandidate
     words: tuple[ShapedWord, ...]
 
 
-@dataclass(frozen=True)
-class ParagraphLayout:
+class ParagraphLayout(NamedTuple):
     lines: tuple[LineLayout, ...]
     total_demerits: int
     measure: int

@@ -22,8 +22,7 @@ line breaker can place elongations without reading glyphs or the font.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import CapacityExceeded
 
@@ -37,8 +36,7 @@ if TYPE_CHECKING:
 HINT_BOOST = 1000
 
 
-@dataclass(frozen=True)
-class StretchSite:
+class StretchSite(NamedTuple):
     """A glyph that may elongate, and where in its word the elongation starts.
 
     ``x`` is measured in the unstretched word: the pen before the glyph
@@ -53,8 +51,7 @@ class StretchSite:
     x: int
 
 
-@dataclass(frozen=True)
-class ElongationPlan:
+class ElongationPlan(NamedTuple):
     allocations: dict[int, int]
     residual: int
 
@@ -150,5 +147,5 @@ def apply_plan(
 
     new_glyphs = list(word.glyphs)
     for gi, amount in plan.allocations.items():
-        new_glyphs[gi] = replace(new_glyphs[gi], elongation=amount)
-    return replace(word, glyphs=tuple(new_glyphs))
+        new_glyphs[gi] = new_glyphs[gi]._replace(elongation=amount)
+    return word._replace(glyphs=tuple(new_glyphs))

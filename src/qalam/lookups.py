@@ -21,19 +21,17 @@ each one goes, from those same anchors and the word's geometry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import BadComponent, MissingAnchor, SchemaError
+from .errors import BadComponent, MissingAnchor, SchemaError, checked
 from .textmodel import Placement
 
 if TYPE_CHECKING:
     from .fontmodel import FontDescription, LigatureEntry
 
 
-@dataclass(frozen=True)
-class CoverageTable:
+class CoverageTable(NamedTuple):
     """The set of glyphs a rule applies to."""
 
     glyphs: frozenset[str]
@@ -44,12 +42,6 @@ class CoverageTable:
 
     def covers(self, glyph_id: str) -> bool:
         return glyph_id in self.glyphs
-
-    def __iter__(self):
-        return iter(sorted(self.glyphs))
-
-    def __len__(self) -> int:
-        return len(self.glyphs)
 
 
 class LookupKind(enum.Enum):
@@ -81,51 +73,56 @@ MARK_ATTACH_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LigatureSub:
+class LigatureSub(NamedTuple):
     """One ligature mapping: a component run collapses to one glyph."""
 
     components: tuple[str, ...]
     ligature: str
 
 
-@dataclass(frozen=True)
-class ContextualSub:
+class ContextualSub(NamedTuple):
     """Exact-sequence match with single-glyph replacements at offsets."""
 
     match: tuple[str, ...]
     substitutions: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class PairAdjustment:
+class PairAdjustment(NamedTuple):
     first: str
     second: str
     delta_advance: int
 
 
-@dataclass(frozen=True)
-class LookupRule:
-    """One substitution or positioning rule, gated by a feature tag."""
-
+class _LookupRuleFields(NamedTuple):
     kind: LookupKind
     feature: str
     coverage: CoverageTable
     payload: object
     flags: frozenset[str] = frozenset()
 
+
+@checked
+class LookupRule(_LookupRuleFields):
+    """One substitution or positioning rule, gated by a feature tag.
+
+    A subclass of its fields, so that it has a ``__dict__`` for
+    ``pair_map``, which is built on first use.
+    """
+
     @cached_property
     def pair_map(self) -> dict[tuple[str, str], int]:
         """A pair adjustment rule's advance deltas keyed by (first, second)."""
         return {(e.first, e.second): e.delta_advance for e in self.payload}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         bad = self.flags - {"ignore_marks"}
         if bad:
             raise SchemaError(f"unknown lookup flags {sorted(bad)}")
         self._check_payload()
 
     def _check_payload(self) -> None:
+        # ``type(...) is tuple``: qalam's records are tuples too, and none
+        # of them is a payload or a payload value.
         kind, payload = self.kind, self.payload
         if kind is LookupKind.SINGLE_SUB:
             ok = isinstance(payload, dict) and all(
@@ -133,29 +130,29 @@ class LookupRule:
             )
         elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
             ok = isinstance(payload, dict) and all(
-                isinstance(v, tuple) and len(v) > 0 for v in payload.values()
+                type(v) is tuple and len(v) > 0 for v in payload.values()
             )
         elif kind is LookupKind.LIGATURE_SUB:
-            ok = isinstance(payload, tuple) and all(
+            ok = type(payload) is tuple and all(
                 isinstance(e, LigatureSub) and len(e.components) >= 2 for e in payload
             )
         elif kind is LookupKind.CONTEXTUAL_SUB:
-            ok = isinstance(payload, tuple) and all(
+            ok = type(payload) is tuple and all(
                 isinstance(e, ContextualSub)
                 and all(0 <= off < len(e.match) for off, _ in e.substitutions)
                 for e in payload
             )
         elif kind is LookupKind.SINGLE_ADJ:
             ok = isinstance(payload, dict) and all(
-                isinstance(v, tuple) and len(v) == 3 for v in payload.values()
+                type(v) is tuple and len(v) == 3 for v in payload.values()
             )
         elif kind is LookupKind.PAIR_ADJ:
-            ok = isinstance(payload, tuple) and all(
+            ok = type(payload) is tuple and all(
                 isinstance(e, PairAdjustment) for e in payload
             )
         elif kind is LookupKind.CURSIVE_ATTACH:
             ok = isinstance(payload, dict) and all(
-                isinstance(v, tuple) and len(v) == 2 for v in payload.values()
+                type(v) is tuple and len(v) == 2 for v in payload.values()
             )
         else:  # mark attachment kinds carry the other side's coverage
             ok = isinstance(payload, CoverageTable)
@@ -367,8 +364,8 @@ def rule_to_json(rule: LookupRule) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PlacedGlyph:
+@checked
+class PlacedGlyph(NamedTuple):
     """One glyph with resolved position data.
 
     Base glyphs advance the pen; their offsets are relative to their own
@@ -387,15 +384,14 @@ class PlacedGlyph:
     attached_to: tuple[int, Placement] | None = None
     is_mark: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.is_mark and self.advance != 0:
             raise ValueError(f"mark glyph {self.glyph} must have zero advance")
         if self.elongation < 0:
             raise ValueError(f"negative elongation on {self.glyph}")
 
 
-@dataclass(frozen=True)
-class GlyphItem:
+class GlyphItem(NamedTuple):
     """A glyph id plus the source cluster indices it represents.
 
     Used to carry cluster attribution through substitution so marks can be
@@ -447,11 +443,11 @@ def _apply_rule(rule: LookupRule, items: list[GlyphItem]) -> list[GlyphItem]:
             if (skip and it.is_mark) or not rule.coverage.covers(it.glyph):
                 out.append(it)
             elif rule.kind is LookupKind.SINGLE_SUB:
-                out.append(replace(it, glyph=mapping[it.glyph]))
+                out.append(it._replace(glyph=mapping[it.glyph]))
             elif rule.kind is LookupKind.MULTIPLE_SUB:
-                out.extend(replace(it, glyph=g) for g in mapping[it.glyph])
+                out.extend(it._replace(glyph=g) for g in mapping[it.glyph])
             else:  # alternate substitution applies its first alternative
-                out.append(replace(it, glyph=mapping[it.glyph][0]))
+                out.append(it._replace(glyph=mapping[it.glyph][0]))
         return out
 
     if rule.kind is LookupKind.LIGATURE_SUB:
@@ -496,7 +492,7 @@ def _apply_rule(rule: LookupRule, items: list[GlyphItem]) -> list[GlyphItem]:
                     positions, _ = m
                     for off, new_glyph in entry.substitutions:
                         p = positions[off]
-                        result[p] = replace(result[p], glyph=new_glyph)
+                        result[p] = result[p]._replace(glyph=new_glyph)
                     i = max(positions) + 1
                     advanced = True
                     break
@@ -588,8 +584,7 @@ def position_marks(
             for idx, pg in enumerate(placed):
                 if pg is not None and not pg.is_mark and rule.coverage.covers(pg.glyph):
                     dx, dy, dadv = rule.payload[pg.glyph]
-                    placed[idx] = replace(
-                        pg,
+                    placed[idx] = pg._replace(
                         x_offset=pg.x_offset + dx,
                         y_offset=pg.y_offset + dy,
                         advance=pg.advance + dadv,
@@ -600,7 +595,7 @@ def position_marks(
             for a, b in zip(base_idx, base_idx[1:]):
                 key = (placed[a].glyph, placed[b].glyph)
                 if rule.coverage.covers(key[0]) and key in pair_map:
-                    placed[a] = replace(placed[a], advance=placed[a].advance + pair_map[key])
+                    placed[a] = placed[a]._replace(advance=placed[a].advance + pair_map[key])
         elif rule.kind is LookupKind.CURSIVE_ATTACH:
             base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
             for a, b in zip(base_idx, base_idx[1:]):
@@ -609,7 +604,7 @@ def position_marks(
                     exit_anchor = rule.payload[ga][1]
                     entry_anchor = rule.payload[gb][0]
                     dy = placed[a].y_offset + exit_anchor[1] - entry_anchor[1]
-                    placed[b] = replace(placed[b], y_offset=placed[b].y_offset + dy)
+                    placed[b] = placed[b]._replace(y_offset=placed[b].y_offset + dy)
 
     mark_rules = [r for r in active if r.kind in MARK_ATTACH_KINDS]
     ligature_map = font.ligature_by_glyph

@@ -20,7 +20,6 @@ that recurs is shaped once and every occurrence shares the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -35,8 +34,7 @@ from .textmodel import SHADDA_CP, Cluster, analyze_joining
 ALWAYS_ON_FEATURES = frozenset({"rlig", "mark", "mkmk"})
 
 
-@dataclass(frozen=True)
-class WordVariant:
+class WordVariant(NamedTuple):
     """One renderable width alternative for a word."""
 
     id: str
@@ -46,14 +44,19 @@ class WordVariant:
     word: "ShapedWord"
 
 
-@dataclass(frozen=True)
-class ShapedWord:
-    """A word's glyphs and their source clusters."""
-
+class _ShapedWordFields(NamedTuple):
     glyphs: tuple[PlacedGlyph, ...]
     clusters: tuple[Cluster, ...]
     glyph_clusters: tuple[tuple[int, ...], ...]
     features: frozenset[str]
+
+
+class ShapedWord(_ShapedWordFields):
+    """A word's glyphs and their source clusters.
+
+    A subclass of its fields, so that it has a ``__dict__`` for ``tables``,
+    which are built on first use.
+    """
 
     @property
     def natural_width(self) -> int:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateMark,
@@ -30,6 +29,7 @@ from .errors import (
     ParseError,
     SchemaError,
     UnsupportedCharacter,
+    checked,
 )
 
 TATWEEL_CP = 0x0640
@@ -87,8 +87,8 @@ class Form(enum.Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True, slots=True)
-class LetterRecord:
+@checked
+class LetterRecord(NamedTuple):
     """Linguistic and typographic properties of one base letter."""
 
     code_point: int
@@ -100,7 +100,7 @@ class LetterRecord:
     stretch_class: int
     default_mass_class: MassClass
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if (self.dot_count == 0) != (self.dot_position is DotPosition.NONE):
             raise ValueError(
                 f"{self.name}: dot_count {self.dot_count} inconsistent with "
@@ -110,8 +110,7 @@ class LetterRecord:
             raise ValueError(f"{self.name}: stretch_class must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class DiacriticRecord:
+class DiacriticRecord(NamedTuple):
     """Properties of one combining mark."""
 
     code_point: int
@@ -124,8 +123,8 @@ class DiacriticRecord:
         return self.code_point in ELONGATABLE_MARKS
 
 
-@dataclass(frozen=True, slots=True)
-class Cluster:
+@checked
+class Cluster(NamedTuple):
     """A base letter plus the marks that ride on it, in input order.
 
     ``stretch_hint`` counts explicit elongation characters typed after the
@@ -136,7 +135,7 @@ class Cluster:
     marks: tuple[DiacriticRecord, ...] = ()
     stretch_hint: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         seen: set[int] = set()
         vowel_slots = 0
         for mark in self.marks:

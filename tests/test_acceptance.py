@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -161,7 +160,7 @@ def test_criterion_3_attachment_arithmetic():
             assert offset == mass
             placed = mark_word(word, font, 10, 0)[0].glyphs[1]
             assert (placed.x_offset, placed.y_offset) == (bx - mx, by + offset - my)
-            moved = replace(word, glyphs=(replace(base, x_offset=dx, y_offset=dy), mark))
+            moved = word._replace(glyphs=(base._replace(x_offset=dx, y_offset=dy), mark))
             shifted = mark_word(moved, font, 10, 0)[0].glyphs[1]
             assert shifted.x_offset == placed.x_offset + dx
             assert shifted.y_offset == placed.y_offset + dy
@@ -356,8 +355,6 @@ def test_criterion_10_font_lint(demo_font):
 
         # The multilevel rule needs an in-memory font: the loader already
         # rejects >2 components at parse time.
-        import dataclasses
-
         from qalam.fontmodel import LigatureEntry, LigatureKind
 
         wide = LigatureEntry(
@@ -369,6 +366,6 @@ def test_criterion_10_font_lint(demo_font):
             * 3,
             kind=LigatureKind.AESTHETIC,
         )
-        font = dataclasses.replace(demo_font, ligatures=demo_font.ligatures + (wide,))
+        font = demo_font._replace(ligatures=demo_font.ligatures + (wide,))
         assert "multilevel-ligature" in {d.code for d in lint_font(font)}
         assert len(triggers) + 1 >= 6

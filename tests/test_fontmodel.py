@@ -279,9 +279,7 @@ class TestLint:
             * 3,
             kind=LigatureKind.AESTHETIC,
         )
-        import dataclasses
-
-        font = dataclasses.replace(demo_font, ligatures=demo_font.ligatures + (bad,))
+        font = demo_font._replace(ligatures=demo_font.ligatures + (bad,))
         assert "multilevel-ligature" in {d.code for d in lint_font(font)}
 
     def test_ligature_anchor_gap(self):

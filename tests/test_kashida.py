@@ -148,6 +148,11 @@ class TestApplyPlan:
         with pytest.raises(CapacityExceeded):
             apply_plan(w, ElongationPlan({0: 10}, 0), enumerate_sites(w, demo_font))
 
+    def test_negative_amount_rejected(self, demo_font):
+        w = word("س", demo_font)
+        with pytest.raises(CapacityExceeded, match="negative elongation at glyph 0"):
+            apply_plan(w, ElongationPlan({0: -10}, 0), enumerate_sites(w, demo_font))
+
     # apply_plan only widens glyphs; placement re-centers the marks over the
     # stretched glyph.
 

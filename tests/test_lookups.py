@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,8 +202,8 @@ def mass_above(font: FontDescription, glyph: str) -> int:
 def marked(text: str, font: FontDescription, shift=(0, 0)):
     """The word's glyphs once marked, its first base moved by ``shift``."""
     w = word(text, font)
-    base = replace(w.glyphs[0], x_offset=shift[0], y_offset=shift[1])
-    w = replace(w, glyphs=(base, *w.glyphs[1:]))
+    base = w.glyphs[0]._replace(x_offset=shift[0], y_offset=shift[1])
+    w = w._replace(glyphs=(base, *w.glyphs[1:]))
     return mark_word(w, font, 10, 0)[0].glyphs
 
 

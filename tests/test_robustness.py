@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import random
 
@@ -197,3 +198,89 @@ def test_font_missing_mark_geometry_is_one_error(
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+#: Values tried for each flag: valid ones, then ones the flag must
+#: reject. ``{tmp}`` stands for the test's temporary directory.
+FLAG_VALUES = {
+    "--font": ([str(DEMO_FONT_PATH)], ["{tmp}/missing.json", "{tmp}/bad-font.json", ""]),
+    "--format": (["text", "json-errors"], ["xml"]),
+    "--text": (["سَبُّ لَا", "بـــَ سِينٌ", "مَدْرَسَة"], ["", "  ", "abc", "َب", "بُِ"]),
+    "--text-file": (["{tmp}/text.txt"], ["{tmp}/latin1.txt", "{tmp}/missing.txt"]),
+    "--features": (["", "liga,jalt", "ss01", ",,"], ["nope"]),
+    "--gap-epsilon": (["10", "0"], ["-1", "x"]),
+    "--width": (["4000", "1200", "900", "100000"], ["0", "-5", "1", "abc"]),
+    "--algorithm": (["greedy", "optimum"], ["best"]),
+    "--line-penalty": (["10", "-10"], ["x", str(10**20)]),
+    "--overlap-penalty": (["3000", "inf", "0"], ["-1", "nan"]),
+    "--variants": (["on", "off"], ["maybe"]),
+    "--kashida-policy": (["single", "spread", "off"], ["all"]),
+    "--stats": None,
+    "--input": (["-", "{tmp}/layout.json"], ["{tmp}/text.txt", "{tmp}/missing.json"]),
+    "-h": None,
+}
+#: Each subcommand's own flags, a tuple for flags that exclude each other;
+#: the fuzz gives a subcommand others' flags too.
+TEXT_FLAGS = ("--text", "--text-file")
+COMMAND_FLAGS = {
+    "shape": ["--font", "--format", TEXT_FLAGS, "--features", "--gap-epsilon"],
+    "justify": [
+        "--font", "--format", TEXT_FLAGS, "--features", "--gap-epsilon", "--width",
+        "--algorithm", "--line-penalty", "--overlap-penalty", "--variants",
+        "--kashida-policy", "--stats",
+    ],
+    "render": ["--font", "--format", "--input"],
+    "fontlint": ["--font", "--format"],
+}
+
+
+def _flag_fuzz_lines(seed: int, count: int, tmp: str):
+    """``count`` seeded command lines: a subcommand and most of its flags.
+    Half the lines give every flag a valid value. The others give a flag
+    an invalid value one time in five, and now and then a flag of another
+    subcommand, a flag without its value or a stray word."""
+    rng = random.Random(seed)
+    every_flag = list(FLAG_VALUES)
+    for _ in range(count):
+        command = rng.choice(list(COMMAND_FLAGS))
+        noise = rng.choice((0.0, 0.2))
+        argv = [command]
+        for flag in COMMAND_FLAGS[command]:
+            if rng.random() < 0.2:
+                continue
+            if isinstance(flag, tuple):
+                flag = rng.choice(flag)
+            if rng.random() < noise / 4:
+                flag = rng.choice(every_flag)
+            argv.append(flag)
+            values = FLAG_VALUES[flag]
+            if values is not None and rng.random() >= noise / 4:
+                valid, invalid = values
+                argv.append(rng.choice(invalid if rng.random() < noise else valid))
+        if rng.random() < noise / 4:
+            argv.insert(rng.randint(1, len(argv)), "stray")
+        yield [word.format(tmp=tmp) for word in argv]
+
+
+def test_flag_fuzz_through_every_subcommand(tmp_path, capsys, monkeypatch):
+    """Seeded flag and value combinations through ``main`` for every
+    subcommand end in a documented exit code, never a traceback."""
+    monkeypatch.delenv("QALAM_FONT_PATH", raising=False)
+    (tmp_path / "text.txt").write_text("سَبُّ لَا", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes("é".encode("latin-1"))
+    (tmp_path / "bad-font.json").write_text('{"schema": "qalam-font/1"}', encoding="utf-8")
+    assert main(["shape", "--font", str(DEMO_FONT_PATH), "--text", "سَبُّ"]) == 0
+    layout = capsys.readouterr().out
+    (tmp_path / "layout.json").write_text(layout, encoding="utf-8")
+    codes = set()
+    for argv in _flag_fuzz_lines(403, 300, str(tmp_path)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(layout))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in {0, 1, 2, 3, 4}, argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
