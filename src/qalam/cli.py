@@ -302,7 +302,7 @@ def _cmd_shape(args) -> int:
     for wi, word in enumerate(shaped):
         marked = marked_by_word.get(id(word))
         if marked is None:
-            marked = marked_by_word[id(word)] = mark_word(word, font, args.gap_epsilon, wi)
+            marked = marked_by_word[id(word)] = mark_word(word, font, args.gap_epsilon)
         words.append(marked[0])
         diagnostics.extend(at_word(marked[1], wi))
     doc = layout_mod.shaped_document(font, words, diagnostics)

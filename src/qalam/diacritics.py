@@ -41,15 +41,17 @@ which read two tables:
 The passes run in this order:
 
 1. ``_Placer.run``: the sweep above; every base that carries marks is
-   placed once and revisited once.
-2. ``resolve_collisions``: marks are grouped into stack units once, and
-   each side's units are swept in logical order.
-3. The ornament hook in ``place_diacritics``: a base with no mark above
+   placed once and revisited once. Each mark keeps one state throughout.
+2. The ornament hook in ``place_diacritics``: a base with no mark above
    and a free span of at least the large threshold is reported as
    ``space-available``. It reads the sweep's positions, from before
-   collisions were nudged apart.
-4. ``with_marks``: one pass writes the glyph tuple. Marks move no pen and
-   change no attachment, so the finished word shares the word's tables.
+   collisions are nudged apart.
+3. ``resolve_collisions``: the states are grouped into stack units once,
+   each side's units are swept in logical order, and a nudged unit moves
+   its states in place.
+4. ``with_marks``: one pass writes the glyph tuple from one ``PlacedMark``
+   per mark. Marks move no pen and change no attachment, so the finished
+   word shares the word's tables.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ class _Placer:
                 state.x = mid - anchor.x
             state.y = state.anchor_y - anchor.y
 
-    def run(self) -> list[PlacedMark]:
+    def run(self) -> None:
         # A base without marks has nothing to place or revisit.
         bases, marks_of = self.bases, self.marks_of
         for k, base_i in enumerate(bases):
@@ -247,29 +249,23 @@ class _Placer:
                 self.revisit(bases[k - 1], final=False)
         if bases and marks_of[bases[-1]]:
             self.revisit(bases[-1], final=True)
-        roots = self.word.tables.roots
-        return [
-            PlacedMark(st.mark_id, st.variant, (st.x, st.y), roots[mi], mi)
-            for mi, st in sorted(self.states.items())
-        ]
 
 
 class _StackUnit:
-    """Marks that move together: a mark on a base and the marks stacked
-    on it, with their joint ink x interval [``lo``, ``hi``]. ``side`` is
-    the side of the unit's first mark; a ``pinned`` unit carries a
-    gemination mark, so it never moves; ``dx`` is the unit's nudge."""
+    """Marks that move together: a mark on base ``owner`` and the marks
+    stacked on it, with their joint ink x interval [``lo``, ``hi``].
+    ``side`` is the side of the unit's first mark; a ``pinned`` unit
+    carries a gemination mark, so it never moves; ``dx`` is its nudge."""
 
-    __slots__ = ("marks", "side", "lo", "hi", "pinned", "dx")
+    __slots__ = ("states", "owner", "side", "lo", "hi", "pinned", "dx")
 
-    def __init__(
-        self, marks: list[PlacedMark], side: Placement, lo: int, hi: int, pinned: bool
-    ) -> None:
-        self.marks = marks
-        self.side = side
+    def __init__(self, state: _MarkState, owner: int, lo: int, hi: int) -> None:
+        self.states = [state]
+        self.owner = owner
+        self.side = state.sized.side
         self.lo = lo
         self.hi = hi
-        self.pinned = pinned
+        self.pinned = state.sized.shadda
         self.dx = 0
 
 
@@ -277,12 +273,13 @@ _SIDES = (Placement.ABOVE, Placement.BELOW, Placement.THROUGH)
 
 
 def resolve_collisions(
-    marks: Sequence[PlacedMark],
+    states: dict[int, _MarkState],
     word: ShapedWord,
     font: FontDescription,
     gap_epsilon: int = 10,
-) -> tuple[list[PlacedMark], list[Diagnostic]]:
-    """Nudge overlapping same-side marks apart by a minimal x shift.
+) -> list[Diagnostic]:
+    """Nudge overlapping same-side marks apart by a minimal x shift,
+    moving the sweep's ``states`` (keyed by glyph index) in place.
 
     A stacked mark moves with its carrier: marks are grouped into stack
     units once, and each side's units are swept in logical order.
@@ -290,17 +287,17 @@ def resolve_collisions(
     of an overlapping pair may move, or the needed shift exceeds the
     mark's owner ink span, the overlap is reported and left in place.
     """
-    stack_of = word.tables.units
+    stack_of, roots = word.tables.units, word.tables.roots
     units: dict[int, _StackUnit] = {}
-    for m in marks:
-        sized = font.sized_mark(m.mark, m.variant)
-        lo, hi = m.offset[0] + sized.ink_lo, m.offset[0] + sized.ink_hi
-        key = stack_of[m.glyph_index]
+    for mi, state in states.items():
+        sized = state.sized
+        lo, hi = state.x + sized.ink_lo, state.x + sized.ink_hi
+        key = stack_of[mi]
         unit = units.get(key)
         if unit is None:
-            units[key] = _StackUnit([m], sized.side, lo, hi, sized.shadda)
+            units[key] = _StackUnit(state, roots[mi], lo, hi)
         else:
-            unit.marks.append(m)
+            unit.states.append(state)
             unit.lo, unit.hi = min(unit.lo, lo), max(unit.hi, hi)
             unit.pinned = unit.pinned or sized.shadda
     by_side: tuple[list[_StackUnit], ...] = ([], [], [])
@@ -324,14 +321,14 @@ def resolve_collisions(
                         severity=Severity.ERROR,
                         code="unresolvable-overlap",
                         message=(
-                            f"marks around glyphs {left.marks[0].owner} and "
-                            f"{right.marks[0].owner} overlap by {overlap} and neither may move"
+                            f"marks around glyphs {left.owner} and "
+                            f"{right.owner} overlap by {overlap} and neither may move"
                         ),
-                        location=(left.marks[0].owner, right.marks[0].owner),
+                        location=(left.owner, right.owner),
                     )
                 )
                 continue
-            owner = target.marks[0].owner
+            owner = target.owner
             owner_glyph = word.glyphs[owner]
             span = font.glyphs[owner_glyph.glyph].ink.width + owner_glyph.elongation
             if shift > span:
@@ -349,15 +346,11 @@ def resolve_collisions(
                 continue
             target.dx += dx
 
-    moved = {
-        m.glyph_index: PlacedMark(
-            m.mark, m.variant, (m.offset[0] + unit.dx, m.offset[1]), m.owner, m.glyph_index
-        )
-        for unit in units.values()
-        if unit.dx
-        for m in unit.marks
-    }
-    return [moved.get(m.glyph_index, m) for m in marks], diagnostics
+    for unit in units.values():
+        if unit.dx:
+            for state in unit.states:
+                state.x += unit.dx
+    return diagnostics
 
 
 def place_diacritics(
@@ -368,17 +361,18 @@ def place_diacritics(
     """Position and size every mark of a shaped word.
 
     Returns the placed marks (in the word's mark order) plus diagnostics:
-    unresolvable overlaps and free-space annotations where an ornamental
+    unresolvable overlaps, then free-space annotations where an ornamental
     mark could be inserted.
     """
     placer = _Placer(word, font)
-    marks, diagnostics = resolve_collisions(placer.run(), word, font, gap_epsilon)
+    placer.run()
+    states = placer.states
 
     # Ornament hook: report spans wide enough for a large mark but empty,
-    # as the sweep left them, before collisions were nudged apart. A span
+    # as the sweep left them, before collisions are nudged apart. A span
     # is never wider than its glyph, so narrow glyphs are skipped at once.
     large = font.size_thresholds.large
-    states = placer.states
+    ornaments = []
     for base_i, (lo, hi) in placer.spans.items():
         if hi - lo < large or any(
             states[mi].sized.side is Placement.ABOVE
@@ -387,7 +381,7 @@ def place_diacritics(
             continue
         free = placer.gap(base_i, Placement.ABOVE)
         if free >= large:
-            diagnostics.append(
+            ornaments.append(
                 Diagnostic(
                     severity=Severity.INFO,
                     code="space-available",
@@ -395,7 +389,14 @@ def place_diacritics(
                     location=(base_i,),
                 )
             )
-    return marks, diagnostics
+
+    diagnostics = resolve_collisions(states, word, font, gap_epsilon)
+    roots = word.tables.roots
+    marks = [
+        PlacedMark(st.mark_id, st.variant, (st.x, st.y), roots[mi], mi)
+        for mi, st in sorted(states.items())
+    ]
+    return marks, diagnostics + ornaments
 
 
 def with_marks(
@@ -422,25 +423,21 @@ def with_marks(
 
 
 def mark_word(
-    word: ShapedWord, font: FontDescription, gap_epsilon: int, index: int
+    word: ShapedWord, font: FontDescription, gap_epsilon: int
 ) -> tuple[ShapedWord, list[Diagnostic]]:
     """Place and size a finished word's marks and write them into it.
 
-    ``index`` is the word's position in the paragraph; it is put in front
-    of each diagnostic's location.
+    Diagnostic locations are relative to the word; ``at_word`` puts the
+    word's index in front of them.
     """
     marks, diagnostics = place_diacritics(word, font, gap_epsilon=gap_epsilon)
-    return with_marks(word, marks, font), [
-        Diagnostic(d.severity, d.code, d.message, (index, *d.location))
-        for d in diagnostics
-    ]
+    return with_marks(word, marks, font), diagnostics
 
 
 def at_word(diagnostics: Sequence[Diagnostic], index: int) -> list[Diagnostic]:
-    """``mark_word``'s diagnostics moved to word ``index``: a word that
+    """``mark_word``'s diagnostics located at word ``index``: a word that
     recurs is marked once, and each occurrence reports at its own index."""
     return [
-        d if d.location[0] == index
-        else Diagnostic(d.severity, d.code, d.message, (index, *d.location[1:]))
+        Diagnostic(d.severity, d.code, d.message, (index, *d.location))
         for d in diagnostics
     ]

@@ -84,7 +84,6 @@ class JustifyParams(NamedTuple):
     overlap_penalty: int = 3000
     variants: bool = False
     kashida_policy: str = "single_site"
-    width_tolerance: int = 1
     gap_epsilon: int = 10
 
     def _check(self) -> None:
@@ -477,9 +476,7 @@ def _finalize(
                     allocations=dict(candidate.plans[k]), residual=0
                 )
                 stretched = kashida.apply_plan(variant.word, plan, variant.sites)
-                marked = marked_by_key[key] = mark_word(
-                    stretched, font, params.gap_epsilon, index
-                )
+                marked = marked_by_key[key] = mark_word(stretched, font, params.gap_epsilon)
             final_words.append(marked[0])
             diagnostics.extend(at_word(marked[1], index))
         if candidate.signature & prev_signature:

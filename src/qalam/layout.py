@@ -55,6 +55,23 @@ def _glyph_records(
     return records
 
 
+def _document(
+    font: FontDescription,
+    measure: int | None,
+    lines: list[dict],
+    diagnostics: Sequence[Diagnostic],
+) -> dict:
+    return {
+        "schema": SCHEMA_ID,
+        "font_id": font.font_id,
+        "units_per_em": font.units_per_em,
+        "direction": "rtl",
+        "measure": measure,
+        "lines": lines,
+        "diagnostics": [d.to_json() for d in diagnostics],
+    }
+
+
 def shaped_document(
     font: FontDescription,
     words: Sequence[ShapedWord],
@@ -71,15 +88,7 @@ def shaped_document(
             glyphs.extend(_glyph_records(font, word, x))
             x += word.natural_width
         lines.append({"width": x, "glyphs": glyphs})
-    return {
-        "schema": SCHEMA_ID,
-        "font_id": font.font_id,
-        "units_per_em": font.units_per_em,
-        "direction": "rtl",
-        "measure": None,
-        "lines": lines,
-        "diagnostics": [d.to_json() for d in diagnostics],
-    }
+    return _document(font, None, lines, diagnostics)
 
 
 def justified_document(font: FontDescription, layout: ParagraphLayout) -> dict:
@@ -94,15 +103,7 @@ def justified_document(font: FontDescription, layout: ParagraphLayout) -> dict:
             if wi < len(glue_widths):
                 x += glue_widths[wi]
         lines.append({"width": line.candidate.width, "glyphs": glyphs})
-    return {
-        "schema": SCHEMA_ID,
-        "font_id": font.font_id,
-        "units_per_em": font.units_per_em,
-        "direction": "rtl",
-        "measure": layout.measure,
-        "lines": lines,
-        "diagnostics": [d.to_json() for d in layout.diagnostics],
-    }
+    return _document(font, layout.measure, lines, layout.diagnostics)
 
 
 # ``dumps`` writes each record kind from a template over these keys, in this

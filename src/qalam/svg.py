@@ -25,7 +25,7 @@ STYLE = (
 )
 
 
-def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[str, Rect, str | None]:
+def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[Rect, str | None]:
     if mark_id not in font.marks:
         raise MalformedLayout(f"mark {mark_id!r} is not in font {font.font_id!r}")
     try:
@@ -34,7 +34,7 @@ def _mark_ink(font: FontDescription, mark_id: str, variant: str) -> tuple[str, R
         # The font is sound; the document asks for a size it never offered.
         raise MalformedLayout(str(exc)) from None
     mark = font.marks[glyph_id]
-    return glyph_id, mark.ink, mark.svg_path
+    return mark.ink, mark.svg_path
 
 
 def render_svg(doc: dict, font: FontDescription) -> str:
@@ -105,7 +105,7 @@ def render_svg(doc: dict, font: FontDescription) -> str:
                 metrics.svg_path,
             )
             for mark in glyph["marks"]:
-                _, ink, path = _mark_ink(font, mark["mark"], mark["variant"])
+                ink, path = _mark_ink(font, mark["mark"], mark["variant"])
                 emit_box(
                     f'mark variant-{mark["variant"]}',
                     glyph["x"] + mark["dx"],

@@ -158,10 +158,10 @@ def test_criterion_3_attachment_arithmetic():
             assert (mark.x_offset, mark.y_offset) == (0, 0)
             offset = font.mass_offset(font.glyphs[base.glyph].mass_class, Placement.ABOVE)
             assert offset == mass
-            placed = mark_word(word, font, 10, 0)[0].glyphs[1]
+            placed = mark_word(word, font, 10)[0].glyphs[1]
             assert (placed.x_offset, placed.y_offset) == (bx - mx, by + offset - my)
             moved = word._replace(glyphs=(base._replace(x_offset=dx, y_offset=dy), mark))
-            shifted = mark_word(moved, font, 10, 0)[0].glyphs[1]
+            shifted = mark_word(moved, font, 10)[0].glyphs[1]
             assert shifted.x_offset == placed.x_offset + dx
             assert shifted.y_offset == placed.y_offset + dy
 

@@ -6,7 +6,7 @@ import pytest
 
 from qalam import diacritics, kashida, layout, shaper
 from qalam.diacritics import (
-    PlacedMark,
+    _MarkState,
     _Placer,
     place_diacritics,
     resolve_collisions,
@@ -259,84 +259,69 @@ class TestPlaceDiacritics:
         assert not any(d.code == "space-available" for d in diags)
 
 
-def _mark_entries(w):
-    return [i for i, g in enumerate(w.glyphs) if g.is_mark]
+def mark_states(w, font, offsets):
+    """States for ``w``'s first marks, in glyph order, at normal size and
+    the given offsets, as the sweep hands them to ``resolve_collisions``."""
+    entries = [i for i, g in enumerate(w.glyphs) if g.is_mark]
+    states = {}
+    for mi, (x, y) in zip(entries, offsets):
+        mark_id = w.glyphs[mi].glyph
+        sized = font.sized_mark(mark_id, SizeVariant.NORMAL)
+        states[mi] = _MarkState(mark_id, sized, None, x, y, x, y)
+    return states
+
+
+def positions(states):
+    return [(st.x, st.y) for st in states.values()]
 
 
 class TestResolveCollisions:
-    def build(self, font, text):
-        return word(text, font)
-
-    def manual_marks(self, w, offsets):
-        marks = []
-        for (idx, offset), owner in zip(
-            zip(_mark_entries(w), offsets), [0, 2]
-        ):
-            marks.append(
-                PlacedMark(
-                    mark=w.glyphs[idx].glyph,
-                    variant=SizeVariant.NORMAL,
-                    offset=offset,
-                    owner=owner,
-                    glyph_index=idx,
-                )
-            )
-        return marks
-
     def test_disjoint_marks_unchanged(self):
         font = synth_font()
-        w = self.build(font, "بَبَ")
-        marks = self.manual_marks(w, [(0, 380), (400, 380)])
-        resolved, diags = resolve_collisions(marks, w, font)
-        assert resolved == marks and diags == []
+        w = word("بَبَ", font)
+        states = mark_states(w, font, [(0, 380), (400, 380)])
+        diags = resolve_collisions(states, w, font)
+        assert positions(states) == [(0, 380), (400, 380)] and diags == []
 
     def test_overlap_shifts_later_mark(self):
         font = synth_font()
-        w = self.build(font, "بَبَ")
+        w = word("بَبَ", font)
         # fatha ink is 100 wide: [0,100] and [80,180] overlap by 20.
-        marks = self.manual_marks(w, [(0, 380), (80, 380)])
-        resolved, diags = resolve_collisions(marks, w, font, gap_epsilon=10)
+        states = mark_states(w, font, [(0, 380), (80, 380)])
+        diags = resolve_collisions(states, w, font, gap_epsilon=10)
         assert diags == []
-        assert resolved[0].offset == (0, 380)
-        assert resolved[1].offset == (80 + 30, 380)
+        resolved = positions(states)
+        assert resolved[0] == (0, 380)
+        assert resolved[1] == (80 + 30, 380)
 
     def test_immovable_later_shifts_earlier_left(self):
         font = synth_font()
-        w = self.build(font, "بَبَّ")
-        entries = _mark_entries(w)  # fatha, shadda, fatha
-        marks = [
-            PlacedMark("fatha", SizeVariant.NORMAL, (80, 380), 0, entries[0]),
-            PlacedMark("shadda", SizeVariant.NORMAL, (150, 380), 2, entries[1]),
-            PlacedMark("fatha", SizeVariant.NORMAL, (150, 530), 2, entries[2]),
-        ]
-        resolved, diags = resolve_collisions(marks, w, font, gap_epsilon=10)
+        w = word("بَبَّ", font)  # fatha, shadda, fatha
+        states = mark_states(w, font, [(80, 380), (150, 380), (150, 530)])
+        diags = resolve_collisions(states, w, font, gap_epsilon=10)
         assert diags == []
+        resolved = positions(states)
         # Earlier fatha moved left: overlap 180-150=30, shift 40.
-        assert resolved[0].offset == (80 - 40, 380)
-        assert resolved[1].offset == (150, 380)  # shadda pinned
+        assert resolved[0] == (80 - 40, 380)
+        assert resolved[1] == (150, 380)  # shadda pinned
 
     def test_two_pinned_stacks_report_unresolvable(self):
         font = synth_font()
-        w = self.build(font, "بَّبَّ")
-        entries = _mark_entries(w)
-        marks = [
-            PlacedMark("shadda", SizeVariant.NORMAL, (100, 380), 0, entries[0]),
-            PlacedMark("fatha", SizeVariant.NORMAL, (100, 530), 0, entries[1]),
-            PlacedMark("shadda", SizeVariant.NORMAL, (180, 380), 3, entries[2]),
-            PlacedMark("fatha", SizeVariant.NORMAL, (180, 530), 3, entries[3]),
-        ]
-        resolved, diags = resolve_collisions(marks, w, font)
+        w = word("بَّبَّ", font)
+        offsets = [(100, 380), (100, 530), (180, 380), (180, 530)]
+        states = mark_states(w, font, offsets)
+        diags = resolve_collisions(states, w, font)
         assert [d.code for d in diags] == ["unresolvable-overlap"]
-        assert resolved == marks
+        assert positions(states) == offsets
 
     def test_shift_beyond_owner_span_reports(self):
         font = synth_font()
-        w = self.build(font, "بَبَ")
+        w = word("بَبَ", font)
         # Demand a shift larger than the owner ink span (340).
-        marks = self.manual_marks(w, [(0, 380), (-340, 380)])
-        resolved, diags = resolve_collisions(marks, w, font)
+        states = mark_states(w, font, [(0, 380), (-340, 380)])
+        diags = resolve_collisions(states, w, font)
         assert [d.code for d in diags] == ["unresolvable-overlap"]
-        assert resolved == marks
+        assert positions(states) == [(0, 380), (-340, 380)]
 
     def test_no_overlaps_remain_on_corpus(self, demo_font, corpus_words):
         for w in corpus_words:
@@ -399,17 +384,54 @@ class TestLinearPasses:
         assert any(g.glyph == "shadda" for g in w.glyphs) or any(
             g.glyph in demo_font.ligature_by_glyph for g in w.glyphs
         )
-        marked, _ = diacritics.mark_word(w, demo_font, 10, 0)
+        marked, _ = diacritics.mark_word(w, demo_font, 10)
         layout.shaped_document(demo_font, [marked])
         assert calls["word_tables"] <= 1
         assert calls["attachment_root"] <= marks
 
+    def test_one_placed_mark_per_mark(self, monkeypatch):
+        # The case of ``test_resized_vowel_pushes_next_glyph_mark``: the
+        # damma is nudged, yet each mark is built into one PlacedMark, and
+        # the nudge reads each mark's size from the sweep, not the font.
+        font = synth_font(
+            letter_extensions={BEH: 400},
+            mark_overrides={"fatha.large": {"ink": [0, 0, 900, 80], "anchor": [450, 0]}},
+        )
+        w = stretch(word("بَبُ", font), font, {0: 200})
+        counts = {"PlacedMark": 0, "sized_mark in resolve_collisions": 0}
+        resolving = []
+        real_mark, real_resolve = diacritics.PlacedMark, diacritics.resolve_collisions
+        real_sized_mark = font.sized_mark
+
+        def placed_mark(*args, **kwargs):
+            counts["PlacedMark"] += 1
+            return real_mark(*args, **kwargs)
+
+        def resolve(*args, **kwargs):
+            resolving.append(True)
+            try:
+                return real_resolve(*args, **kwargs)
+            finally:
+                resolving.pop()
+
+        def sized_mark(*args):
+            counts["sized_mark in resolve_collisions"] += bool(resolving)
+            return real_sized_mark(*args)
+
+        monkeypatch.setattr(diacritics, "PlacedMark", placed_mark)
+        monkeypatch.setattr(diacritics, "resolve_collisions", resolve)
+        monkeypatch.setattr(font, "sized_mark", sized_mark)
+        marks, diags = diacritics.place_diacritics(w, font)
+        assert diags == [] and len(marks) == 2
+        assert marks[1].offset[0] == 650 + 70 + 10  # the damma was nudged
+        assert counts == {"PlacedMark": 2, "sized_mark in resolve_collisions": 0}
+
     def test_finished_word_shares_its_tables(self, demo_font, corpus_words):
-        for i, w in enumerate(corpus_words):
+        for w in corpus_words:
             stretched = w
             sites = kashida.enumerate_sites(w, demo_font)
             if sites:
                 stretched = apply_plan(w, ElongationPlan({sites[0].glyph_index: 1}, 0), sites)
-            marked, _ = diacritics.mark_word(stretched, demo_font, 10, i)
+            marked, _ = diacritics.mark_word(stretched, demo_font, 10)
             assert marked.tables is stretched.tables
             assert marked.tables == shaper.word_tables(marked)

@@ -204,7 +204,7 @@ def marked(text: str, font: FontDescription, shift=(0, 0)):
     w = word(text, font)
     base = w.glyphs[0]._replace(x_offset=shift[0], y_offset=shift[1])
     w = w._replace(glyphs=(base, *w.glyphs[1:]))
-    return mark_word(w, font, 10, 0)[0].glyphs
+    return mark_word(w, font, 10)[0].glyphs
 
 
 def font_without(*path) -> FontDescription:
@@ -260,7 +260,7 @@ def assert_on_component(font: FontDescription, text: str, component: int) -> Non
     """The damma of a one-ligature word sits on the component's anchor."""
     w = word(text, font)
     assert w.glyphs[1].attached_to == (0, Placement.ABOVE)
-    mark = mark_word(w, font, 10, 0)[0].glyphs[1]
+    mark = mark_word(w, font, 10)[0].glyphs[1]
     entry = font.ligature_by_glyph["lam_alef.isol"]
     anchor = entry.component_anchors[component][Placement.ABOVE]
     damma = font.marks["damma"].anchor

@@ -106,6 +106,23 @@ def test_layout_validator_survives_mutation(capsys):
             pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
 
 
+def test_render_survives_layout_mutation(capsys, monkeypatch):
+    """Seeded one-node edits of a justified layout, rendered through
+    ``main``, either draw (exit 0) or fail with one error (exit 2)."""
+    font = str(DEMO_FONT_PATH)
+    argv = ["justify", "--font", font, "--width", "1200", "--text", "سَبُّ لَا بَيْتٌ"]
+    assert main(argv) == 0
+    base = json.loads(capsys.readouterr().out)
+    for doc, path in _mutations(404, base, 300):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code = main(["render", "--font", font])
+        out, err = capsys.readouterr()
+        where = "/".join(map(str, path))
+        assert code in {0, 2}, where
+        assert "Traceback" not in err, where
+        assert code == 0 or out == "", where
+
+
 def test_character_table_survives_mutation():
     base = {
         "schema": "qalam-chars/1",

@@ -26,7 +26,7 @@ ALL_FEATURES = frozenset({"liga", "jalt", "ss01"})
 
 def marked(w, font):
     """The word's glyphs once ``mark_word`` has placed its marks."""
-    return mark_word(w, font, 10, 0)[0].glyphs
+    return mark_word(w, font, 10)[0].glyphs
 
 
 def mass_above(font, glyph: str) -> int:
@@ -199,8 +199,8 @@ class TestGeometryInvariants:
                     assert (g.x_offset, g.y_offset) == (0, 0)
 
     def test_marks_keep_their_side_over_corpus(self, demo_font, corpus_words):
-        for i, w in enumerate(corpus_words):
-            marked_word, _ = mark_word(w, demo_font, 10, i)
+        for w in corpus_words:
+            marked_word, _ = mark_word(w, demo_font, 10)
             for j, g in enumerate(marked_word.glyphs):
                 if not g.is_mark:
                     continue

@@ -11,6 +11,8 @@ words each. On every paragraph both trees run, each with its own bundled
 font:
 
 - ``shape``, with and without ``--features liga,jalt``;
+- ``shape --features liga,jalt`` at ``--gap-epsilon 0`` and
+  ``--gap-epsilon 200``;
 - ``justify --features liga,jalt`` for greedy and optimum, width variants
   on and off, at widths 1200, 4000 and 16000;
 - ``justify --features liga,jalt --algorithm optimum --variants on`` at
@@ -47,6 +49,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FEATURES = ("--features", "liga,jalt")
 WIDTHS = ("1200", "4000", "16000")
+#: Mark clearances other than the default 10, so that the collision nudge
+#: is compared with no clearance and with a wide one.
+GAP_EPSILONS = ("0", "200")
 #: Breaker settings other than the defaults (``--kashida-policy single``,
 #: ``--overlap-penalty 3000``), each run on its own.
 BREAKER_OPTIONS = [
@@ -57,6 +62,7 @@ BREAKER_OPTIONS = [
 ]
 COMMANDS = (
     [("shape",), ("shape", *FEATURES)]
+    + [("shape", *FEATURES, "--gap-epsilon", epsilon) for epsilon in GAP_EPSILONS]
     + [
         ("justify", *FEATURES, "--algorithm", algorithm, "--variants", variants, "--width", width)
         for algorithm in ("greedy", "optimum")
