@@ -38,46 +38,33 @@ which read two tables:
   (mark, size) the glyph drawn, its side, ink x interval and anchors, and
   whether the mark is the gemination mark or growable.
 
+Each mark is one ``PlacedMark`` through every pass: the sweep builds it,
+the later passes move it in place, and ``place_diacritics`` returns it.
 The passes run in this order:
 
 1. ``_Placer.run``: the sweep above; every base that carries marks is
-   placed once and revisited once. Each mark keeps one state throughout.
+   placed once and revisited once.
 2. The ornament hook in ``place_diacritics``: a base with no mark above
    and a free span of at least the large threshold is reported as
    ``space-available``. It reads the sweep's positions, from before
    collisions are nudged apart.
-3. ``resolve_collisions``: the states are grouped into stack units once,
+3. ``resolve_collisions``: the marks are grouped into stack units once,
    each side's units are swept in logical order, and a nudged unit moves
-   its states in place.
-4. ``with_marks``: one pass writes the glyph tuple from one ``PlacedMark``
-   per mark. Marks move no pen and change no attachment, so the finished
-   word shares the word's tables.
+   its marks in place.
+4. ``with_marks``: one pass writes the glyph tuple, each mark's glyph from
+   its ``PlacedMark``'s size, with no font lookup. Marks move no pen and
+   change no attachment, so the finished word shares the word's tables.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import Diagnostic, Severity
 from .fontmodel import FontDescription, SizedMark, SizeVariant
 from .lookups import PlacedGlyph
 from .shaper import ShapedWord
 from .textmodel import Placement
-
-
-class PlacedMark(NamedTuple):
-    """A mark's final identity, size, and absolute position in the word.
-
-    ``mark`` is the canonical mark id (the normal-size glyph); the glyph
-    actually drawn is the mark's variant. ``glyph_index`` points back at
-    the mark's slot in the shaped word.
-    """
-
-    mark: str
-    variant: SizeVariant
-    offset: tuple[int, int]
-    owner: int
-    glyph_index: int
 
 
 def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
@@ -89,18 +76,27 @@ def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     return SizeVariant.NORMAL
 
 
-class _MarkState:
-    """One mark as the sweep places it: ``sized`` is the mark at its
-    current size, ``anchor_x``/``anchor_y`` the point it attaches to, and
-    ``x``/``y`` its origin."""
+class PlacedMark:
+    """One mark, from the placement sweep to the finished word.
+
+    ``index`` is the mark's slot in the shaped word and ``owner`` the base
+    at the root of its attachment chain. ``mark`` is the canonical mark id
+    (the normal-size glyph); ``variant`` is the size it is drawn at and
+    ``sized`` the mark at that size, whose glyph is the one drawn.
+    ``anchor_x``/``anchor_y`` is the point it attaches to and ``x``/``y``
+    its origin, both in the word's frame; the passes move them in place.
+    """
 
     __slots__ = (
-        "mark_id", "sized", "stacked_on", "anchor_x", "anchor_y", "x", "y", "variant"
+        "index", "owner", "mark", "sized", "stacked_on", "anchor_x", "anchor_y",
+        "x", "y", "variant",
     )
 
     def __init__(
         self,
-        mark_id: str,
+        index: int,
+        owner: int,
+        mark: str,
         sized: SizedMark,
         stacked_on: int | None,
         anchor_x: int,
@@ -108,7 +104,9 @@ class _MarkState:
         x: int,
         y: int,
     ) -> None:
-        self.mark_id = mark_id
+        self.index = index
+        self.owner = owner
+        self.mark = mark
         self.sized = sized
         self.stacked_on = stacked_on
         self.anchor_x = anchor_x
@@ -127,7 +125,7 @@ class _Placer:
         self.bases = tables.bases
         self.base_pos = tables.base_pos
         self.marks_of = tables.marks_of
-        self.states: dict[int, _MarkState] = {}
+        self.states: dict[int, PlacedMark] = {}
         # Each base's ink x span, elongation included.
         self.spans: dict[int, tuple[int, int]] = {}
         for base_i in self.bases:
@@ -169,8 +167,9 @@ class _Placer:
                 ax = base_x + anchor.x
                 ay = base.y_offset + anchor.y + font.mass_offset(metrics.mass_class, side)
 
-            states[mi] = _MarkState(
-                mark_id, sized, stacked_on, ax, ay, ax - sized.anchor.x, ay - sized.anchor.y
+            states[mi] = PlacedMark(
+                mi, base_i, mark_id, sized, stacked_on, ax, ay,
+                ax - sized.anchor.x, ay - sized.anchor.y,
             )
 
     def gap(self, base_i: int, side: Placement) -> int:
@@ -223,7 +222,7 @@ class _Placer:
                     free = self.gap(base_i, state.sized.side)
                     variant = select_size_variant(free, thresholds.medium, thresholds.large)
                 state.variant = variant
-                state.sized = font.sized_mark(state.mark_id, variant)
+                state.sized = font.sized_mark(state.mark, variant)
             elif final:
                 continue
             anchor = state.sized.anchor
@@ -259,9 +258,9 @@ class _StackUnit:
 
     __slots__ = ("states", "owner", "side", "lo", "hi", "pinned", "dx")
 
-    def __init__(self, state: _MarkState, owner: int, lo: int, hi: int) -> None:
+    def __init__(self, state: PlacedMark, lo: int, hi: int) -> None:
         self.states = [state]
-        self.owner = owner
+        self.owner = state.owner
         self.side = state.sized.side
         self.lo = lo
         self.hi = hi
@@ -273,7 +272,7 @@ _SIDES = (Placement.ABOVE, Placement.BELOW, Placement.THROUGH)
 
 
 def resolve_collisions(
-    states: dict[int, _MarkState],
+    states: dict[int, PlacedMark],
     word: ShapedWord,
     font: FontDescription,
     gap_epsilon: int = 10,
@@ -287,7 +286,7 @@ def resolve_collisions(
     of an overlapping pair may move, or the needed shift exceeds the
     mark's owner ink span, the overlap is reported and left in place.
     """
-    stack_of, roots = word.tables.units, word.tables.roots
+    stack_of = word.tables.units
     units: dict[int, _StackUnit] = {}
     for mi, state in states.items():
         sized = state.sized
@@ -295,7 +294,7 @@ def resolve_collisions(
         key = stack_of[mi]
         unit = units.get(key)
         if unit is None:
-            units[key] = _StackUnit(state, roots[mi], lo, hi)
+            units[key] = _StackUnit(state, lo, hi)
         else:
             unit.states.append(state)
             unit.lo, unit.hi = min(unit.lo, lo), max(unit.hi, hi)
@@ -391,30 +390,21 @@ def place_diacritics(
             )
 
     diagnostics = resolve_collisions(states, word, font, gap_epsilon)
-    roots = word.tables.roots
-    marks = [
-        PlacedMark(st.mark_id, st.variant, (st.x, st.y), roots[mi], mi)
-        for mi, st in sorted(states.items())
-    ]
-    return marks, diagnostics + ornaments
+    return [states[mi] for mi in sorted(states)], diagnostics + ornaments
 
 
-def with_marks(
-    word: ShapedWord, marks: Sequence[PlacedMark], font: FontDescription
-) -> ShapedWord:
+def with_marks(word: ShapedWord, marks: Sequence[PlacedMark]) -> ShapedWord:
     """Write placed marks back into the word's glyph string."""
     pens = word.tables.pens
     glyphs = list(word.glyphs)
     for m in marks:
-        pg = glyphs[m.glyph_index]
-        glyphs[m.glyph_index] = PlacedGlyph(
-            font.sized_mark(m.mark, m.variant).glyph,
-            pg.advance,
-            m.offset[0] - pens[m.owner],
-            m.offset[1],
-            pg.elongation,
-            pg.attached_to,
-            pg.is_mark,
+        pg = glyphs[m.index]
+        # Built unchecked: only the glyph id and offsets of a checked mark
+        # glyph change, and ``_check`` reads neither.
+        glyphs[m.index] = tuple.__new__(
+            PlacedGlyph,
+            (m.sized.glyph, pg.advance, m.x - pens[m.owner], m.y, pg.elongation,
+             pg.attached_to, pg.is_mark),
         )
     marked = ShapedWord(tuple(glyphs), word.clusters, word.glyph_clusters, word.features)
     # Marks move no pen and change no attachment: the tables carry over.
@@ -431,7 +421,7 @@ def mark_word(
     word's index in front of them.
     """
     marks, diagnostics = place_diacritics(word, font, gap_epsilon=gap_epsilon)
-    return with_marks(word, marks, font), diagnostics
+    return with_marks(word, marks), diagnostics
 
 
 def at_word(diagnostics: Sequence[Diagnostic], index: int) -> list[Diagnostic]:

@@ -48,6 +48,8 @@ SCHEMA_ID = "qalam-font/1"
 
 
 class SizeVariant(enum.Enum):
+    __hash__ = object.__hash__  # as for ``textmodel.Placement``
+
     NORMAL = "normal"
     MEDIUM = "medium"
     LARGE = "large"

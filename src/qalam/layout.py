@@ -19,14 +19,16 @@ from .shaper import ShapedWord
 
 SCHEMA_ID = "qalam-layout/1"
 
-_VARIANT_NAMES = frozenset(v.value for v in SizeVariant)
+#: Each size's name; ``SizeVariant.value`` is a property that runs in Python.
+_VARIANT_NAME = {v: v.value for v in SizeVariant}
+_VARIANT_NAMES = frozenset(_VARIANT_NAME.values())
 
 
 def _glyph_records(
     font: FontDescription, word: ShapedWord, word_x: int
 ) -> list[dict]:
     tables = word.tables
-    glyphs, mark_sizes = word.glyphs, font.mark_sizes
+    glyphs, mark_sizes, names = word.glyphs, font.mark_sizes, _VARIANT_NAME
     records = []
     for i in tables.bases:
         pg = glyphs[i]
@@ -37,7 +39,7 @@ def _glyph_records(
             marks.append(
                 {
                     "mark": mark,
-                    "variant": size.value,
+                    "variant": names[size],
                     "dx": mg.x_offset - pg.x_offset,
                     "dy": mg.y_offset - pg.y_offset,
                 }

@@ -45,6 +45,8 @@ class CoverageTable(NamedTuple):
 
 
 class LookupKind(enum.Enum):
+    __hash__ = object.__hash__  # as for ``textmodel.Placement``
+
     SINGLE_SUB = "single_sub"
     MULTIPLE_SUB = "multiple_sub"
     ALTERNATE_SUB = "alternate_sub"
@@ -434,6 +436,11 @@ def _matches_run(
 
 
 def _apply_rule(rule: LookupRule, items: list[GlyphItem]) -> list[GlyphItem]:
+    # Every substitution kind acts only at a glyph its coverage names.
+    if rule.kind in SUBSTITUTION_KINDS and rule.coverage.glyphs.isdisjoint(
+        [it.glyph for it in items]
+    ):
+        return items
     skip = "ignore_marks" in rule.flags
     out: list[GlyphItem] = []
 
@@ -572,8 +579,9 @@ def position_marks(
         if it.is_mark:
             placed.append(None)
         else:
-            metrics = font.glyphs[it.glyph]
-            placed.append(PlacedGlyph(glyph=it.glyph, advance=metrics.advance))
+            # Built unchecked: a base glyph with no elongation passes ``_check``.
+            advance = font.glyphs[it.glyph].advance
+            placed.append(tuple.__new__(PlacedGlyph, (it.glyph, advance, 0, 0, 0, None, False)))
             cur_base = idx
         owner_of.append(cur_base if it.is_mark else None)
 
@@ -647,7 +655,8 @@ def position_marks(
             raise MissingAnchor(
                 f"no positioning rule attaches {it.glyph} to {owner.glyph}"
             )
-        placed[idx] = PlacedGlyph(it.glyph, 0, attached_to=(target, side), is_mark=True)
+        # Built unchecked: a mark with zero advance passes ``_check``.
+        placed[idx] = tuple.__new__(PlacedGlyph, (it.glyph, 0, 0, 0, 0, (target, side), True))
         last_mark[(cluster, side)] = idx
 
     return [pg for pg in placed if pg is not None]

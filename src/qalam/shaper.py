@@ -151,17 +151,19 @@ def _stack_order(marks):
 def _build_items(
     clusters: Sequence[Cluster], font: FontDescription
 ) -> list[GlyphItem]:
-    letters = [c.base for c in clusters]
-    forms = analyze_joining(letters)
+    forms = analyze_joining([c.base for c in clusters])
+    cmap, mark_cmap = font.cmap, font.mark_cmap
     items: list[GlyphItem] = []
     for ci, (cluster, form) in enumerate(zip(clusters, forms)):
-        gid = glyph_for(font, cluster.base.code_point, form)
-        items.append(GlyphItem(glyph=gid, clusters=(ci,)))
-        for mark in _stack_order(cluster.marks):
-            mid = font.mark_cmap.get(mark.code_point)
+        cp = cluster.base.code_point
+        gid = cmap.get((cp, form)) or glyph_for(font, cp, form)
+        items.append(GlyphItem(gid, (ci,), False))
+        marks = cluster.marks
+        for mark in _stack_order(marks) if len(marks) > 1 else marks:
+            mid = mark_cmap.get(mark.code_point)
             if mid is None:
                 raise NoGlyph(f"no mark glyph mapped for U+{mark.code_point:04X}")
-            items.append(GlyphItem(glyph=mid, clusters=(ci,), is_mark=True))
+            items.append(GlyphItem(mid, (ci,), True))
     return items
 
 

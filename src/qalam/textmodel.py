@@ -63,6 +63,10 @@ class DotPosition(enum.Enum):
 
 
 class Placement(enum.Enum):
+    # Members are singletons, so identity hashing, which runs in C, is
+    # equivalent to Enum's hash of the member name, which runs in Python.
+    __hash__ = object.__hash__
+
     ABOVE = "above"
     BELOW = "below"
     THROUGH = "through"
@@ -75,12 +79,16 @@ class MarkCategory(enum.Enum):
 
 
 class MassClass(enum.Enum):
+    __hash__ = object.__hash__  # as for Placement
+
     LIGHT = "light"
     MEDIUM = "medium"
     HEAVY = "heavy"
 
 
 class Form(enum.Enum):
+    __hash__ = object.__hash__  # as for Placement
+
     ISOLATED = "isolated"
     INITIAL = "initial"
     MEDIAL = "medial"
@@ -333,6 +341,10 @@ def classify_codepoint(cp: int, table: CharacterTable | None = None) -> CharClas
     return (table or DEFAULT_TABLE).classify(cp)
 
 
+#: Appended to the code points ``decompose`` reads, to close the last word.
+_END = object()
+
+
 def decompose(
     text: str | Iterable[int], table: CharacterTable | None = None
 ) -> list[list[Cluster]]:
@@ -343,52 +355,61 @@ def decompose(
     spaces close the current word. Runs of spaces and leading or trailing
     spaces produce no empty words.
 
+    Clusters are interned per call: each distinct (letter, marks, stretch
+    hint) is built and checked once, and every occurrence in the text
+    shares that ``Cluster``.
+
     Raises LeadingMark when a mark or elongation character has no letter
     before it, DuplicateMark on conflicting vowel marks, and
     UnsupportedCharacter on anything outside the registered repertoire.
+    Code points are classified as ``CharacterTable.classify`` does.
     """
     tbl = table or DEFAULT_TABLE
+    letters, diacritics = tbl.letters, tbl.diacritics
     cps = [ord(c) for c in text] if isinstance(text, str) else list(text)
+    cps.append(_END)
 
+    interned: dict[tuple[int, tuple[int, ...], int], Cluster] = {}
     words: list[list[Cluster]] = []
     word: list[Cluster] = []
-    base: LetterRecord | None = None
-    marks: list[DiacriticRecord] = []
+    base: int | None = None  # the open cluster's letter
+    marks: list[int] = []
     hint = 0
-
-    def close_cluster() -> None:
-        nonlocal base, marks, hint
-        if base is not None:
-            word.append(Cluster(base=base, marks=tuple(marks), stretch_hint=hint))
-        base, marks, hint = None, [], 0
-
-    def close_word() -> None:
-        nonlocal word
-        close_cluster()
-        if word:
-            words.append(word)
-        word = []
-
     for pos, cp in enumerate(cps):
-        cls = tbl.classify(cp)
-        if cls is CharClass.LETTER:
-            close_cluster()
-            base = tbl.letter(cp)
-        elif cls is CharClass.DIACRITIC:
-            if base is None:
-                raise LeadingMark(f"mark U+{cp:04X} at position {pos} has no base letter")
-            marks.append(tbl.diacritic(cp))
-        elif cls is CharClass.TATWEEL:
-            if base is None:
-                raise LeadingMark(
-                    f"elongation character at position {pos} has no base letter"
+        is_letter = cp in letters
+        if not is_letter:
+            if cp in diacritics:
+                if base is None:
+                    raise LeadingMark(f"mark U+{cp:04X} at position {pos} has no base letter")
+                marks.append(cp)
+                continue
+            if cp == TATWEEL_CP:
+                if base is None:
+                    raise LeadingMark(
+                        f"elongation character at position {pos} has no base letter"
+                    )
+                hint += 1
+                continue
+            if cp != SPACE_CP and cp is not _END:
+                raise UnsupportedCharacter(f"U+{cp:04X} at position {pos}")
+        # A letter, a space or the end of the text closes the open cluster.
+        if base is not None:
+            key = (base, tuple(marks), hint)
+            cluster = interned.get(key)
+            if cluster is None:
+                cluster = interned[key] = Cluster(
+                    letters[base], tuple([diacritics[m] for m in marks]), hint
                 )
-            hint += 1
-        elif cls is CharClass.SPACE:
-            close_word()
-        else:
-            raise UnsupportedCharacter(f"U+{cp:04X} at position {pos}")
-    close_word()
+            word.append(cluster)
+            marks = []
+            hint = 0
+        if is_letter:
+            base = cp
+        else:  # and a space or the end closes the word
+            base = None
+            if word:
+                words.append(word)
+                word = []
     return words
 
 
@@ -405,32 +426,22 @@ def flatten(words: Sequence[Sequence[Cluster]]) -> list[int]:
     return out
 
 
-def _joins_forward(letter: LetterRecord) -> bool:
-    return letter.joining_class is JoiningClass.DUAL
-
-
-def _joins_backward(letter: LetterRecord) -> bool:
-    return letter.joining_class in (JoiningClass.DUAL, JoiningClass.RIGHT)
+#: A letter's form by whether it joins the letter before it and the
+#: letter after it: ``_FORMS[2 * joins_prev + joins_next]``.
+_FORMS = (Form.ISOLATED, Form.INITIAL, Form.FINAL, Form.MEDIAL)
 
 
 def analyze_joining(letters: Sequence[LetterRecord]) -> list[Form]:
     """Assign isolated/initial/medial/final forms within one word."""
     if not letters:
         raise EmptyWord("cannot analyze joining of an empty word")
-    n = len(letters)
-    forms: list[Form] = []
-    for i, letter in enumerate(letters):
-        joins_prev = i > 0 and _joins_forward(letters[i - 1]) and _joins_backward(letter)
-        joins_next = i < n - 1 and _joins_forward(letter) and _joins_backward(letters[i + 1])
-        if joins_prev and joins_next:
-            forms.append(Form.MEDIAL)
-        elif joins_prev:
-            forms.append(Form.FINAL)
-        elif joins_next:
-            forms.append(Form.INITIAL)
-        else:
-            forms.append(Form.ISOLATED)
-    return forms
+    # links[i]: letter i joins letter i + 1, which a dual-joining letter
+    # does toward any letter that joins backward (dual or right).
+    links = [
+        a.joining_class is JoiningClass.DUAL and b.joining_class is not JoiningClass.NONE
+        for a, b in zip(letters, letters[1:])
+    ]
+    return [_FORMS[2 * p + n] for p, n in zip([False, *links], [*links, False])]
 
 
 def valid_forms(letter: LetterRecord) -> tuple[Form, ...]:

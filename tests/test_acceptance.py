@@ -37,7 +37,7 @@ from qalam.textmodel import DEFAULT_TABLE, Placement, decompose
 from .break_oracle import oracle_best
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
 from .joining_oracle import reference_forms
-from .util import BEH, DAMMA, cluster, random_word_text, synth_font
+from .util import BEH, DAMMA, cluster, mark_facts, random_word_text, synth_font
 
 FONT = str(DEMO_FONT_PATH)
 ALL_FEATURES = frozenset({"liga", "jalt"})
@@ -188,7 +188,7 @@ def test_criterion_4_placement_algorithm(demo_font):
                     stretched = kashida.apply_plan(word, plan, sites)
                     marks, _ = place_diacritics(stretched, demo_font)
                     for m in marks:
-                        ranks_by_mark.setdefault(m.glyph_index, []).append(
+                        ranks_by_mark.setdefault(m.index, []).append(
                             VARIANT_ORDER.index(m.variant)
                         )
                 for ranks in ranks_by_mark.values():
@@ -200,10 +200,8 @@ def test_criterion_4_placement_algorithm(demo_font):
                 word = kashida.apply_plan(word, plan, sites)
 
             marks, _ = place_diacritics(word, demo_font)
-            replay, _ = place_diacritics(
-                with_marks(word, marks, demo_font), demo_font
-            )
-            assert replay == marks  # idempotence
+            replay, _ = place_diacritics(with_marks(word, marks), demo_font)
+            assert mark_facts(replay) == mark_facts(marks)  # idempotence
 
             for m in marks:  # variant legality
                 if m.variant is not SizeVariant.NORMAL:

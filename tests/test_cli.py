@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qalam.cli
 import qalam.diacritics
@@ -809,3 +812,82 @@ class TestWordMemo:
         decomposed = decompose(text)
         assert keys == words
         assert [decompose(key) for key in keys] == [[clusters] for clusters in decomposed]
+
+
+def run_captured(argv, stdin_text=""):
+    """``main(argv)`` with its own stdin, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+#: The layout commands whose output ``TestSameBytes`` compares; each
+#: layout is also rendered.
+LAYOUT_COMMANDS = (
+    ("shape", "--features", "liga,jalt"),
+    ("justify", "--algorithm", "optimum", "--variants", "on", "--width", "4000"),
+    ("justify", "--algorithm", "greedy", "--width", "4000"),
+)
+
+
+def layout_chain(text: str) -> list:
+    """Exit code, stdout and stderr of each layout command on ``text`` and
+    of ``render`` on each layout."""
+    results = []
+    for command, *rest in LAYOUT_COMMANDS:
+        shaped = run_captured([command, "--font", FONT, "--text", text, *rest])
+        results += [shaped, run_captured(["render", "--font", FONT], shaped[1])]
+    return results
+
+
+HASH_SEED_WORKER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+from tests.test_cli import layout_chain
+print(json.dumps(layout_chain(sys.argv[3])))
+"""
+
+
+class TestSameBytes:
+    """The same command line gives the same bytes, whatever the hash seed
+    and whatever ran before it in the process."""
+
+    def test_independent_of_hash_seed(self):
+        # The word-memo text, then 40 words of fresh text.
+        fresh = DATA.joinpath("fresh_words.txt").read_text(encoding="utf-8").split()
+        text = " ".join([REPEATED_TEXT, *fresh[:40]])
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_WORKER, str(root / "src"), str(root), text],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(json.loads(done.stdout))
+        assert [code for code, _, _ in outputs[0]] == [0] * 6
+        assert outputs[0] == outputs[1]
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(
+        first=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+        second=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+    )
+    def test_repeated_run_in_one_process(self, first, second):
+        text, other = (
+            " ".join(gen.random_word(random.Random(seed)) for seed in seeds)
+            for seeds in (first, second)
+        )
+        before = layout_chain(text)
+        layout_chain(other)
+        assert layout_chain(text) == before

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from qalam import diacritics, kashida, layout, shaper
 from qalam.diacritics import (
-    _MarkState,
+    PlacedMark,
     _Placer,
     place_diacritics,
     resolve_collisions,
@@ -16,9 +17,13 @@ from qalam.diacritics import (
 from qalam.errors import MissingVariant
 from qalam.fontmodel import SizeVariant, VARIANT_ORDER
 from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
-from qalam.textmodel import Placement
+from qalam.lookups import PlacedGlyph
+from qalam.textmodel import Placement, decompose
 
-from .util import BEH, synth_font, word
+from .conftest import CORPUS_PATH
+from .util import BEH, mark_facts, synth_font, word
+
+FRESH_WORDS_PATH = Path(__file__).resolve().parent / "data" / "fresh_words.txt"
 
 
 def variant_rank(variant: SizeVariant) -> int:
@@ -95,19 +100,19 @@ class TestPlaceDiacritics:
         assert len(marks) == 1
         assert marks[0].mark == "damma"
         assert marks[0].variant is SizeVariant.NORMAL
-        assert marks[0].offset == (90, 400)
+        assert (marks[0].x, marks[0].y) == (90, 400)
         assert marks[0].owner == 0
 
     def test_middle_glyph_mark_recenters(self):
         font = synth_font(anchor_above=(120, 400))
         lone = word("بُ", font)
         lone_marks, _ = place_diacritics(lone, font)
-        assert lone_marks[0].offset[0] == 120 - 60  # anchor kept on last glyph
+        assert lone_marks[0].x == 120 - 60  # anchor kept on last glyph
 
         pair = word("بُب", font)
         pair_marks, _ = place_diacritics(pair, font)
         # beh.initial ink [0, 340]: center 170, damma anchor x 60.
-        assert pair_marks[0].offset[0] == 170 - 60
+        assert pair_marks[0].x == 170 - 60
 
     def test_growable_mark_resizes_and_recenters(self):
         font = synth_font(thresholds=(400, 700), letter_extensions={BEH: 400})
@@ -120,7 +125,7 @@ class TestPlaceDiacritics:
         marks, _ = place_diacritics(stretched, font)
         assert marks[0].variant is SizeVariant.MEDIUM  # gap 590
         # Recentered at the midpoint of the extended ink span.
-        assert marks[0].offset == ((340 + 250) // 2 - 100, 380)
+        assert (marks[0].x, marks[0].y) == ((340 + 250) // 2 - 100, 380)
 
         wide = stretch(base_word, font, {0: 400})
         marks, _ = place_diacritics(wide, font)
@@ -132,7 +137,7 @@ class TestPlaceDiacritics:
         marks, _ = place_diacritics(w, font)
         assert marks[0].variant is SizeVariant.LARGE
         # Anchor point preserved: large anchor x 200 at base anchor 170.
-        assert marks[0].offset[0] == 170 - 200
+        assert marks[0].x == 170 - 200
 
     def test_final_phase_leaves_other_marks_alone(self):
         font = synth_font(mass_variants={"medium": "large"})
@@ -144,10 +149,10 @@ class TestPlaceDiacritics:
         font = synth_font(mass_positions={"medium": {"above": 55, "below": -40}})
         w = word("بُ", font)
         marks, _ = place_diacritics(w, font)
-        assert marks[0].offset[1] == 380 + 55
+        assert marks[0].y == 380 + 55
         below = word("بِ", font)
         marks, _ = place_diacritics(below, font)
-        assert marks[0].offset[1] == -80 - 40 - 60  # anchor - dy - mark anchor y
+        assert marks[0].y == -80 - 40 - 60  # anchor - dy - mark anchor y
 
     def test_shadda_stack_rides_along(self):
         font = synth_font(thresholds=(400, 700))
@@ -156,10 +161,10 @@ class TestPlaceDiacritics:
         shadda, fatha = marks[0], marks[1]
         assert shadda.mark == "shadda" and fatha.mark == "fatha"
         # Shadda centered over ink span [0, 340]; stack keeps alignment.
-        assert shadda.offset[0] == 170 - 75
+        assert shadda.x == 170 - 75
         assert fatha.variant is SizeVariant.NORMAL  # gap 340 below threshold
-        assert fatha.offset[0] == shadda.offset[0] + 75 - 50
-        assert fatha.offset[1] == shadda.offset[1] + 150
+        assert fatha.x == shadda.x + 75 - 50
+        assert fatha.y == shadda.y + 150
 
     def test_stacked_growable_mark_resizes_on_stack(self):
         font = synth_font()  # thresholds (200, 450): gap 340 selects medium
@@ -168,7 +173,7 @@ class TestPlaceDiacritics:
         shadda, fatha = marks[0], marks[1]
         assert fatha.variant is SizeVariant.MEDIUM
         # Rides the centered shadda through the stack anchor, medium anchor 100.
-        assert fatha.offset[0] == shadda.offset[0] + 75 - 100
+        assert fatha.x == shadda.x + 75 - 100
 
     def test_ligature_marks_keep_component_anchor(self, demo_font):
         w = word("لَاب", demo_font)  # lam+fatha+alef then beh
@@ -180,7 +185,7 @@ class TestPlaceDiacritics:
         # the anchor point stays on the component.
         assert fatha.variant is SizeVariant.MEDIUM
         medium = demo_font.marks["fatha.medium"]
-        assert fatha.offset[0] == anchor_x - medium.anchor.x
+        assert fatha.x == anchor_x - medium.anchor.x
 
     def test_idempotent_on_corpus(self, demo_font, corpus_words):
         rng = random.Random(4)
@@ -191,8 +196,8 @@ class TestPlaceDiacritics:
                 plan = ElongationPlan({site.glyph_index: rng.randint(1, site.capacity)}, 0)
                 w = apply_plan(w, plan, sites)
             first, _ = place_diacritics(w, demo_font)
-            replayed, _ = place_diacritics(with_marks(w, first, demo_font), demo_font)
-            assert replayed == first
+            replayed, _ = place_diacritics(with_marks(w, first), demo_font)
+            assert mark_facts(replayed) == mark_facts(first)
 
     def test_monotone_in_elongation(self):
         font = synth_font(thresholds=(400, 700), letter_extensions={BEH: 600})
@@ -220,9 +225,9 @@ class TestPlaceDiacritics:
                 glyph_id = demo_font.sized_mark(m.mark, m.variant).glyph
                 ink = demo_font.marks[glyph_id].ink
                 if mark.attachment_class is Placement.ABOVE:
-                    assert m.offset[1] + ink.y_min >= 0
+                    assert m.y + ink.y_min >= 0
                 else:
-                    assert m.offset[1] + ink.y_max <= 0
+                    assert m.y + ink.y_max <= 0
 
     def test_resized_vowel_pushes_next_glyph_mark(self):
         # An oversized large variant spills over the neighbour's damma, so
@@ -239,8 +244,8 @@ class TestPlaceDiacritics:
         assert fatha.variant is SizeVariant.LARGE  # gap 540 over threshold 450
         # Large fatha centered at (0+340+200)//2 = 270 spans [-180, 720];
         # the damma sits at offset 650 (ink [650, 770]), overlapped by 70.
-        assert fatha.offset[0] == 270 - 450
-        assert damma.offset[0] == 650 + 70 + 10
+        assert fatha.x == 270 - 450
+        assert damma.x == 650 + 70 + 10
 
     def test_missing_size_raises_missing_variant(self):
         # fatha offers no medium size; a gap of 340 over beh asks for it.
@@ -267,7 +272,7 @@ def mark_states(w, font, offsets):
     for mi, (x, y) in zip(entries, offsets):
         mark_id = w.glyphs[mi].glyph
         sized = font.sized_mark(mark_id, SizeVariant.NORMAL)
-        states[mi] = _MarkState(mark_id, sized, None, x, y, x, y)
+        states[mi] = PlacedMark(mi, w.tables.roots[mi], mark_id, sized, None, x, y, x, y)
     return states
 
 
@@ -332,8 +337,8 @@ class TestResolveCollisions:
                 side = demo_font.marks[m.mark].attachment_class
                 glyph_id = demo_font.sized_mark(m.mark, m.variant).glyph
                 ink = demo_font.marks[glyph_id].ink
-                lo, hi = m.offset[0] + ink.x_min, m.offset[0] + ink.x_max
-                root = m.glyph_index
+                lo, hi = m.x + ink.x_min, m.x + ink.x_max
+                root = m.index
                 while w.glyphs[root].attached_to is not None and w.glyphs[
                     w.glyphs[root].attached_to[0]
                 ].is_mark:
@@ -391,40 +396,58 @@ class TestLinearPasses:
 
     def test_one_placed_mark_per_mark(self, monkeypatch):
         # The case of ``test_resized_vowel_pushes_next_glyph_mark``: the
-        # damma is nudged, yet each mark is built into one PlacedMark, and
-        # the nudge reads each mark's size from the sweep, not the font.
+        # damma is nudged, yet each mark is built into one PlacedMark; the
+        # nudge reads each mark's size from the sweep, and the glyph string
+        # is written from the placed marks, neither from the font.
         font = synth_font(
             letter_extensions={BEH: 400},
             mark_overrides={"fatha.large": {"ink": [0, 0, 900, 80], "anchor": [450, 0]}},
         )
         w = stretch(word("بَبُ", font), font, {0: 200})
-        counts = {"PlacedMark": 0, "sized_mark in resolve_collisions": 0}
-        resolving = []
-        real_mark, real_resolve = diacritics.PlacedMark, diacritics.resolve_collisions
+        counts = {
+            "PlacedMark": 0,
+            "sized_mark in resolve_collisions": 0,
+            "sized_mark in with_marks": 0,
+        }
+        inside = []
+        real_mark = diacritics.PlacedMark
         real_sized_mark = font.sized_mark
 
         def placed_mark(*args, **kwargs):
             counts["PlacedMark"] += 1
             return real_mark(*args, **kwargs)
 
-        def resolve(*args, **kwargs):
-            resolving.append(True)
-            try:
-                return real_resolve(*args, **kwargs)
-            finally:
-                resolving.pop()
+        def within(name):
+            real = getattr(diacritics, name)
+
+            def call(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(diacritics, name, call)
 
         def sized_mark(*args):
-            counts["sized_mark in resolve_collisions"] += bool(resolving)
+            if inside:
+                counts[f"sized_mark in {inside[-1]}"] += 1
             return real_sized_mark(*args)
 
         monkeypatch.setattr(diacritics, "PlacedMark", placed_mark)
-        monkeypatch.setattr(diacritics, "resolve_collisions", resolve)
+        within("resolve_collisions")
+        within("with_marks")
         monkeypatch.setattr(font, "sized_mark", sized_mark)
         marks, diags = diacritics.place_diacritics(w, font)
         assert diags == [] and len(marks) == 2
-        assert marks[1].offset[0] == 650 + 70 + 10  # the damma was nudged
-        assert counts == {"PlacedMark": 2, "sized_mark in resolve_collisions": 0}
+        assert marks[1].x == 650 + 70 + 10  # the damma was nudged
+        marked = diacritics.with_marks(w, marks)
+        assert [g.glyph for g in marked.glyphs if g.is_mark] == ["fatha.large", "damma"]
+        assert counts == {
+            "PlacedMark": 2,
+            "sized_mark in resolve_collisions": 0,
+            "sized_mark in with_marks": 0,
+        }
 
     def test_finished_word_shares_its_tables(self, demo_font, corpus_words):
         for w in corpus_words:
@@ -435,3 +458,16 @@ class TestLinearPasses:
             marked, _ = diacritics.mark_word(stretched, demo_font, 10)
             assert marked.tables is stretched.tables
             assert marked.tables == shaper.word_tables(marked)
+
+
+@pytest.mark.parametrize("path", [CORPUS_PATH, FRESH_WORDS_PATH], ids=["corpus", "fresh"])
+def test_every_glyph_passes_its_check(demo_font, path):
+    """Shaping and marking build glyphs without ``PlacedGlyph``'s check,
+    from values that pass it; every glyph they write must pass it."""
+    features = frozenset({"liga", "jalt"})
+    for clusters in decompose(path.read_text(encoding="utf-8").replace("\n", " ")):
+        shaped = shaper.shape_word(clusters, demo_font, features)
+        marked, _ = diacritics.mark_word(shaped, demo_font, 10)
+        for g in shaped.glyphs + marked.glyphs:
+            assert type(g) is PlacedGlyph and len(g) == len(PlacedGlyph._fields)
+            g._check()

@@ -161,7 +161,7 @@ class TestApplyPlan:
         w = word("بُا", font)  # beh+damma, alef
         out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
         marks, _ = place_diacritics(out, font)
-        mark = with_marks(out, marks, font).glyphs[1]
+        mark = with_marks(out, marks).glyphs[1]
         # Midpoint of [0, 340+200] minus damma anchor x.
         assert mark.x_offset == (340 + 200) // 2 - 60
 
@@ -172,7 +172,7 @@ class TestApplyPlan:
         out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
         marks, _ = place_diacritics(out, font)
         assert marks[1].variant is SizeVariant.NORMAL
-        shadda, fatha = with_marks(out, marks, font).glyphs[1:3]
+        shadda, fatha = with_marks(out, marks).glyphs[1:3]
         assert shadda.x_offset == (340 + 200) // 2 - 75
         assert fatha.x_offset == shadda.x_offset + 75 - 50
 

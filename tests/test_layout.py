@@ -33,7 +33,7 @@ def shaped(font, text):
     for clusters in decompose(text):
         w = shape_word(clusters, font, frozenset())
         placed, _ = place_diacritics(w, font)
-        words.append(with_marks(w, placed, font))
+        words.append(with_marks(w, placed))
     return words
 
 
@@ -72,7 +72,7 @@ class TestShapedDocument:
         w = apply_plan(w, ElongationPlan({0: 300}, 0), enumerate_sites(w, demo_font))
         placed, _ = place_diacritics(w, demo_font)
         assert placed[0].variant is not SizeVariant.NORMAL
-        doc = shaped_document(demo_font, [with_marks(w, placed, demo_font)])
+        doc = shaped_document(demo_font, [with_marks(w, placed)])
         mark = doc["lines"][0]["glyphs"][0]["marks"][0]
         assert mark["mark"] == "fatha"
         assert mark["variant"] == placed[0].variant.value

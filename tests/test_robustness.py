@@ -123,6 +123,41 @@ def test_render_survives_layout_mutation(capsys, monkeypatch):
         assert code == 0 or out == "", where
 
 
+def test_commands_survive_font_mutation(tmp_path, capsys, monkeypatch):
+    """Seeded one-node edits of the demo font that still load, run through
+    ``main``: ``shape``, greedy and optimum ``justify`` and ``render`` each
+    end in a documented exit code, never in a traceback."""
+    base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+    text = "سَبُّ لَا بَيْتٌ كَتَبَ فًيَ"
+    commands = (
+        ["shape", "--features", "liga,jalt"],
+        ["justify", "--algorithm", "greedy", "--width", "1200"],
+        ["justify", "--algorithm", "optimum", "--variants", "on", "--width", "1200"],
+    )
+    fonts = 0
+    for doc, path in _mutations(405, base, 600):
+        try:
+            load_font(json.dumps(doc))
+        except QalamError:
+            continue
+        font = tmp_path / "font.json"
+        font.write_text(json.dumps(doc), encoding="utf-8")
+        where = "/".join(map(str, path))
+        for command, *rest in commands:
+            code = main([command, "--font", str(font), "--text", text, *rest])
+            out, err = capsys.readouterr()
+            assert code in {0, 1, 2, 3, 4} and "Traceback" not in err, where
+            if code == 0:
+                monkeypatch.setattr("sys.stdin", io.StringIO(out))
+                code = main(["render", "--font", str(font)])
+                err = capsys.readouterr().err
+                assert code in {0, 1, 2, 3, 4} and "Traceback" not in err, where
+        fonts += 1
+        if fonts == 100:
+            break
+    assert fonts >= 80
+
+
 def test_character_table_survives_mutation():
     base = {
         "schema": "qalam-chars/1",

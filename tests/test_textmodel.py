@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qalam import textmodel
 from qalam.errors import (
     DuplicateMark,
     EmptyWord,
@@ -112,6 +114,45 @@ class TestDecompose:
     def test_string_input(self):
         words = decompose("بَا")
         assert [m.code_point for m in words[0][0].marks] == [FATHA]
+
+    def test_builds_one_cluster_per_distinct_cluster(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Cluster(*args)
+
+        monkeypatch.setattr(textmodel, "Cluster", counted)
+        # beh+fatha, beh+fatha with one elongation (typed before or after
+        # the fatha), beh+damma: three distinct clusters in eight.
+        text = "بَبَ بَبَ بَـبُ بـَبُ"
+        words = decompose(text)
+        assert len(built) == 3
+        flat = [c for w in words for c in w]
+        assert len(flat) == 8 and len({id(c) for c in flat}) == 3
+        assert flat[0] is flat[3] and flat[4] is flat[6] and flat[5] is flat[7]
+        assert flat[4] == Cluster(DEFAULT_TABLE.letters[BEH], (DEFAULT_TABLE.diacritics[FATHA],), 1)
+        # The clusters are interned per call: a second call builds its own.
+        again = decompose(text)
+        assert len(built) == 6 and again == words and again[0][0] is not flat[0]
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("َب", LeadingMark, "mark U+064E at position 15 has no base letter"),
+            ("ـب", LeadingMark, "elongation character at position 15 has no base letter"),
+            ("بَx", UnsupportedCharacter, "U+0078 at position 17"),
+            ("بَبَُ", DuplicateMark, "letter beh carries 2 vowel marks"),
+            ("بّّ", DuplicateMark, "mark shadda repeated on letter beh"),
+        ],
+        ids=["mark", "tatweel", "unsupported", "second-vowel", "repeated-mark"],
+    )
+    def test_errors_in_a_later_word_keep_absolute_positions(self, bad, error, message):
+        # Three words whose clusters are built before the bad word's.
+        prefix = "بَبَ بَبَ بَبَ "
+        assert len(prefix) == 15
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            decompose(prefix + bad)
 
 
 class TestFlattenRoundTrip:

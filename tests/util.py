@@ -206,3 +206,9 @@ def random_word_text(rng: random.Random, max_len: int = 5, marked: bool = True) 
         if marked and rng.random() < 0.05:
             out.append(chr(0x0640))  # explicit elongation hint
     return "".join(out)
+
+
+def mark_facts(marks) -> list[tuple]:
+    """What ``place_diacritics`` decided for each mark, for comparing two
+    placements: mark id, size, origin, owner base and glyph index."""
+    return [(m.mark, m.variant, (m.x, m.y), m.owner, m.index) for m in marks]
