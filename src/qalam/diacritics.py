@@ -32,8 +32,8 @@ the same answer.
 which read two tables:
 
 - per word, ``ShapedWord.tables``, built in one forward pass over the
-  glyphs on first use: each glyph's attachment root and pen x, each mark's
-  stack unit, the bases with their positions, and each base's marks;
+  glyphs on first use (every mark attaches to an earlier glyph): each
+  glyph's pen x, the bases, and each base's marks;
 - per font, ``FontDescription.sized_marks``, built on first use: for each
   (mark, size) the glyph drawn, its side, ink x interval and anchors, and
   whether the mark is the gemination mark or growable.
@@ -49,8 +49,8 @@ The passes run in this order:
    ``space-available``. It reads the sweep's positions, from before
    collisions are nudged apart.
 3. ``resolve_collisions``: the marks are grouped into stack units once,
-   each side's units are swept in logical order, and a nudged unit moves
-   its marks in place.
+   through the sweep's ``stacked_on``; each side's units are swept in
+   logical order, and a nudged unit moves its marks in place.
 4. ``with_marks``: one pass writes the glyph tuple, each mark's glyph from
    its ``PlacedMark``'s size, with no font lookup. Marks move no pen and
    change no attachment, so the finished word shares the word's tables.
@@ -123,16 +123,15 @@ class _Placer:
         tables = word.tables
         self.pens = tables.pens
         self.bases = tables.bases
-        self.base_pos = tables.base_pos
         self.marks_of = tables.marks_of
         self.states: dict[int, PlacedMark] = {}
-        # Each base's ink x span, elongation included.
-        self.spans: dict[int, tuple[int, int]] = {}
+        # Each base's ink x span, elongation included, by its place in ``bases``.
+        self.spans: list[tuple[int, int]] = []
         for base_i in self.bases:
             pg = word.glyphs[base_i]
             ink = font.glyphs[pg.glyph].ink
             x = self.pens[base_i] + pg.x_offset
-            self.spans[base_i] = (x + ink.x_min, x + ink.x_max + pg.elongation)
+            self.spans.append((x + ink.x_min, x + ink.x_max + pg.elongation))
 
     def default_place(self, base_i: int) -> None:
         word, font, states = self.word, self.font, self.states
@@ -172,13 +171,12 @@ class _Placer:
                 ax - sized.anchor.x, ay - sized.anchor.y,
             )
 
-    def gap(self, base_i: int, side: Placement) -> int:
-        """A base glyph's ink span, elongation included, minus the ``side``
-        ink that its neighbouring bases' marks, as placed so far, project
-        into it."""
-        lo, hi = self.spans[base_i]
+    def gap(self, k: int, side: Placement) -> int:
+        """The ``k``-th base glyph's ink span, elongation included, minus
+        the ``side`` ink that its neighbouring bases' marks, as placed so
+        far, project into it."""
+        lo, hi = self.spans[k]
         bases, marks_of, states = self.bases, self.marks_of, self.states
-        k = self.base_pos[base_i]
         covered = 0
         for p in (k - 1, k + 1):
             if not 0 <= p < len(bases):
@@ -191,15 +189,17 @@ class _Placer:
                 covered += max(0, min(hi, x + sized.ink_hi) - max(lo, x + sized.ink_lo))
         return max(0, hi - lo - covered)
 
-    def revisit(self, base_i: int, final: bool) -> None:
-        """Re-place one glyph's marks once its right-hand context is known."""
+    def revisit(self, k: int, final: bool) -> None:
+        """Re-place the ``k``-th base glyph's marks once its right-hand
+        context is known."""
         font, states = self.font, self.states
         thresholds = font.size_thresholds
+        base_i = self.bases[k]
         base = self.word.glyphs[base_i]
         # On the last glyph and over a ligature a mark keeps its attachment
         # point; the variant's own anchor decides how its ink spreads.
         keep_anchor = final or base.glyph in font.ligature_by_glyph
-        lo, hi = self.spans[base_i]
+        lo, hi = self.spans[k]
         mid = (lo + hi) // 2
 
         indices = self.marks_of[base_i]
@@ -219,7 +219,7 @@ class _Placer:
                 if final:
                     variant = font.mass_variant(font.glyphs[base.glyph].mass_class)
                 else:
-                    free = self.gap(base_i, state.sized.side)
+                    free = self.gap(k, state.sized.side)
                     variant = select_size_variant(free, thresholds.medium, thresholds.large)
                 state.variant = variant
                 state.sized = font.sized_mark(state.mark, variant)
@@ -245,9 +245,9 @@ class _Placer:
             if marks_of[base_i]:
                 self.default_place(base_i)
             if k > 0 and marks_of[bases[k - 1]]:
-                self.revisit(bases[k - 1], final=False)
+                self.revisit(k - 1, final=False)
         if bases and marks_of[bases[-1]]:
-            self.revisit(bases[-1], final=True)
+            self.revisit(len(bases) - 1, final=True)
 
 
 class _StackUnit:
@@ -281,21 +281,22 @@ def resolve_collisions(
     moving the sweep's ``states`` (keyed by glyph index) in place.
 
     A stacked mark moves with its carrier: marks are grouped into stack
-    units once, and each side's units are swept in logical order.
+    units once, each keyed by its lowest mark, and each side's units are
+    swept in logical order. The sweep fills ``states`` base by base in
+    glyph order, so a mark comes after the mark it is ``stacked_on``.
     Gemination marks, and any stack carrying one, never move. When neither
     of an overlapping pair may move, or the needed shift exceeds the
     mark's owner ink span, the overlap is reported and left in place.
     """
-    stack_of = word.tables.units
-    units: dict[int, _StackUnit] = {}
+    units: dict[int, _StackUnit] = {}  # keyed by the stack's lowest mark
+    unit_of: dict[int, _StackUnit] = {}
     for mi, state in states.items():
         sized = state.sized
         lo, hi = state.x + sized.ink_lo, state.x + sized.ink_hi
-        key = stack_of[mi]
-        unit = units.get(key)
-        if unit is None:
-            units[key] = _StackUnit(state, lo, hi)
+        if state.stacked_on is None:
+            units[mi] = unit_of[mi] = _StackUnit(state, lo, hi)
         else:
+            unit = unit_of[mi] = unit_of[state.stacked_on]
             unit.states.append(state)
             unit.lo, unit.hi = min(unit.lo, lo), max(unit.hi, hi)
             unit.pinned = unit.pinned or sized.shadda
@@ -372,13 +373,14 @@ def place_diacritics(
     # is never wider than its glyph, so narrow glyphs are skipped at once.
     large = font.size_thresholds.large
     ornaments = []
-    for base_i, (lo, hi) in placer.spans.items():
+    for k, (lo, hi) in enumerate(placer.spans):
+        base_i = placer.bases[k]
         if hi - lo < large or any(
             states[mi].sized.side is Placement.ABOVE
             for mi in placer.marks_of[base_i]
         ):
             continue
-        free = placer.gap(base_i, Placement.ABOVE)
+        free = placer.gap(k, Placement.ABOVE)
         if free >= large:
             ornaments.append(
                 Diagnostic(

@@ -36,6 +36,7 @@ from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
 from .textmodel import (
     DEFAULT_TABLE,
     ELONGATABLE_MARKS,
+    MAX_CODE_POINT,
     SHADDA_CP,
     CharacterTable,
     Form,
@@ -337,6 +338,17 @@ def _as_list(value, ctx: str) -> list:
     return value
 
 
+def _code_point(key: str, ctx: str) -> int:
+    """A hex code point key, which must name U+0000..U+10FFFF."""
+    try:
+        cp = int(key, 16)
+    except ValueError:
+        cp = -1
+    if not 0 <= cp <= MAX_CODE_POINT:
+        raise SchemaError(f"{ctx}: bad code point key {key!r}")
+    return cp
+
+
 # Enum members by value for the loader: a dict lookup costs a fraction of
 # an ``Enum(value)`` call.
 _PLACEMENTS = {p.value: p for p in Placement}
@@ -554,10 +566,7 @@ def load_font(source) -> FontDescription:
 
     cmap: dict[tuple[int, Form], str] = {}
     for cp_hex, forms in _as_dict(_require(doc, "cmap", "font"), "cmap").items():
-        try:
-            cp = int(cp_hex, 16)
-        except ValueError:
-            raise SchemaError(f"cmap: bad code point key {cp_hex!r}") from None
+        cp = _code_point(cp_hex, "cmap")
         if type(forms) is not dict:
             raise SchemaError(f"cmap {cp_hex}: expected an object, got {forms!r}")
         for form_name, gid in forms.items():
@@ -570,10 +579,7 @@ def load_font(source) -> FontDescription:
 
     mark_cmap: dict[int, str] = {}
     for cp_hex, mid in _as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():
-        try:
-            mark_cmap[int(cp_hex, 16)] = _as_str(mid, f"mark_cmap {cp_hex}")
-        except ValueError:
-            raise SchemaError(f"mark_cmap: bad code point key {cp_hex!r}") from None
+        mark_cmap[_code_point(cp_hex, "mark_cmap")] = _as_str(mid, f"mark_cmap {cp_hex}")
 
     gsub = tuple(
         rule_from_json(obj) for obj in _as_list(doc.get("gsub", []), "gsub")

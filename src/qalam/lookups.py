@@ -372,10 +372,10 @@ class PlacedGlyph(NamedTuple):
 
     Base glyphs advance the pen; their offsets are relative to their own
     pen position. Mark glyphs never advance the pen and record the glyph
-    they attach to in ``attached_to`` as (glyph index, attachment class).
-    A mark's offsets are zero until ``diacritics.mark_word`` writes them:
-    x relative to the pen of the base at the root of its attachment chain,
-    and y.
+    they attach to in ``attached_to`` as (glyph index, attachment class);
+    that glyph always comes earlier in the word. A mark's offsets are zero
+    until ``diacritics.mark_word`` writes them: x relative to the pen of
+    the base at the root of its attachment chain, and y.
     """
 
     glyph: str
@@ -567,7 +567,8 @@ def position_marks(
     preceding mark of its cluster and side when a mark-to-mark rule covers
     the pair, attaches to its ligature component when a mark-to-ligature
     rule covers the ligature, and otherwise attaches to its base glyph
-    under a mark-to-base rule. A mark no rule covers is an error.
+    under a mark-to-base rule. A mark no rule covers is an error. Either
+    target comes before the mark, so every mark attaches backward.
 
     Marks come out with zero offsets. Every anchor that placing them will
     read is checked here, so a font that lacks one fails at shape time.

@@ -64,84 +64,46 @@ class ShapedWord(_ShapedWordFields):
 
     @cached_property
     def tables(self) -> "WordTables":
-        """The word's attachment and pen tables, built on first use."""
+        """The word's pen and mark tables, built on first use."""
         return word_tables(self)
 
 
 class WordTables(NamedTuple):
     """Facts of a word's glyph string that every mark pass reads.
 
-    ``roots``, ``pens`` and ``marks_of`` have one entry per glyph: a base
-    is its own root, a mark rides its root's pen, and ``marks_of`` lists
-    the marks whose root a base is, in order. ``units`` gives each mark the
-    lowest mark of the stack it belongs to (itself when it sits on a base);
-    a stack moves as one when marks are nudged apart. Every table holds
-    only ints, so the garbage collector soon stops tracking them and a
-    finished word carries them cheaply.
+    ``pens`` and ``marks_of`` have one entry per glyph: a mark rides the
+    pen of the base at the root of its attachment chain, and ``marks_of``
+    lists the marks whose root a base is, in order. ``bases`` lists the
+    base glyph indices in order. Every mark attaches to an earlier glyph
+    (``position_marks`` keeps that contract), so one forward pass builds
+    them. Every table holds only ints, so the garbage collector soon stops
+    tracking them and a finished word carries them cheaply.
     """
 
-    roots: tuple[int, ...]
     pens: tuple[int, ...]
-    units: tuple[int, ...]
     bases: tuple[int, ...]
-    base_pos: dict[int, int]  # base glyph index -> its position in ``bases``
     marks_of: tuple[tuple[int, ...], ...]
 
 
-def attachment_root(word: ShapedWord, index: int) -> int:
-    """Follow a mark's attachment chain down to its base glyph index."""
-    seen = set()
-    while word.glyphs[index].is_mark:
-        if index in seen:
-            raise ValueError(f"attachment cycle at glyph {index}")
-        seen.add(index)
-        attached = word.glyphs[index].attached_to
-        if attached is None:
-            raise ValueError(f"mark at {index} is not attached")
-        index = attached[0]
-    return index
-
-
 def word_tables(word: ShapedWord) -> WordTables:
-    """Build a word's ``WordTables`` in one forward pass over its glyphs.
-
-    A mark attached to an earlier glyph takes that glyph's root and stack;
-    one attached forward (or not at all) walks its chain, which raises
-    ValueError on a cycle or an unattached mark.
-    """
+    """Build a word's ``WordTables`` in one forward pass over its glyphs:
+    a mark takes the root of the earlier glyph it attaches to."""
     glyphs = word.glyphs
     roots = list(range(len(glyphs)))
-    units = roots[:]
     pens = [0] * len(glyphs)
-    base_pos: dict[int, int] = {}
+    bases: list[int] = []
     marks_of: list[tuple[int, ...]] = [()] * len(glyphs)
     pen = 0
     for i, g in enumerate(glyphs):
-        if not g.is_mark:
-            base_pos[i] = len(base_pos)
+        if g.is_mark:
+            root = roots[i] = roots[g.attached_to[0]]
+            pens[i] = pens[root]
+            marks_of[root] += (i,)
+        else:
+            bases.append(i)
             pens[i] = pen
             pen += g.advance + g.elongation
-            continue
-        attached = g.attached_to
-        if attached is not None and 0 <= attached[0] < i:
-            below = attached[0]
-            root = roots[i] = roots[below]
-            if glyphs[below].is_mark:
-                units[i] = units[below]
-        else:
-            root = roots[i] = attachment_root(word, i)
-            while attached is not None and glyphs[attached[0]].is_mark:
-                units[i] = attached[0]
-                attached = glyphs[attached[0]].attached_to
-        marks_of[root] += (i,)
-    return WordTables(
-        tuple(roots),
-        tuple([pens[r] for r in roots]),
-        tuple(units),
-        tuple(base_pos),
-        base_pos,
-        tuple(marks_of),
-    )
+    return WordTables(tuple(pens), tuple(bases), tuple(marks_of))
 
 
 def _stack_order(marks):

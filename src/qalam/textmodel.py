@@ -37,6 +37,7 @@ SPACE_CP = 0x0020
 FATHATAN_CP = 0x064B
 FATHA_CP = 0x064E
 SHADDA_CP = 0x0651
+MAX_CODE_POINT = 0x10FFFF
 
 #: Code points whose marks may grow to fill space.
 ELONGATABLE_MARKS = frozenset({FATHA_CP, FATHATAN_CP})
@@ -229,6 +230,11 @@ class CharacterTable:
         overlap = self.letters.keys() & self.diacritics.keys()
         if overlap:
             raise ValueError(f"code points registered twice: {sorted(overlap)}")
+        for cp in (*self.letters, *self.diacritics):
+            if not 0 <= cp <= MAX_CODE_POINT:
+                raise ValueError(f"code point {cp:X} is outside 0000..10FFFF")
+            if cp in (SPACE_CP, TATWEEL_CP):
+                raise ValueError(f"U+{cp:04X} is reserved: it is neither a letter nor a mark")
 
     def classify(self, cp: int) -> CharClass:
         if cp in self.letters:

@@ -11,6 +11,7 @@ from qalam.textmodel import decompose
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "qalam" / "data"
 DEMO_FONT_PATH = DATA_DIR / "chawki-demo.qalam-font.json"
 CORPUS_PATH = DATA_DIR / "corpus.txt"
+FRESH_WORDS_PATH = Path(__file__).resolve().parent / "data" / "fresh_words.txt"
 
 
 @pytest.fixture(scope="session")

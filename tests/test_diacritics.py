@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -20,10 +19,8 @@ from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
 from qalam.lookups import PlacedGlyph
 from qalam.textmodel import Placement, decompose
 
-from .conftest import CORPUS_PATH
-from .util import BEH, mark_facts, synth_font, word
-
-FRESH_WORDS_PATH = Path(__file__).resolve().parent / "data" / "fresh_words.txt"
+from .conftest import CORPUS_PATH, FRESH_WORDS_PATH
+from .util import BEH, attachment_chain, mark_facts, synth_font, word
 
 
 def variant_rank(variant: SizeVariant) -> int:
@@ -54,10 +51,10 @@ class TestSelectSizeVariant:
 
 
 def placed_gap(w, font, index: int, side: Placement) -> int:
-    """Free span over a base glyph once the word's marks are placed."""
+    """Free span over base glyph ``index`` once the word's marks are placed."""
     placer = _Placer(w, font)
     placer.run()
-    return placer.gap(index, side)
+    return placer.gap(placer.bases.index(index), side)
 
 
 class TestMeasureGap:
@@ -266,13 +263,16 @@ class TestPlaceDiacritics:
 
 def mark_states(w, font, offsets):
     """States for ``w``'s first marks, in glyph order, at normal size and
-    the given offsets, as the sweep hands them to ``resolve_collisions``."""
+    the given offsets, as the sweep hands them to ``resolve_collisions``:
+    each owned by its root base and stacked on the mark it attaches to."""
     entries = [i for i, g in enumerate(w.glyphs) if g.is_mark]
     states = {}
     for mi, (x, y) in zip(entries, offsets):
         mark_id = w.glyphs[mi].glyph
         sized = font.sized_mark(mark_id, SizeVariant.NORMAL)
-        states[mi] = PlacedMark(mi, w.tables.roots[mi], mark_id, sized, None, x, y, x, y)
+        chain = attachment_chain(w, mi)
+        stacked_on = chain[1] if len(chain) > 2 else None
+        states[mi] = PlacedMark(mi, chain[-1], mark_id, sized, stacked_on, x, y, x, y)
     return states
 
 
@@ -338,11 +338,7 @@ class TestResolveCollisions:
                 glyph_id = demo_font.sized_mark(m.mark, m.variant).glyph
                 ink = demo_font.marks[glyph_id].ink
                 lo, hi = m.x + ink.x_min, m.x + ink.x_max
-                root = m.index
-                while w.glyphs[root].attached_to is not None and w.glyphs[
-                    w.glyphs[root].attached_to[0]
-                ].is_mark:
-                    root = w.glyphs[root].attached_to[0]
+                root = attachment_chain(w, m.index)[-2]  # the stack's lowest mark
                 by_side.setdefault(side, []).append((lo, hi, root))
             overlap_found = False
             for intervals in by_side.values():
@@ -362,37 +358,31 @@ class TestResolveCollisions:
 class TestLinearPasses:
     """Marking a word walks its glyph string a fixed number of times.
 
-    Counts calls rather than time: one table build per word and at most
-    one attachment walk per mark.
+    Counts calls rather than time: one table build per word.
     """
 
     @pytest.mark.parametrize(
         "text", ["الْقِطُّ", "لَاب"], ids=["stacked-shadda", "ligature"]
     )
     def test_mark_word_work_is_linear(self, demo_font, monkeypatch, text):
-        calls = {"attachment_root": 0, "word_tables": 0}
-        for name in calls:
-            original = getattr(shaper, name, None)
-            if original is None:
-                continue
+        calls = []
+        original = shaper.word_tables
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(w):
+            calls.append(w)
+            return original(w)
 
-            for module in (shaper, diacritics, layout):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        for module in (shaper, diacritics, layout):
+            if getattr(module, "word_tables", None) is original:
+                monkeypatch.setattr(module, "word_tables", counted)
 
         w = word(text, demo_font)
-        marks = sum(g.is_mark for g in w.glyphs)
         assert any(g.glyph == "shadda" for g in w.glyphs) or any(
             g.glyph in demo_font.ligature_by_glyph for g in w.glyphs
         )
         marked, _ = diacritics.mark_word(w, demo_font, 10)
         layout.shaped_document(demo_font, [marked])
-        assert calls["word_tables"] <= 1
-        assert calls["attachment_root"] <= marks
+        assert len(calls) <= 1
 
     def test_one_placed_mark_per_mark(self, monkeypatch):
         # The case of ``test_resized_vowel_pushes_next_glyph_mark``: the
@@ -471,3 +461,19 @@ def test_every_glyph_passes_its_check(demo_font, path):
         for g in shaped.glyphs + marked.glyphs:
             assert type(g) is PlacedGlyph and len(g) == len(PlacedGlyph._fields)
             g._check()
+
+
+@pytest.mark.parametrize("path", [CORPUS_PATH, FRESH_WORDS_PATH], ids=["corpus", "fresh"])
+def test_sweep_follows_each_attachment_chain(demo_font, path):
+    """Each placed mark is owned by the base at the root of its attachment
+    chain and stacked on the mark it attaches to, if any: the stacks that
+    ``resolve_collisions`` moves as one are the chains' stacks."""
+    features = frozenset({"liga", "jalt"})
+    for clusters in decompose(path.read_text(encoding="utf-8").replace("\n", " ")):
+        w = shaper.shape_word(clusters, demo_font, features)
+        marks, _ = place_diacritics(w, demo_font)
+        assert [m.index for m in marks] == [i for i, g in enumerate(w.glyphs) if g.is_mark]
+        for m in marks:
+            chain = attachment_chain(w, m.index)
+            assert m.owner == chain[-1]
+            assert m.stacked_on == (chain[1] if len(chain) > 2 else None)

@@ -148,6 +148,17 @@ class TestLoad:
         ):
             load_doc(doc)
 
+    @pytest.mark.parametrize(
+        "table, key",
+        [("cmap", "zz"), ("cmap", "-1"), ("cmap", "110000"), ("mark_cmap", "-5"),
+         ("mark_cmap", "110000")],
+    )
+    def test_bad_code_point_key_rejected(self, table, key):
+        doc = demo_font_doc()
+        doc[table][key] = doc[table]["0628" if table == "cmap" else "064E"]
+        with pytest.raises(SchemaError, match=f"^{table}: bad code point key '{key}'$"):
+            load_doc(doc)
+
     def test_cmap_to_mark_rejected(self):
         doc = demo_font_doc()
         doc["cmap"]["0628"]["isolated"] = "fatha"

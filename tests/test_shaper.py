@@ -8,17 +8,11 @@ from qalam import kashida
 from qalam.diacritics import mark_word
 from qalam.errors import EmptyWord
 from qalam.fontmodel import glyph_for
-from qalam.lookups import PlacedGlyph
-from qalam.shaper import (
-    ShapedWord,
-    attachment_root,
-    shape_word,
-    shape_words,
-    word_variants,
-)
+from qalam.shaper import shape_word, shape_words, word_variants
 from qalam.textmodel import Placement, analyze_joining, decompose
 
-from .util import random_word_text, word
+from .conftest import CORPUS_PATH, FRESH_WORDS_PATH
+from .util import attachment_chain, random_word_text, word
 
 LIGA_FEATURES = frozenset({"liga"})
 ALL_FEATURES = frozenset({"liga", "jalt", "ss01"})
@@ -205,7 +199,7 @@ class TestGeometryInvariants:
                 if not g.is_mark:
                     continue
                 mark = demo_font.marks[g.glyph]
-                root = attachment_root(marked_word, j)
+                root = attachment_chain(marked_word, j)[-1]
                 base_ink = demo_font.glyphs[marked_word.glyphs[root].glyph].ink
                 mark_ink = mark.ink
                 if mark.attachment_class is Placement.ABOVE:
@@ -271,65 +265,38 @@ class TestJoiningAgreement:
             assert got == rejoined
 
 
-def _unit_walk(w, index: int) -> int:
-    """The lowest mark of the stack that mark ``index`` belongs to."""
-    while True:
-        attached = w.glyphs[index].attached_to
-        if attached is None or not w.glyphs[attached[0]].is_mark:
-            return index
-        index = attached[0]
-
-
-def _placed(*specs):
-    """A word from (advance, attached_to) pairs; an advance of None makes a mark."""
-    glyphs = tuple(
-        PlacedGlyph(
-            glyph=f"g{i}",
-            advance=advance or 0,
-            attached_to=None if attached is None else (attached, Placement.ABOVE),
-            is_mark=advance is None,
-        )
-        for i, (advance, attached) in enumerate(specs)
-    )
-    return ShapedWord(glyphs, (), tuple((i,) for i in range(len(glyphs))), frozenset())
-
-
 class TestWordTables:
     def test_tables_match_chain_walks_over_corpus(self, corpus_words):
         for w in corpus_words:
             tables = w.tables
             bases = [i for i, g in enumerate(w.glyphs) if not g.is_mark]
             assert list(tables.bases) == bases
-            assert tables.base_pos == {b: k for k, b in enumerate(bases)}
             pen = 0
             for b in bases:
                 assert tables.pens[b] == pen
                 pen += w.glyphs[b].advance + w.glyphs[b].elongation
             marks_of = [[] for _ in w.glyphs]
             for i, g in enumerate(w.glyphs):
-                root = attachment_root(w, i) if g.is_mark else i
-                assert tables.roots[i] == root
+                root = attachment_chain(w, i)[-1]
                 assert tables.pens[i] == tables.pens[root]
                 if g.is_mark:
-                    assert tables.units[i] == _unit_walk(w, i)
                     marks_of[root].append(i)
             assert tables.marks_of == tuple(tuple(marks) for marks in marks_of)
 
-    def test_forward_attachment_walks_its_chain(self):
-        # Glyph 0 is a mark stacked on mark 1, which sits on base 2.
-        w = _placed((None, 1), (None, 2), (300, None))
-        assert w.tables.roots == (2, 2, 2)
-        assert w.tables.units == (1, 1, 2)
-        assert w.tables.pens == (0, 0, 0)
-        assert w.tables.marks_of == ((), (), (0, 1))
 
-    @pytest.mark.parametrize(
-        "specs, message",
-        [
-            (((300, None), (None, 2), (None, 1)), "attachment cycle"),
-            (((300, None), (None, None)), "not attached"),
-        ],
-    )
-    def test_bad_chains_raise(self, specs, message):
-        with pytest.raises(ValueError, match=message):
-            _placed(*specs).tables
+@pytest.mark.parametrize("path", [CORPUS_PATH, FRESH_WORDS_PATH], ids=["corpus", "fresh"])
+@pytest.mark.parametrize("features", [frozenset(), ALL_FEATURES], ids=["none", "all"])
+def test_marks_attach_backward(demo_font, path, features):
+    """Every mark attaches to an earlier glyph, in every shaped word and
+    every width variant: the contract that lets ``word_tables`` build a
+    word's tables in one forward pass."""
+    text = path.read_text(encoding="utf-8").replace("\n", " ")
+    marks = 0
+    for clusters in decompose(text):
+        shaped = shape_word(clusters, demo_font, features)
+        for w in (shaped, *(v.word for v in word_variants(shaped, demo_font))):
+            for i, g in enumerate(w.glyphs):
+                if g.is_mark:
+                    marks += 1
+                    assert 0 <= g.attached_to[0] < i, (w.glyphs, i)
+    assert marks > 100

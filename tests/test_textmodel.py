@@ -291,9 +291,21 @@ class TestTableLoader:
             CharacterTable.from_json("{}")
 
     def test_rejects_bad_row(self):
-        doc = {
-            "schema": "qalam-chars/1",
-            "letters": [{"code_point": "06A9", "joining": "sideways"}],
-        }
-        with pytest.raises(SchemaError):
-            CharacterTable.from_json(json.dumps(doc))
+        letter = {"name": "x", "joining": "dual", "family": "x"}
+        mark = {"name": "x", "placement": "above"}
+        bad_rows = [
+            ("letters", {"code_point": "06A9", "joining": "sideways"}),
+            # Outside U+0000..U+10FFFF.
+            ("letters", {**letter, "code_point": "-1"}),
+            ("letters", {**letter, "code_point": "110000"}),
+            ("diacritics", {**mark, "code_point": "-64E"}),
+            # Space and tatweel have their own roles in the text model.
+            ("letters", {**letter, "code_point": "0020"}),
+            ("letters", {**letter, "code_point": "0640"}),
+            ("diacritics", {**mark, "code_point": "0020"}),
+            ("diacritics", {**mark, "code_point": "0640"}),
+        ]
+        for kind, row in bad_rows:
+            doc = {"schema": "qalam-chars/1", kind: [row]}
+            with pytest.raises(SchemaError):
+                CharacterTable.from_json(json.dumps(doc))

@@ -212,3 +212,15 @@ def mark_facts(marks) -> list[tuple]:
     """What ``place_diacritics`` decided for each mark, for comparing two
     placements: mark id, size, origin, owner base and glyph index."""
     return [(m.mark, m.variant, (m.x, m.y), m.owner, m.index) for m in marks]
+
+
+def attachment_chain(w, index: int) -> list[int]:
+    """Glyph ``index`` of ``w`` and the glyphs under it, one step per
+    ``attached_to``, down to a base: the reference walk of an attachment
+    chain. For a mark, ``[-1]`` is its root base and ``[-2]`` the lowest
+    mark of its stack."""
+    chain = [index]
+    while w.glyphs[chain[-1]].is_mark:
+        assert len(chain) <= len(w.glyphs), f"attachment cycle at glyph {index}"
+        chain.append(w.glyphs[chain[-1]].attached_to[0])
+    return chain

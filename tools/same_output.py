@@ -19,6 +19,9 @@ font:
   the same widths with each of ``--kashida-policy spread``,
   ``--kashida-policy off``, ``--overlap-penalty 0`` and
   ``--overlap-penalty inf``;
+- ``shape --features liga,jalt,ss01``, and ``justify --features
+  liga,jalt,ss01 --algorithm optimum --variants on --width 4000``, so
+  that the bundled font's ``ss01`` substitution runs too;
 - ``render`` of every layout that the commands above wrote.
 
 Before the paragraphs, each tree also runs a fixed list of command lines
@@ -48,6 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FEATURES = ("--features", "liga,jalt")
+#: Every optional feature of the bundled font, ``ss01`` included.
+ALL_FEATURES = ("--features", "liga,jalt,ss01")
 WIDTHS = ("1200", "4000", "16000")
 #: Mark clearances other than the default 10, so that the collision nudge
 #: is compared with no clearance and with a wide one.
@@ -74,6 +79,10 @@ COMMANDS = (
          *option)
         for option in BREAKER_OPTIONS
         for width in WIDTHS
+    ]
+    + [
+        ("shape", *ALL_FEATURES),
+        ("justify", *ALL_FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", "4000"),
     ]
 )
 
