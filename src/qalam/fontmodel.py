@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Container, Mapping, NamedTuple
 
 from .errors import (
     Diagnostic,
@@ -36,9 +37,7 @@ from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
 from .textmodel import (
     DEFAULT_TABLE,
     ELONGATABLE_MARKS,
-    MAX_CODE_POINT,
     SHADDA_CP,
-    CharacterTable,
     Form,
     MassClass,
     Placement,
@@ -338,14 +337,17 @@ def _as_list(value, ctx: str) -> list:
     return value
 
 
-def _code_point(key: str, ctx: str) -> int:
-    """A hex code point key, which must name U+0000..U+10FFFF."""
-    try:
-        cp = int(key, 16)
-    except ValueError:
-        cp = -1
-    if not 0 <= cp <= MAX_CODE_POINT:
+_HEX_KEY = re.compile(r"[0-9A-Fa-f]{4,}")
+
+
+def _code_point(key: str, ctx: str, taken: Container[int]) -> int:
+    """A code point key: 4 or more hex digits naming U+0000..U+10FFFF,
+    which no key already in ``taken`` names."""
+    cp = int(key, 16) if _HEX_KEY.fullmatch(key) else -1
+    if not 0 <= cp <= 0x10FFFF:
         raise SchemaError(f"{ctx}: bad code point key {key!r}")
+    if cp in taken:
+        raise SchemaError(f"{ctx}: key {key!r} names U+{cp:04X} a second time")
     return cp
 
 
@@ -520,7 +522,8 @@ def _rule_glyph_refs(rule: LookupRule):
 def load_font(source) -> FontDescription:
     """Parse and validate a font description.
 
-    ``source`` may be a path, text, bytes, or a readable file object.
+    ``source`` is text, bytes or a readable file object; for a path use
+    ``load_font_path``.
     Raises ParseError on malformed text, SchemaError on structural
     problems, RefError on a dangling glyph id, RangeError on out-of-range
     numeric parameters.
@@ -565,8 +568,10 @@ def load_font(source) -> FontDescription:
     )
 
     cmap: dict[tuple[int, Form], str] = {}
+    cmap_cps: set[int] = set()
     for cp_hex, forms in _as_dict(_require(doc, "cmap", "font"), "cmap").items():
-        cp = _code_point(cp_hex, "cmap")
+        cp = _code_point(cp_hex, "cmap", cmap_cps)
+        cmap_cps.add(cp)
         if type(forms) is not dict:
             raise SchemaError(f"cmap {cp_hex}: expected an object, got {forms!r}")
         for form_name, gid in forms.items():
@@ -579,7 +584,8 @@ def load_font(source) -> FontDescription:
 
     mark_cmap: dict[int, str] = {}
     for cp_hex, mid in _as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():
-        mark_cmap[_code_point(cp_hex, "mark_cmap")] = _as_str(mid, f"mark_cmap {cp_hex}")
+        cp = _code_point(cp_hex, "mark_cmap", mark_cmap)
+        mark_cmap[cp] = _as_str(mid, f"mark_cmap {cp_hex}")
 
     gsub = tuple(
         rule_from_json(obj) for obj in _as_list(doc.get("gsub", []), "gsub")
@@ -598,7 +604,9 @@ def load_font(source) -> FontDescription:
     for k, v in _as_dict(doc.get("kashida_priority", {}), "kashida_priority").items():
         try:
             stretch_class = int(k)
-        except (ValueError, TypeError):
+            if str(stretch_class) != k:  # one spelling per class: not "03" or "٣"
+                raise ValueError
+        except ValueError:
             raise SchemaError(f"kashida_priority: bad stretch class {k!r}") from None
         kashida_priority[stretch_class] = _as_int(v, "kashida_priority")
 
@@ -866,16 +874,13 @@ def suggest_mass_classes(font: FontDescription) -> dict[str, MassClass]:
     return mass_terciles({gid: g.ink.area for gid, g in font.glyphs.items()})
 
 
-def lint_font(
-    font: FontDescription, table: CharacterTable | None = None
-) -> list[Diagnostic]:
+def lint_font(font: FontDescription) -> list[Diagnostic]:
     """Check a structurally valid font against the preparation checklist.
 
     Every rule has a stable code; see docs/layout-format.md. Severity
     ``error`` marks data the engine will stumble on, ``warn`` marks dead
     data, ``info`` marks advisory findings.
     """
-    tbl = table or DEFAULT_TABLE
     findings: list[Diagnostic] = []
 
     def add(severity: Severity, code: str, message: str) -> None:
@@ -884,7 +889,7 @@ def lint_font(
     mark_sides = {m.attachment_class for m in font.marks.values()}
     ligature_glyphs = set(font.ligature_by_glyph)
 
-    for letter in tbl.letters.values():
+    for letter in DEFAULT_TABLE.letters.values():
         for form in valid_forms(letter):
             if (letter.code_point, form) not in font.cmap:
                 add(
@@ -908,7 +913,7 @@ def lint_font(
 
     for cp in sorted(font.mark_cmap):
         mid = font.mark_cmap[cp]
-        record = tbl.diacritics.get(cp)
+        record = DEFAULT_TABLE.diacritics.get(cp)
         if record is None:
             continue
         mark = font.marks[mid]
@@ -928,7 +933,7 @@ def lint_font(
                 f"mark {mid} has size variants but can never grow",
             )
 
-    for letter in sorted(tbl.letters.values(), key=lambda r: r.code_point):
+    for letter in sorted(DEFAULT_TABLE.letters.values(), key=lambda r: r.code_point):
         if letter.stretch_class <= 0:
             continue
         for form in (Form.INITIAL, Form.MEDIAL):
@@ -942,7 +947,7 @@ def lint_font(
                 )
 
     for (cp, form), gid in sorted(font.cmap.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        letter = tbl.letters.get(cp)
+        letter = DEFAULT_TABLE.letters.get(cp)
         if letter is None:
             continue
         if letter.stretch_class == 0 and font.glyphs[gid].max_extension > 0:

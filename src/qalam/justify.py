@@ -439,7 +439,6 @@ def _check_widths(
 
 
 def _finalize(
-    words: Sequence[ShapedWord],
     chosen: Sequence[tuple[LineCandidate, tuple[WordVariant, ...]]],
     measure: int,
     font: FontDescription,
@@ -544,7 +543,7 @@ def break_greedy(
         total += demerits(candidate, params, prev_signature)
         prev_signature = candidate.signature
         chosen.append((candidate, variants))
-    return _finalize(words, chosen, measure, font, total, params)
+    return _finalize(chosen, measure, font, total, params)
 
 
 def break_optimum(
@@ -690,4 +689,4 @@ def break_optimum(
         chosen.append((candidate, variants))
         node = nodes[node.predecessor]
     chosen.reverse()
-    return _finalize(words, chosen, measure, font, best.total_demerits, params)
+    return _finalize(chosen, measure, font, best.total_demerits, params)

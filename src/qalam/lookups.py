@@ -271,7 +271,9 @@ def rule_from_json(obj) -> LookupRule:
             for k, v in _json_dict(e.get("replace", {}), ctx).items():
                 try:
                     offset = int(k)
-                except (ValueError, TypeError):
+                    if str(offset) != k:  # one spelling per offset: not " 1"
+                        raise ValueError
+                except ValueError:
                     raise SchemaError(f"{ctx}: bad replacement offset {k!r}") from None
                 subs.append((offset, _json_str(v, ctx)))
             entries.append(ContextualSub(match=match, substitutions=tuple(sorted(subs))))
@@ -293,10 +295,9 @@ def rule_from_json(obj) -> LookupRule:
         entries = []
         for e in obj.get("pairs", []) or []:
             e = _json_dict(e, ctx)
-            try:
-                delta = int(e["advance"])
-            except (KeyError, ValueError, TypeError):
-                raise SchemaError(f"{ctx}: bad pair adjustment {e!r}") from None
+            delta = e.get("advance")
+            if type(delta) is not int:  # not 3.9, "12" or true
+                raise SchemaError(f"{ctx}: bad pair adjustment {e!r}")
             entries.append(
                 PairAdjustment(
                     _json_str(e.get("first"), ctx), _json_str(e.get("second"), ctx), delta

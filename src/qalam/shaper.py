@@ -35,12 +35,12 @@ ALWAYS_ON_FEATURES = frozenset({"rlig", "mark", "mkmk"})
 
 
 class WordVariant(NamedTuple):
-    """One renderable width alternative for a word."""
+    """One renderable width alternative for a word. ``id`` names it:
+    ``default``, ``liga_off``, or ``alt:{glyph index}:{alternate glyph}``."""
 
     id: str
     width: int
     sites: tuple[kashida.StretchSite, ...]  # stretch sites, best first
-    description: tuple[str, ...]
     word: "ShapedWord"
 
 
@@ -209,17 +209,12 @@ def _reposition(
     return _finish(items, word.clusters, font, word.features)
 
 
-def _has_aesthetic(word: ShapedWord, font: FontDescription) -> bool:
-    return any(g.glyph in font.aesthetic_ligatures for g in word.glyphs)
-
-
 def default_variant(word: ShapedWord, font: FontDescription) -> WordVariant:
     """The word as shaped, as a width variant: the first of ``word_variants``."""
     return WordVariant(
         id="default",
         width=word.natural_width,
         sites=tuple(kashida.enumerate_sites(word, font)),
-        description=("ligature_on",) if _has_aesthetic(word, font) else (),
         word=word,
     )
 
@@ -240,14 +235,14 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
             out.append(variant)
 
     add(default_variant(word, font))
-    if "liga" in word.features and _has_aesthetic(word, font):
+    aesthetic = font.aesthetic_ligatures
+    if "liga" in word.features and any(g.glyph in aesthetic for g in word.glyphs):
         off = shape_word(word.clusters, font, word.features - {"liga"})
         add(
             WordVariant(
                 id="liga_off",
                 width=off.natural_width,
                 sites=tuple(kashida.enumerate_sites(off, font)),
-                description=("ligature_off",),
                 word=off,
             )
         )
@@ -266,7 +261,6 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
                         id=f"alt:{gi}:{alt}",
                         width=alt_word.natural_width,
                         sites=tuple(kashida.enumerate_sites(alt_word, font)),
-                        description=(f"allograph:{alt}",),
                         word=alt_word,
                     )
                 )

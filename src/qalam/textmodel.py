@@ -10,24 +10,20 @@ to both neighbours, a right-joining letter connects only to the letter
 before it in logical order, and a non-joining letter connects to nothing.
 A letter is rendered medial only when both neighbours join toward it.
 
-The built-in table covers U+0621..U+0652 (the classical letter repertoire
-plus the eight standard marks). Extension letters for other languages can
-be registered by loading a property table from JSON (schema qalam-chars/1,
-see docs/font-format.md).
+The letters and marks are those of U+0621..U+0652 (the classical letter
+repertoire plus the eight standard marks); ``decompose`` rejects any other
+code point but the space and U+0640.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateMark,
     EmptyWord,
     LeadingMark,
-    ParseError,
-    SchemaError,
     UnsupportedCharacter,
     checked,
 )
@@ -37,7 +33,6 @@ SPACE_CP = 0x0020
 FATHATAN_CP = 0x064B
 FATHA_CP = 0x064E
 SHADDA_CP = 0x0651
-MAX_CODE_POINT = 0x10FFFF
 
 #: Code points whose marks may grow to fill space.
 ELONGATABLE_MARKS = frozenset({FATHA_CP, FATHATAN_CP})
@@ -227,14 +222,6 @@ class CharacterTable:
         self.diacritics: dict[int, DiacriticRecord] = {
             r.code_point: r for r in diacritics
         }
-        overlap = self.letters.keys() & self.diacritics.keys()
-        if overlap:
-            raise ValueError(f"code points registered twice: {sorted(overlap)}")
-        for cp in (*self.letters, *self.diacritics):
-            if not 0 <= cp <= MAX_CODE_POINT:
-                raise ValueError(f"code point {cp:X} is outside 0000..10FFFF")
-            if cp in (SPACE_CP, TATWEEL_CP):
-                raise ValueError(f"U+{cp:04X} is reserved: it is neither a letter nor a mark")
 
     def classify(self, cp: int) -> CharClass:
         if cp in self.letters:
@@ -246,71 +233,6 @@ class CharacterTable:
         if cp == SPACE_CP:
             return CharClass.SPACE
         return CharClass.OTHER
-
-    def letter(self, cp: int) -> LetterRecord:
-        return self.letters[cp]
-
-    def diacritic(self, cp: int) -> DiacriticRecord:
-        return self.diacritics[cp]
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharacterTable":
-        """Load a property table (schema qalam-chars/1) from JSON text."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"character table is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("schema") != "qalam-chars/1":
-            raise SchemaError("character table must declare schema qalam-chars/1")
-        letter_rows = doc.get("letters", [])
-        diacritic_rows = doc.get("diacritics", [])
-        if not isinstance(letter_rows, list) or not isinstance(diacritic_rows, list):
-            raise SchemaError("letters and diacritics must be arrays")
-        letters = []
-        for row in letter_rows:
-            if not isinstance(row, dict):
-                raise SchemaError(f"bad letter row {row!r}")
-            try:
-                name = row["name"]
-                family = row["family"]
-                if not isinstance(name, str) or not isinstance(family, str):
-                    raise ValueError("name and family must be strings")
-                letters.append(
-                    LetterRecord(
-                        code_point=int(row["code_point"], 16),
-                        name=name,
-                        joining_class=JoiningClass(row["joining"]),
-                        dot_count=int(row.get("dots", 0)),
-                        dot_position=DotPosition(row.get("dot_position", "none")),
-                        skeleton_family=family,
-                        stretch_class=int(row.get("stretch_class", 0)),
-                        default_mass_class=MassClass(row.get("mass", "medium")),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(f"bad letter row {row!r}: {exc}") from exc
-        diacritics = []
-        for row in diacritic_rows:
-            if not isinstance(row, dict):
-                raise SchemaError(f"bad diacritic row {row!r}")
-            try:
-                name = row["name"]
-                if not isinstance(name, str):
-                    raise ValueError("name must be a string")
-                diacritics.append(
-                    DiacriticRecord(
-                        code_point=int(row["code_point"], 16),
-                        name=name,
-                        placement=Placement(row["placement"]),
-                        category=MarkCategory(row.get("category", "language")),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(f"bad diacritic row {row!r}: {exc}") from exc
-        try:
-            return cls(letters, diacritics)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
 
 
 def _default_table() -> CharacterTable:
@@ -342,18 +264,16 @@ def _default_table() -> CharacterTable:
 DEFAULT_TABLE = _default_table()
 
 
-def classify_codepoint(cp: int, table: CharacterTable | None = None) -> CharClass:
+def classify_codepoint(cp: int) -> CharClass:
     """Classify any code point; total, never raises."""
-    return (table or DEFAULT_TABLE).classify(cp)
+    return DEFAULT_TABLE.classify(cp)
 
 
 #: Appended to the code points ``decompose`` reads, to close the last word.
 _END = object()
 
 
-def decompose(
-    text: str | Iterable[int], table: CharacterTable | None = None
-) -> list[list[Cluster]]:
+def decompose(text: str | Iterable[int]) -> list[list[Cluster]]:
     """Group a code point sequence into words of clusters.
 
     Every letter opens a cluster, following marks attach to it, an
@@ -368,10 +288,9 @@ def decompose(
     Raises LeadingMark when a mark or elongation character has no letter
     before it, DuplicateMark on conflicting vowel marks, and
     UnsupportedCharacter on anything outside the registered repertoire.
-    Code points are classified as ``CharacterTable.classify`` does.
+    Code points are classified as ``classify_codepoint`` does.
     """
-    tbl = table or DEFAULT_TABLE
-    letters, diacritics = tbl.letters, tbl.diacritics
+    letters, diacritics = DEFAULT_TABLE.letters, DEFAULT_TABLE.diacritics
     cps = [ord(c) for c in text] if isinstance(text, str) else list(text)
     cps.append(_END)
 

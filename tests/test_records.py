@@ -43,10 +43,10 @@ from qalam.textmodel import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-BEH = DEFAULT_TABLE.letter(0x0628)
-FATHA = DEFAULT_TABLE.diacritic(0x064E)
-KASRA = DEFAULT_TABLE.diacritic(0x0650)
-SHADDA = DEFAULT_TABLE.diacritic(0x0651)
+BEH = DEFAULT_TABLE.letters[0x0628]
+FATHA = DEFAULT_TABLE.diacritics[0x064E]
+KASRA = DEFAULT_TABLE.diacritics[0x0650]
+SHADDA = DEFAULT_TABLE.diacritics[0x0651]
 INK = Rect(0, 0, 100, 100)
 
 

@@ -18,7 +18,6 @@ from qalam.cli import main
 from qalam.errors import QalamError
 from qalam.fontmodel import load_font, serialize_font
 from qalam.layout import validate_document
-from qalam.textmodel import CharacterTable
 
 from .conftest import DEMO_FONT_PATH
 from .util import DELETE, demo_font_doc, set_path
@@ -57,17 +56,6 @@ def _mutations(seed, base, count):
         yield doc, p
 
 
-def test_font_loader_survives_mutation():
-    base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
-    for doc, path in _mutations(400, base, 1500):
-        try:
-            load_font(json.dumps(doc))
-        except QalamError:
-            pass
-        except Exception as exc:  # pragma: no cover - failure reporting
-            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
-
-
 #: sha256 over the outcome of each seed-400 font mutation, one line each:
 #: the error class and message, or ``ok`` and the sha256 of the loaded
 #: font's canonical serialization. Any change in which error a malformed
@@ -79,13 +67,17 @@ FONT_MUTATION_OUTCOMES_SHA256 = (
 
 
 def test_font_loader_mutation_outcomes_are_pinned():
+    """Each mutated font loads or raises a QalamError, and the outcomes
+    match the pinned digest."""
     base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
     outcomes = []
-    for doc, _ in _mutations(400, base, 1500):
+    for doc, path in _mutations(400, base, 1500):
         try:
             font = load_font(json.dumps(doc))
         except QalamError as exc:
             outcomes.append(f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # pragma: no cover - failure reporting
+            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
         else:
             text = serialize_font(font).encode("utf-8")
             outcomes.append("ok " + hashlib.sha256(text).hexdigest())
@@ -158,35 +150,6 @@ def test_commands_survive_font_mutation(tmp_path, capsys, monkeypatch):
     assert fonts >= 80
 
 
-def test_character_table_survives_mutation():
-    base = {
-        "schema": "qalam-chars/1",
-        "letters": [
-            {
-                "code_point": "06A9",
-                "name": "keheh",
-                "joining": "dual",
-                "dots": 0,
-                "dot_position": "none",
-                "family": "keheh",
-                "stretch_class": 2,
-                "mass": "heavy",
-            }
-        ],
-        "diacritics": [
-            {"code_point": "0654", "name": "hamza_above", "placement": "above",
-             "category": "language"}
-        ],
-    }
-    for doc, path in _mutations(402, base, 600):
-        try:
-            CharacterTable.from_json(json.dumps(doc))
-        except QalamError:
-            pass
-        except Exception as exc:  # pragma: no cover - failure reporting
-            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
-
-
 BEH_WITHOUT_ABOVE = (("glyphs", "beh.isol", "anchors", "above"), DELETE)
 CMAP_TO_LARGE_FATHA = (("mark_cmap", "064E"), "fatha.large")
 LARGE_FATHA_BELOW = (("marks", "fatha.large", "class"), "below")
@@ -246,6 +209,79 @@ def test_font_missing_mark_geometry_is_one_error(
     font = tmp_path / "font.json"
     font.write_text(json.dumps(doc), encoding="utf-8")
     code = main([*command, "--font", str(font), "--text", text])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+PAIR = {"first": "beh.isol", "second": "alef.fina"}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param(
+            "cmap", "0_628", {"isolated": "alef.isol"},
+            "cmap: bad code point key '0_628'", id="cmap-underscore",
+        ),
+        pytest.param(
+            "cmap", "00628", {"isolated": "alef.isol"},
+            "cmap: key '00628' names U+0628 a second time", id="cmap-second-key",
+        ),
+        pytest.param(
+            "mark_cmap", "0x064E ", "fatha",
+            "mark_cmap: bad code point key '0x064E '", id="mark-cmap-prefix",
+        ),
+        pytest.param(
+            "mark_cmap", "064e", "damma",
+            "mark_cmap: key '064e' names U+064E a second time", id="mark-cmap-second-key",
+        ),
+        pytest.param(
+            "kashida_priority", "٣", 99,
+            "kashida_priority: bad stretch class '٣'", id="kashida-arabic-digit",
+        ),
+        pytest.param(
+            "kashida_priority", "03", 99,
+            "kashida_priority: bad stretch class '03'", id="kashida-leading-zero",
+        ),
+        *(
+            pytest.param(
+                "gpos", None, {"kind": "pair_adj", "feature": "kern", "pairs": [pair]},
+                f"pair_adj rule: bad pair adjustment {pair!r}", id=f"pair-advance-{name}",
+            )
+            for name, pair in [
+                ("float", {**PAIR, "advance": 3.9}),
+                ("string", {**PAIR, "advance": "12"}),
+                ("bool", {**PAIR, "advance": True}),
+            ]
+        ),
+        pytest.param(
+            "gsub", None,
+            {
+                "kind": "contextual_sub",
+                "feature": "calt",
+                "contexts": [
+                    {"match": ["beh.init", "beh.fina"],
+                     "replace": {"1": "beh.fina", " 1": "beh.fina"}}
+                ],
+            },
+            "contextual_sub rule: bad replacement offset ' 1'", id="contextual-offset",
+        ),
+    ],
+)
+def test_font_number_has_one_spelling(tmp_path, capsys, section, key, value, message):
+    """A code point, stretch class or offset key in a second spelling, or a
+    pair adjustment that is not an integer, fails with one error line
+    rather than loading as some other number."""
+    doc = demo_font_doc()
+    if key is None:
+        doc[section].append(value)
+    else:
+        doc[section][key] = value
+    font = tmp_path / "font.json"
+    font.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["shape", "--font", str(font), "--text", "ب"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""

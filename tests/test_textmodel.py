@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
 
@@ -13,13 +12,11 @@ from qalam.errors import (
     DuplicateMark,
     EmptyWord,
     LeadingMark,
-    SchemaError,
     UnsupportedCharacter,
 )
 from qalam.textmodel import (
     DEFAULT_TABLE,
     CharClass,
-    CharacterTable,
     Cluster,
     Form,
     JoiningClass,
@@ -263,49 +260,3 @@ class TestTableInvariants:
                 ),
             )
 
-
-class TestTableLoader:
-    def test_loads_extension_letter(self):
-        doc = {
-            "schema": "qalam-chars/1",
-            "letters": [
-                {
-                    "code_point": "06A9",
-                    "name": "keheh",
-                    "joining": "dual",
-                    "family": "keheh",
-                    "stretch_class": 2,
-                    "mass": "heavy",
-                }
-            ],
-            "diacritics": [
-                {"code_point": "064E", "name": "fatha", "placement": "above"}
-            ],
-        }
-        table = CharacterTable.from_json(json.dumps(doc))
-        assert table.classify(0x06A9) is CharClass.LETTER
-        assert table.letters[0x06A9].stretch_class == 2
-
-    def test_rejects_bad_schema(self):
-        with pytest.raises(SchemaError):
-            CharacterTable.from_json("{}")
-
-    def test_rejects_bad_row(self):
-        letter = {"name": "x", "joining": "dual", "family": "x"}
-        mark = {"name": "x", "placement": "above"}
-        bad_rows = [
-            ("letters", {"code_point": "06A9", "joining": "sideways"}),
-            # Outside U+0000..U+10FFFF.
-            ("letters", {**letter, "code_point": "-1"}),
-            ("letters", {**letter, "code_point": "110000"}),
-            ("diacritics", {**mark, "code_point": "-64E"}),
-            # Space and tatweel have their own roles in the text model.
-            ("letters", {**letter, "code_point": "0020"}),
-            ("letters", {**letter, "code_point": "0640"}),
-            ("diacritics", {**mark, "code_point": "0020"}),
-            ("diacritics", {**mark, "code_point": "0640"}),
-        ]
-        for kind, row in bad_rows:
-            doc = {"schema": "qalam-chars/1", kind: [row]}
-            with pytest.raises(SchemaError):
-                CharacterTable.from_json(json.dumps(doc))
