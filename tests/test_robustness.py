@@ -56,6 +56,17 @@ def _mutations(seed, base, count):
         yield doc, p
 
 
+def test_font_loader_survives_mutation():
+    base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+    for doc, path in _mutations(400, base, 1500):
+        try:
+            load_font(json.dumps(doc))
+        except QalamError:
+            pass
+        except Exception as exc:  # pragma: no cover - failure reporting
+            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
+
+
 #: sha256 over the outcome of each seed-400 font mutation, one line each:
 #: the error class and message, or ``ok`` and the sha256 of the loaded
 #: font's canonical serialization. Any change in which error a malformed
