@@ -34,6 +34,7 @@ from .errors import (
     checked,
 )
 from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
+from .lookups import _json_dict as _as_dict, _json_list as _as_list
 from .textmodel import (
     DEFAULT_TABLE,
     ELONGATABLE_MARKS,
@@ -325,16 +326,14 @@ def _as_str(value, ctx: str) -> str:
     return value
 
 
-def _as_dict(value, ctx: str) -> Mapping:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{ctx}: expected an object, got {value!r}")
-    return value
-
-
-def _as_list(value, ctx: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{ctx}: expected an array, got {value!r}")
-    return value
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; ``json.loads`` alone keeps the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in obj if keys.count(key) > 1)
+        raise SchemaError(f"key {repeated!r} appears twice in one object")
+    return obj
 
 
 _HEX_KEY = re.compile(r"[0-9A-Fa-f]{4,}")
@@ -538,7 +537,7 @@ def load_font(source) -> FontDescription:
         except UnicodeDecodeError as exc:
             raise ParseError(f"font file is not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"font file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

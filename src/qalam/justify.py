@@ -17,6 +17,11 @@ shrink only. Hyphenation does not exist here: words never split.
 The dynamic program's state is (break position, quantized x-intervals of
 the just-laid line's elongations), which is exactly what the next line's
 overlap penalty depends on, so the search is exact for the cost model.
+Each break has one table of states, keyed by signature. A state keeps its
+line's start word and variants and a link to the state it follows, so no
+state copies the chain of breaks behind it. Two states with equal totals
+and line counts are ranked by walking both chains back in lockstep to the
+last state they share: only the lines after it can differ.
 
 The search reads two numbers of a line: its badness and its signature.
 Each width variant's numbers under the elongation policy (width, capacity,
@@ -24,9 +29,9 @@ the elongation that uses its whole capacity, where each elongation
 starts) are worked out once per call. A line's variant choice is a chain
 of links, so growing it by a word copies nothing. Badness comes from the
 line's width and capacity sums; the signature comes from ``_stretch``, the
-helper that also sets the lines ``line_candidate`` builds. A state keeps
-its line as (start word, variants), and ``LineCandidate`` records are
-built only for the lines of the chain the search returns.
+helper that also sets the lines ``line_candidate`` builds.
+``LineCandidate`` records are built only for the lines of the chain the
+search returns.
 
 Breaks are visited in increasing order, so every state at an earlier break
 is final when lines ending at break j are set. Each line from i to j
@@ -51,6 +56,7 @@ signature is non-empty.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -383,15 +389,35 @@ def line_candidate(
 
 
 class BreakNode(NamedTuple):
-    """Dynamic-programming state after laying a line."""
+    """Dynamic-programming state after laying the line ``words[start:j]`` at
+    break j, with ``variants``, after state ``prev`` (None at the start)."""
 
-    signature: frozenset[int]
     total_demerits: int
     line_count: int
-    breaks: tuple[int, ...]
-    variant_ids: tuple[str, ...]
-    predecessor: tuple[int, frozenset[int]] | None
-    line: tuple[int, tuple[WordVariant, ...]] | None  # (start word, variants)
+    start: int
+    variants: tuple[WordVariant, ...]
+    prev: BreakNode | None
+
+
+def _precedes(a: BreakNode, b: BreakNode) -> bool:
+    """Whether ``a`` ranks before ``b``, a state at the same break, in
+    ``break_optimum``'s tie order; on equal totals and line counts only the
+    lines after the last state both chains share are compared."""
+    if a.total_demerits != b.total_demerits or a.line_count != b.line_count:
+        return (a.total_demerits, a.line_count) < (b.total_demerits, b.line_count)
+    tail_a: list[BreakNode] = []
+    tail_b: list[BreakNode] = []
+    while a is not b:
+        tail_a.append(a)
+        tail_b.append(b)
+        a, b = a.prev, b.prev
+    return _lines_key(tail_a) < _lines_key(tail_b)
+
+
+def _lines_key(tail: list[BreakNode]) -> tuple[list[int], list[str]]:
+    """Starts, then flattened variant ids, of ``tail``'s states, last first."""
+    lines = tail[::-1]
+    return [node.start for node in lines], [v.id for node in lines for v in node.variants]
 
 
 class LineLayout(NamedTuple):
@@ -572,22 +598,10 @@ def break_optimum(
     )
     fits = [[_Fit(v, params.kashida_policy) for v in vl] for vl in variant_lists]
 
-    start_key = (0, frozenset())
-    nodes: dict[tuple[int, frozenset[int]], BreakNode] = {
-        start_key: BreakNode(
-            signature=frozenset(),
-            total_demerits=0,
-            line_count=0,
-            breaks=(),
-            variant_ids=(),
-            predecessor=None,
-            line=None,
-        )
-    }
-    by_index: dict[int, list[tuple[int, frozenset[int]]]] = {0: [start_key]}
-
-    def rank(node: BreakNode) -> tuple:
-        return (node.total_demerits, node.line_count, node.breaks, node.variant_ids)
+    # layers[j]: the states at break j, keyed by the signature of the line
+    # that ends there.
+    root = BreakNode(0, 0, 0, (), None)
+    layers: list[dict[frozenset[int], BreakNode]] = [{frozenset(): root}]
 
     for j in range(1, n + 1):
         is_last = j == n
@@ -610,10 +624,9 @@ def break_optimum(
                 for fit in fits[i]
                 for combo in combos
             ]
-            keys = by_index[i]
-            if not keys:
+            if not layers[i]:
                 continue
-            floor = min(nodes[key].total_demerits for key in keys)
+            floor = min(node.total_demerits for node in layers[i].values())
             short = measure - glue.width * gaps
             glue_stretch = glue.stretch * gaps
             for combo in combos:
@@ -630,7 +643,7 @@ def break_optimum(
         # states built at j so far. A state above it is dominated; see the
         # module docstring.
         theta: float = math.inf
-        at_j: list[tuple[int, frozenset[int]]] = []
+        layer: dict[frozenset[int], BreakNode] = {}
         for bound, i, combo, cost in scored:
             if bound > theta:
                 break
@@ -640,53 +653,35 @@ def break_optimum(
                 combo = combo[3]
             signature = _stretch(line_fits, measure, glue, is_last).signature
             variants = tuple(fit.variant for fit in line_fits)
-            variant_ids = tuple(v.id for v in variants)
-            new_key = (j, signature)
-            for key in by_index[i]:
-                node = nodes[key]
-                total = node.total_demerits + _demerits(
-                    cost, signature, params, node.signature
+            for prev_signature, prev in layers[i].items():
+                total = prev.total_demerits + _demerits(
+                    cost, signature, params, prev_signature
                 )
                 if total > theta:
                     continue
-                new = BreakNode(
-                    signature=signature,
-                    total_demerits=total,
-                    line_count=node.line_count + 1,
-                    breaks=node.breaks + (j,),
-                    variant_ids=node.variant_ids + variant_ids,
-                    predecessor=key,
-                    line=(i, variants),
-                )
-                old = nodes.get(new_key)
-                if old is None or rank(new) < rank(old):
-                    if old is None:
-                        at_j.append(new_key)
-                    nodes[new_key] = new
+                new = BreakNode(total, prev.line_count + 1, i, variants, prev)
+                old = layer.get(signature)
+                if old is None or _precedes(new, old):
+                    layer[signature] = new
                 theta = min(theta, total + params.overlap_penalty * len(signature))
-        kept = []
-        for key in at_j:
-            if nodes[key].total_demerits > theta:
-                del nodes[key]
-            else:
-                kept.append(key)
-        by_index[j] = kept
+        layers.append(
+            {sig: node for sig, node in layer.items() if node.total_demerits <= theta}
+        )
 
-    finals = [nodes[k] for k in by_index[n]]
-    if not finals:
+    if not layers[n]:
         raise NoFeasibleBreak(
             f"no sequence of feasible lines covers all {n} words at measure {measure}"
         )
-    best = min(finals, key=rank)
+    best = reduce(lambda a, b: b if _precedes(b, a) else a, layers[n].values())
 
     # Only the lines of the winning chain are built in full.
     chosen = []
-    node = best
-    while node.line is not None:
-        i, variants = node.line
-        j = node.breaks[-1]
-        candidate = line_candidate(variants, (i, j), measure, font, params, j == n)
-        chosen.append((candidate, variants))
-        node = nodes[node.predecessor]
+    node, j = best, n
+    while node.prev is not None:
+        candidate = line_candidate(
+            node.variants, (node.start, j), measure, font, params, j == n
+        )
+        chosen.append((candidate, node.variants))
+        node, j = node.prev, node.start
     chosen.reverse()
     return _finalize(chosen, measure, font, best.total_demerits, params)

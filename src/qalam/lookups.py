@@ -202,6 +202,12 @@ def _json_dict(value, ctx: str) -> Mapping:
     return value
 
 
+def _json_list(value, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{ctx}: expected an array, got {value!r}")
+    return value
+
+
 def _json_strs(value, ctx: str) -> list[str]:
     if not isinstance(value, list):
         raise SchemaError(f"{ctx}: expected an array of glyph ids, got {value!r}")
@@ -250,7 +256,7 @@ def rule_from_json(obj) -> LookupRule:
         default_cov = list(payload)
     elif kind is LookupKind.LIGATURE_SUB:
         entries = []
-        for e in obj.get("ligatures", []) or []:
+        for e in _json_list(obj.get("ligatures", []), ctx):
             e = _json_dict(e, ctx)
             comps = tuple(_json_strs(e.get("components", []), ctx))
             if len(comps) < 2 or "glyph" not in e:
@@ -262,7 +268,7 @@ def rule_from_json(obj) -> LookupRule:
         default_cov = [e.components[0] for e in entries]
     elif kind is LookupKind.CONTEXTUAL_SUB:
         entries = []
-        for e in obj.get("contexts", []) or []:
+        for e in _json_list(obj.get("contexts", []), ctx):
             e = _json_dict(e, ctx)
             match = tuple(_json_strs(e.get("match", []), ctx))
             if not match:
@@ -293,7 +299,7 @@ def rule_from_json(obj) -> LookupRule:
         default_cov = list(payload)
     elif kind is LookupKind.PAIR_ADJ:
         entries = []
-        for e in obj.get("pairs", []) or []:
+        for e in _json_list(obj.get("pairs", []), ctx):
             e = _json_dict(e, ctx)
             delta = e.get("advance")
             if type(delta) is not int:  # not 3.9, "12" or true

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -471,6 +473,28 @@ class TestBreakOptimum:
         last = layout.lines[-1]
         assert last.candidate.width <= 5000
         assert last.candidate.badness == 0
+
+    def test_peak_memory_grows_linearly(self, demo_font):
+        # A state links to the state its line follows rather than copying
+        # the breaks and variant ids before it, so twice the words take
+        # about twice the memory, not three times.
+        text = " ".join(itertools.islice(gen.fresh_words(1), 480))
+        words = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"})) for c in decompose(text)
+        ]
+        params = JustifyParams(variants=True)
+        # Warm whatever the words and font work out on first use, so that
+        # both traced runs count the breaker's own allocations only.
+        break_optimum(words, 16000, demo_font, params)
+        peaks = []
+        for n in (240, 480):
+            tracemalloc.start()
+            try:
+                break_optimum(words[:n], 16000, demo_font, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.4 * peaks[0], peaks
 
 
 class TestLineCandidateDetails:

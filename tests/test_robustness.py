@@ -299,6 +299,46 @@ def test_font_number_has_one_spelling(tmp_path, capsys, section, key, value, mes
     assert err.splitlines() == [f"error: {message}"]
 
 
+def test_font_key_appears_once_per_object(tmp_path, capsys):
+    """A font whose text spells ``"0628"`` twice in ``cmap`` fails with one
+    error line; JSON parsing alone would keep one entry and drop the other
+    silently."""
+    text = DEMO_FONT_PATH.read_text(encoding="utf-8")
+    entry = text.index('"0628"')
+    font = tmp_path / "font.json"
+    font.write_text(
+        text[:entry] + '"0628": {"isolated": "alef.isol"}, ' + text[entry:], encoding="utf-8"
+    )
+    code = main(["shape", "--font", str(font), "--text", "ب"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: key '0628' appears twice in one object"]
+
+
+@pytest.mark.parametrize(
+    "section, kind, feature, key",
+    [
+        ("gsub", "ligature_sub", "liga", "ligatures"),
+        ("gsub", "contextual_sub", "calt", "contexts"),
+        ("gpos", "pair_adj", "kern", "pairs"),
+    ],
+)
+@pytest.mark.parametrize("payload", [False, 0, None, {}, ""], ids=repr)
+def test_rule_payload_must_be_an_array(tmp_path, capsys, section, kind, feature, key, payload):
+    """A rule payload that is not an array fails with one error line rather
+    than loading as an empty rule."""
+    doc = demo_font_doc()
+    doc[section].append({"kind": kind, "feature": feature, key: payload})
+    font = tmp_path / "font.json"
+    font.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["shape", "--font", str(font), "--text", "ب"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {kind} rule: expected an array, got {payload!r}"]
+
+
 #: Values tried for each flag: valid ones, then ones the flag must
 #: reject. ``{tmp}`` stands for the test's temporary directory.
 FLAG_VALUES = {

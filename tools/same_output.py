@@ -24,6 +24,13 @@ font:
   that the bundled font's ``ss01`` substitution runs too;
 - ``render`` of every layout that the commands above wrote.
 
+One longer paragraph, ``LONG_WORDS`` words from the fresh stream of the
+first seed, also runs ``justify --features liga,jalt --algorithm optimum
+--variants on`` at widths 4000 and 16000 (``LONG_COMMANDS``), and
+``render`` of both layouts. Its chains of breaker states run to dozens of
+lines, where the short paragraphs set only a few, so deep tie-breaks are
+compared too.
+
 Before the paragraphs, each tree also runs a fixed list of command lines
 (``CLI_LINES``): ``qalam -h`` and each ``<command> -h``, flag errors with
 the default and the ``json-errors`` format, and ``fontlint`` on its
@@ -86,6 +93,13 @@ COMMANDS = (
     ]
 )
 
+#: Words in the long paragraph, and what runs on it.
+LONG_WORDS = 240
+LONG_COMMANDS = [
+    ("justify", *FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", width)
+    for width in ("4000", "16000")
+]
+
 _TEXT = ("--text", "\u0628")
 _JSON_ERRORS = ("--format", "json-errors")
 _FLAG_ERRORS = [
@@ -107,8 +121,8 @@ CLI_LINES = [
 ]
 
 #: Runs in a fresh interpreter: argv is (src directory, font path), stdin
-#: the JSON list of paragraphs, commands and fixed command lines; writes
-#: one JSON record per command.
+#: the JSON list of (paragraphs, commands) groups and the fixed command
+#: lines; writes one JSON record per command.
 WORKER = r"""
 import io, json, sys, traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -116,7 +130,7 @@ sys.path.insert(0, sys.argv[1])
 from qalam.cli import main
 
 font = sys.argv[2]
-paragraphs, commands, cli_lines = json.load(sys.stdin)
+groups, cli_lines = json.load(sys.stdin)
 
 def run(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
@@ -135,21 +149,28 @@ records = []
 for line in cli_lines:
     argv = [font if word == "{font}" else word for word in line]
     records.append(["qalam " + " ".join(line), *run(argv)])
-for label, text in paragraphs:
-    for command in commands:
-        name = " ".join(command)
-        code, out, err = run([command[0], "--font", font, "--text", text, *command[1:]])
-        records.append([f"{label}: {name}", code, out, err])
-        if code == 0:
-            records.append([f"{label}: {name} | render", *run(["render", "--font", font], out)])
+for paragraphs, commands in groups:
+    for label, text in paragraphs:
+        for command in commands:
+            name = " ".join(command)
+            code, out, err = run([command[0], "--font", font, "--text", text, *command[1:]])
+            records.append([f"{label}: {name}", code, out, err])
+            if code == 0:
+                argv = ["render", "--font", font]
+                records.append([f"{label}: {name} | render", *run(argv, out)])
 json.dump(records, sys.stdout)
 """
 
 
-def paragraphs(seeds: list[int], count: int, words: int) -> list[tuple[str, str]]:
+def _gen():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
+    return gen
+
+
+def paragraphs(seeds: list[int], count: int, words: int) -> list[tuple[str, str]]:
+    gen = _gen()
     out = []
     for seed in seeds:
         for stream in ("fresh", "zipf"):
@@ -157,6 +178,11 @@ def paragraphs(seeds: list[int], count: int, words: int) -> list[tuple[str, str]
             for i, text in enumerate(itertools.islice(source, count)):
                 out.append((f"{stream} seed {seed} #{i}", text))
     return out
+
+
+def long_paragraph(seed: int) -> tuple[str, str]:
+    text = next(_gen().fresh_paragraphs(seed, words=LONG_WORDS))
+    return (f"fresh seed {seed}, {LONG_WORDS} words", text)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -230,7 +256,9 @@ def main(argv=None) -> int:
     parser.add_argument("--words", type=int, default=20, help="words per paragraph")
     args = parser.parse_args(argv)
 
-    cases = [paragraphs(args.seeds, args.paragraphs, args.words), COMMANDS, CLI_LINES]
+    short = paragraphs(args.seeds, args.paragraphs, args.words)
+    groups = [(short, COMMANDS), ([long_paragraph(args.seeds[0])], LONG_COMMANDS)]
+    cases = [groups, CLI_LINES]
     with tempfile.TemporaryDirectory() as tmp:
         try:
             export(args.rev, Path(tmp))
@@ -249,7 +277,7 @@ def main(argv=None) -> int:
     if difference is not None:
         print(difference)
         return 1
-    print(f"same output on {len(ours)} commands ({len(cases[0])} paragraphs)")
+    print(f"same output on {len(ours)} commands ({len(short) + 1} paragraphs)")
     return 0
 
 
