@@ -33,8 +33,8 @@ from .errors import (
     Severity,
     checked,
 )
+from .jsonin import as_dict, as_int, as_list, as_str, int_key, loads, require
 from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
-from .lookups import _json_dict as _as_dict, _json_list as _as_list
 from .textmodel import (
     DEFAULT_TABLE,
     ELONGATABLE_MARKS,
@@ -308,34 +308,6 @@ def glyph_for(font: FontDescription, letter_cp: int, form: Form) -> str:
 # --- parsing ---------------------------------------------------------------
 
 
-def _require(obj: Mapping, key: str, ctx: str):
-    if key not in obj:
-        raise SchemaError(f"{ctx}: missing required field {key!r}")
-    return obj[key]
-
-
-def _as_int(value, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{ctx}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_str(value, ctx: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{ctx}: expected a string, got {value!r}")
-    return value
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object; ``json.loads`` alone keeps the last of two equal keys."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in obj if keys.count(key) > 1)
-        raise SchemaError(f"key {repeated!r} appears twice in one object")
-    return obj
-
-
 _HEX_KEY = re.compile(r"[0-9A-Fa-f]{4,}")
 
 
@@ -469,10 +441,10 @@ def _parse_mark(mid: str, obj) -> MarkGlyph:
 
 def _parse_ligature(obj, index: int) -> LigatureEntry:
     ctx = f"ligature #{index}"
-    obj = _as_dict(obj, ctx)
+    obj = as_dict(obj, ctx)
     components = tuple(
-        _as_str(c, f"{ctx}.components")
-        for c in _as_list(_require(obj, "components", ctx), ctx)
+        as_str(c, f"{ctx}.components")
+        for c in as_list(require(obj, "components", ctx), ctx)
     )
     if len(components) != 2:
         raise SchemaError(
@@ -481,7 +453,7 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
         )
     anchors = tuple(
         _anchor_map(a, f"{ctx}.component_anchors[{i}]")
-        for i, a in enumerate(_as_list(_require(obj, "component_anchors", ctx), ctx))
+        for i, a in enumerate(as_list(require(obj, "component_anchors", ctx), ctx))
     )
     try:
         kind = LigatureKind(obj.get("kind", "aesthetic"))
@@ -489,7 +461,7 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
         raise SchemaError(f"{ctx}: unknown ligature kind") from None
     return LigatureEntry(
         components=components,
-        glyph=_as_str(_require(obj, "glyph", ctx), ctx),
+        glyph=as_str(require(obj, "glyph", ctx), ctx),
         component_anchors=anchors,
         kind=kind,
     )
@@ -536,26 +508,23 @@ def load_font(source) -> FontDescription:
             raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"font file is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(raw, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"font file is not valid JSON: {exc}") from exc
+    doc = loads(raw, "font file", ParseError, SchemaError)
     if not isinstance(doc, dict):
         raise SchemaError("font description must be a JSON object")
     if doc.get("schema") != SCHEMA_ID:
         raise SchemaError(f"font must declare schema {SCHEMA_ID!r}")
 
-    units = _as_int(_require(doc, "units_per_em", "font"), "units_per_em")
+    units = as_int(require(doc, "units_per_em", "font"), "units_per_em")
     if units <= 0:
         raise RangeError("units_per_em must be positive")
 
     glyphs = {
         gid: _parse_glyph(gid, obj)
-        for gid, obj in _as_dict(_require(doc, "glyphs", "font"), "glyphs").items()
+        for gid, obj in as_dict(require(doc, "glyphs", "font"), "glyphs").items()
     }
     marks = {
         mid: _parse_mark(mid, obj)
-        for mid, obj in _as_dict(_require(doc, "marks", "font"), "marks").items()
+        for mid, obj in as_dict(require(doc, "marks", "font"), "marks").items()
     }
     dup = glyphs.keys() & marks.keys()
     if dup:
@@ -563,12 +532,12 @@ def load_font(source) -> FontDescription:
 
     ligatures = tuple(
         _parse_ligature(obj, i)
-        for i, obj in enumerate(_as_list(doc.get("ligatures", []), "ligatures"))
+        for i, obj in enumerate(as_list(doc.get("ligatures", []), "ligatures"))
     )
 
     cmap: dict[tuple[int, Form], str] = {}
     cmap_cps: set[int] = set()
-    for cp_hex, forms in _as_dict(_require(doc, "cmap", "font"), "cmap").items():
+    for cp_hex, forms in as_dict(require(doc, "cmap", "font"), "cmap").items():
         cp = _code_point(cp_hex, "cmap", cmap_cps)
         cmap_cps.add(cp)
         if type(forms) is not dict:
@@ -582,47 +551,42 @@ def load_font(source) -> FontDescription:
             cmap[(cp, form)] = gid
 
     mark_cmap: dict[int, str] = {}
-    for cp_hex, mid in _as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():
+    for cp_hex, mid in as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():
         cp = _code_point(cp_hex, "mark_cmap", mark_cmap)
-        mark_cmap[cp] = _as_str(mid, f"mark_cmap {cp_hex}")
+        mark_cmap[cp] = as_str(mid, f"mark_cmap {cp_hex}")
 
     gsub = tuple(
-        rule_from_json(obj) for obj in _as_list(doc.get("gsub", []), "gsub")
+        rule_from_json(obj) for obj in as_list(doc.get("gsub", []), "gsub")
     )
     gpos = tuple(
-        rule_from_json(obj) for obj in _as_list(doc.get("gpos", []), "gpos")
+        rule_from_json(obj) for obj in as_list(doc.get("gpos", []), "gpos")
     )
 
-    thresholds_obj = _as_dict(_require(doc, "size_thresholds", "font"), "size_thresholds")
+    thresholds_obj = as_dict(require(doc, "size_thresholds", "font"), "size_thresholds")
     thresholds = SizeThresholds(
-        medium=_as_int(_require(thresholds_obj, "medium", "size_thresholds"), "size_thresholds"),
-        large=_as_int(_require(thresholds_obj, "large", "size_thresholds"), "size_thresholds"),
+        medium=as_int(require(thresholds_obj, "medium", "size_thresholds"), "size_thresholds"),
+        large=as_int(require(thresholds_obj, "large", "size_thresholds"), "size_thresholds"),
     )
 
     kashida_priority = {}
-    for k, v in _as_dict(doc.get("kashida_priority", {}), "kashida_priority").items():
-        try:
-            stretch_class = int(k)
-            if str(stretch_class) != k:  # one spelling per class: not "03" or "٣"
-                raise ValueError
-        except ValueError:
-            raise SchemaError(f"kashida_priority: bad stretch class {k!r}") from None
-        kashida_priority[stretch_class] = _as_int(v, "kashida_priority")
+    for k, v in as_dict(doc.get("kashida_priority", {}), "kashida_priority").items():
+        stretch_class = int_key(k, "kashida_priority: bad stretch class")
+        kashida_priority[stretch_class] = as_int(v, "kashida_priority")
 
     mass_positions: dict[MassClass, dict[Placement, int]] = {}
-    for mass_name, sides in _as_dict(doc.get("mass_positions", {}), "mass_positions").items():
+    for mass_name, sides in as_dict(doc.get("mass_positions", {}), "mass_positions").items():
         mass = _MASS_CLASSES.get(mass_name)
         if mass is None:
             raise SchemaError(f"mass_positions: unknown class {mass_name!r}")
         mass_positions[mass] = {}
-        for side, dy in _as_dict(sides, f"mass_positions {mass_name}").items():
+        for side, dy in as_dict(sides, f"mass_positions {mass_name}").items():
             placement = _PLACEMENTS.get(side)
             if placement is None:
                 raise SchemaError(f"mass_positions {mass_name}: unknown side {side!r}")
-            mass_positions[mass][placement] = _as_int(dy, "mass_positions")
+            mass_positions[mass][placement] = as_int(dy, "mass_positions")
 
     mass_variants: dict[MassClass, SizeVariant] = {}
-    for mass_name, variant_name in _as_dict(
+    for mass_name, variant_name in as_dict(
         doc.get("mass_variants", {}), "mass_variants"
     ).items():
         try:
@@ -632,15 +596,15 @@ def load_font(source) -> FontDescription:
                 f"mass_variants: bad entry {mass_name!r}: {variant_name!r}"
             ) from None
 
-    glue_obj = _as_dict(doc.get("glue", {}), "glue")
+    glue_obj = as_dict(doc.get("glue", {}), "glue")
     glue = GlueSpec(
-        width=_as_int(glue_obj.get("width", 250), "glue"),
-        stretch=_as_int(glue_obj.get("stretch", 125), "glue"),
-        shrink=_as_int(glue_obj.get("shrink", 80), "glue"),
+        width=as_int(glue_obj.get("width", 250), "glue"),
+        stretch=as_int(glue_obj.get("stretch", 125), "glue"),
+        shrink=as_int(glue_obj.get("shrink", 80), "glue"),
     )
 
     font = FontDescription(
-        font_id=_as_str(doc.get("font_id", "unnamed"), "font_id"),
+        font_id=as_str(doc.get("font_id", "unnamed"), "font_id"),
         units_per_em=units,
         glyphs=glyphs,
         marks=marks,

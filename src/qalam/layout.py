@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import Diagnostic, MalformedLayout
 from .fontmodel import FontDescription, SizeVariant
+from . import jsonin
 from .justify import ParagraphLayout
 from .shaper import ShapedWord
 
@@ -194,8 +195,30 @@ def dumps(doc: dict) -> str:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _where(at: tuple[int, ...]) -> str:
+    return " ".join(f"{kind} {i}" for kind, i in zip(("line", "glyph", "mark"), at))
+
+
+def _check_record(record, at: tuple[int, ...], keys: tuple[str, ...], size_key, ints) -> None:
+    """Check the record at ``at``, (line, glyph[, mark]), in this order: an object,
+    ``keys`` present, the id string ``keys[0]``, a size ``size_key``, integers ``ints``."""
+    if not isinstance(record, dict):
+        raise MalformedLayout(f"{_where(at)} must be an object")
+    for key in keys:
+        if key not in record:
+            raise MalformedLayout(f"{_where(at)} missing field {key!r}")
+    if not isinstance(record[keys[0]], str):
+        raise MalformedLayout(f"{_where(at)}: {keys[0]} id must be a string")
+    if size_key is not None:
+        size = record[size_key]
+        if not isinstance(size, str) or size not in _VARIANT_NAMES:
+            raise MalformedLayout(
+                f"{_where(at)}: {size_key} must be one of "
+                f"{sorted(_VARIANT_NAMES)}, got {size!r}"
+            )
+    for key in ints:
+        if type(record[key]) is not int:
+            raise MalformedLayout(f"{_where(at)}: {key} must be an integer")
 
 
 def validate_document(doc) -> dict:
@@ -207,66 +230,35 @@ def validate_document(doc) -> dict:
     for key in ("font_id", "units_per_em", "direction", "lines"):
         if key not in doc:
             raise MalformedLayout(f"layout missing field {key!r}")
-    if not _is_int(doc["units_per_em"]) or doc["units_per_em"] <= 0:
+    if type(doc["units_per_em"]) is not int or doc["units_per_em"] <= 0:
         raise MalformedLayout("units_per_em must be a positive integer")
     measure = doc.get("measure")
-    if measure is not None and (not _is_int(measure) or measure <= 0):
+    if measure is not None and (type(measure) is not int or measure <= 0):
         raise MalformedLayout("measure must be a positive integer or null")
     if not isinstance(doc["lines"], list):
         raise MalformedLayout("lines must be an array")
     for li, line in enumerate(doc["lines"]):
         if not isinstance(line, dict) or not isinstance(line.get("glyphs"), list):
             raise MalformedLayout(f"line {li} must be an object with a glyphs array")
-        if not _is_int(line.get("width")):
+        if type(line.get("width")) is not int:
             raise MalformedLayout(f"line {li}: width must be an integer")
         for gi, glyph in enumerate(line["glyphs"]):
-            if not isinstance(glyph, dict):
-                raise MalformedLayout(f"line {li} glyph {gi} must be an object")
-            for key in ("glyph", "x", "y", "advance", "elongation", "marks"):
-                if key not in glyph:
-                    raise MalformedLayout(
-                        f"line {li} glyph {gi} missing field {key!r}"
-                    )
-            if not isinstance(glyph["glyph"], str):
-                raise MalformedLayout(f"line {li} glyph {gi}: glyph id must be a string")
-            for key in ("x", "y", "advance", "elongation"):
-                if not _is_int(glyph[key]):
-                    raise MalformedLayout(
-                        f"line {li} glyph {gi}: {key} must be an integer"
-                    )
+            _check_record(
+                glyph, (li, gi), ("glyph", "x", "y", "advance", "elongation", "marks"),
+                None, ("x", "y", "advance", "elongation"),
+            )
+            if glyph["elongation"] < 0:
+                raise MalformedLayout(
+                    f"line {li} glyph {gi}: elongation must be a non-negative integer"
+                )
             if not isinstance(glyph["marks"], list):
                 raise MalformedLayout(f"line {li} glyph {gi}: marks must be an array")
             for mi, mark in enumerate(glyph["marks"]):
-                if not isinstance(mark, dict):
-                    raise MalformedLayout(
-                        f"line {li} glyph {gi} mark {mi} must be an object"
-                    )
-                for key in ("mark", "variant", "dx", "dy"):
-                    if key not in mark:
-                        raise MalformedLayout(
-                            f"line {li} glyph {gi} mark {mi} missing field {key!r}"
-                        )
-                if not isinstance(mark["mark"], str):
-                    raise MalformedLayout(
-                        f"line {li} glyph {gi} mark {mi}: mark id must be a string"
-                    )
-                variant = mark["variant"]
-                if not isinstance(variant, str) or variant not in _VARIANT_NAMES:
-                    raise MalformedLayout(
-                        f"line {li} glyph {gi} mark {mi}: variant must be one of "
-                        f"{sorted(_VARIANT_NAMES)}, got {variant!r}"
-                    )
-                for key in ("dx", "dy"):
-                    if not _is_int(mark[key]):
-                        raise MalformedLayout(
-                            f"line {li} glyph {gi} mark {mi}: {key} must be an integer"
-                        )
+                _check_record(
+                    mark, (li, gi, mi), ("mark", "variant", "dx", "dy"), "variant", ("dx", "dy")
+                )
     return doc
 
 
 def loads(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedLayout(f"layout is not valid JSON: {exc}") from exc
-    return validate_document(doc)
+    return validate_document(jsonin.loads(text, "layout", MalformedLayout, MalformedLayout))

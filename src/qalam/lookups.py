@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import BadComponent, MissingAnchor, SchemaError, checked
+from .jsonin import as_dict, as_list, as_point, glyph_id, glyph_ids, int_key
 from .textmodel import Placement
 
 if TYPE_CHECKING:
@@ -190,47 +191,9 @@ class LookupRule(_LookupRuleFields):
         return None  # mark attachment coverage is free-standing
 
 
-def _json_str(value, ctx: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{ctx}: expected a glyph id string, got {value!r}")
-    return value
-
-
-def _json_dict(value, ctx: str) -> Mapping:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{ctx}: expected an object, got {value!r}")
-    return value
-
-
-def _json_list(value, ctx: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{ctx}: expected an array, got {value!r}")
-    return value
-
-
-def _json_strs(value, ctx: str) -> list[str]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{ctx}: expected an array of glyph ids, got {value!r}")
-    for v in value:
-        if not isinstance(v, str):
-            raise SchemaError(f"{ctx}: expected a glyph id string, got {v!r}")
-    return value
-
-
-def _json_point(value, ctx: str) -> tuple[int, int]:
-    ok = (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    )
-    if not ok:
-        raise SchemaError(f"{ctx}: expected [x, y], got {value!r}")
-    return (value[0], value[1])
-
-
 def rule_from_json(obj) -> LookupRule:
     """Parse one rule from its JSON object form."""
-    obj = _json_dict(obj, "lookup rule")
+    obj = as_dict(obj, "lookup rule")
     try:
         kind = LookupKind(obj["kind"])
     except (KeyError, ValueError, TypeError) as exc:
@@ -239,96 +202,85 @@ def rule_from_json(obj) -> LookupRule:
     feature = obj.get("feature", "")
     if not isinstance(feature, str) or not feature:
         raise SchemaError(f"lookup rule missing feature tag: {obj!r}")
-    flags = frozenset(_json_strs(obj.get("flags", []), f"{ctx} flags"))
+    flags = frozenset(glyph_ids(obj.get("flags", []), f"{ctx} flags"))
 
     if kind is LookupKind.SINGLE_SUB:
         payload: object = {
-            _json_str(k, ctx): _json_str(v, ctx)
-            for k, v in _json_dict(obj.get("map", {}), ctx).items()
+            glyph_id(k, ctx): glyph_id(v, ctx)
+            for k, v in as_dict(obj.get("map", {}), ctx).items()
         }
         default_cov = list(payload)
     elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
         key = "sequences" if kind is LookupKind.MULTIPLE_SUB else "alternates"
         payload = {
-            _json_str(k, ctx): tuple(_json_strs(v, ctx))
-            for k, v in _json_dict(obj.get(key, {}), ctx).items()
+            glyph_id(k, ctx): tuple(glyph_ids(v, ctx))
+            for k, v in as_dict(obj.get(key, {}), ctx).items()
         }
         default_cov = list(payload)
     elif kind is LookupKind.LIGATURE_SUB:
         entries = []
-        for e in _json_list(obj.get("ligatures", []), ctx):
-            e = _json_dict(e, ctx)
-            comps = tuple(_json_strs(e.get("components", []), ctx))
+        for e in as_list(obj.get("ligatures", []), ctx):
+            e = as_dict(e, ctx)
+            comps = tuple(glyph_ids(e.get("components", []), ctx))
             if len(comps) < 2 or "glyph" not in e:
                 raise SchemaError(f"bad ligature mapping {e!r}")
             entries.append(
-                LigatureSub(components=comps, ligature=_json_str(e["glyph"], ctx))
+                LigatureSub(components=comps, ligature=glyph_id(e["glyph"], ctx))
             )
         payload = tuple(entries)
         default_cov = [e.components[0] for e in entries]
     elif kind is LookupKind.CONTEXTUAL_SUB:
         entries = []
-        for e in _json_list(obj.get("contexts", []), ctx):
-            e = _json_dict(e, ctx)
-            match = tuple(_json_strs(e.get("match", []), ctx))
+        for e in as_list(obj.get("contexts", []), ctx):
+            e = as_dict(e, ctx)
+            match = tuple(glyph_ids(e.get("match", []), ctx))
             if not match:
                 raise SchemaError(f"bad contextual mapping {e!r}")
             subs = []
-            for k, v in _json_dict(e.get("replace", {}), ctx).items():
-                try:
-                    offset = int(k)
-                    if str(offset) != k:  # one spelling per offset: not " 1"
-                        raise ValueError
-                except ValueError:
-                    raise SchemaError(f"{ctx}: bad replacement offset {k!r}") from None
-                subs.append((offset, _json_str(v, ctx)))
+            for k, v in as_dict(e.get("replace", {}), ctx).items():
+                subs.append((int_key(k, f"{ctx}: bad replacement offset"), glyph_id(v, ctx)))
             entries.append(ContextualSub(match=match, substitutions=tuple(sorted(subs))))
         payload = tuple(entries)
         default_cov = [e.match[0] for e in entries]
     elif kind is LookupKind.SINGLE_ADJ:
         payload = {}
-        for k, v in _json_dict(obj.get("adjustments", {}), ctx).items():
-            ok = (
-                isinstance(v, list)
-                and len(v) == 3
-                and all(isinstance(n, int) and not isinstance(n, bool) for n in v)
-            )
-            if not ok:
+        for k, v in as_dict(obj.get("adjustments", {}), ctx).items():
+            if not (isinstance(v, list) and len(v) == 3 and all(type(n) is int for n in v)):
                 raise SchemaError(f"{ctx}: expected [dx, dy, d_advance], got {v!r}")
-            payload[_json_str(k, ctx)] = tuple(v)
+            payload[glyph_id(k, ctx)] = tuple(v)
         default_cov = list(payload)
     elif kind is LookupKind.PAIR_ADJ:
         entries = []
-        for e in _json_list(obj.get("pairs", []), ctx):
-            e = _json_dict(e, ctx)
+        for e in as_list(obj.get("pairs", []), ctx):
+            e = as_dict(e, ctx)
             delta = e.get("advance")
             if type(delta) is not int:  # not 3.9, "12" or true
                 raise SchemaError(f"{ctx}: bad pair adjustment {e!r}")
             entries.append(
                 PairAdjustment(
-                    _json_str(e.get("first"), ctx), _json_str(e.get("second"), ctx), delta
+                    glyph_id(e.get("first"), ctx), glyph_id(e.get("second"), ctx), delta
                 )
             )
         payload = tuple(entries)
         default_cov = [e.first for e in payload]
     elif kind is LookupKind.CURSIVE_ATTACH:
         payload = {}
-        for k, v in _json_dict(obj.get("cursive", {}), ctx).items():
-            v = _json_dict(v, ctx)
-            payload[_json_str(k, ctx)] = (
-                _json_point(v.get("entry"), ctx),
-                _json_point(v.get("exit"), ctx),
+        for k, v in as_dict(obj.get("cursive", {}), ctx).items():
+            v = as_dict(v, ctx)
+            payload[glyph_id(k, ctx)] = (
+                as_point(v.get("entry"), ctx),
+                as_point(v.get("exit"), ctx),
             )
         default_cov = list(payload)
     elif kind is LookupKind.MARK_TO_MARK:
-        payload = CoverageTable.of(_json_strs(obj.get("lower", []), ctx))
+        payload = CoverageTable.of(glyph_ids(obj.get("lower", []), ctx))
         default_cov = []
     else:  # mark_to_base, mark_to_ligature
-        payload = CoverageTable.of(_json_strs(obj.get("marks", []), ctx))
+        payload = CoverageTable.of(glyph_ids(obj.get("marks", []), ctx))
         default_cov = []
 
     coverage = CoverageTable.of(
-        _json_strs(obj.get("coverage", default_cov), f"{ctx} coverage")
+        glyph_ids(obj.get("coverage", default_cov), f"{ctx} coverage")
     )
     return LookupRule(kind=kind, feature=feature, coverage=coverage, payload=payload, flags=flags)
 

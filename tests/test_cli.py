@@ -473,6 +473,21 @@ class TestRender:
         code, _, _ = run(capsys, ["render", "--font", FONT, "--input", str(layout_path)])
         assert code == 2
 
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        """A justified layout that names ``measure`` twice fails with one
+        error line; JSON parsing alone would keep the second value."""
+        code, doc, _ = run(capsys, GOLDEN_ARGS)
+        assert code == 0
+        entry = doc.index('"measure"')
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(doc[:entry] + '"measure": 1, ' + doc[entry:], encoding="utf-8")
+        argv = ["render", "--font", FONT, "--input", str(layout_path)]
+        message = "key 'measure' appears twice in one object"
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        code, out, _ = run(capsys, [*argv, "--format", "json-errors"])
+        assert code == 2
+        assert json.loads(out) == {"error": {"code": "MalformedLayout", "message": message}}
+
     def test_non_utf8_input_exit_2(self, capsys, tmp_path):
         argv = ["render", "--font", FONT, "--input", non_utf8_file(tmp_path)]
         assert_one_error_exit_2(*run(capsys, argv))
@@ -552,6 +567,7 @@ class TestRender:
             ((), {"units_per_em": 0}),
             ((), {"measure": -4000}),
             ((), {"measure": 0}),
+            (("elongation",), -100000),
         ],
     )
     def test_bad_layout_exit_2(self, capsys, tmp_path, path, value):

@@ -160,6 +160,13 @@ class TestValidation:
         with pytest.raises(MalformedLayout):
             validate_document(doc)
 
+    def test_rejects_negative_elongation(self, demo_font):
+        doc = self.good(demo_font)
+        doc["lines"][0]["glyphs"][0]["elongation"] = -1
+        message = "line 0 glyph 0: elongation must be a non-negative integer"
+        with pytest.raises(MalformedLayout, match=f"^{message}$"):
+            validate_document(doc)
+
     def test_loads_rejects_bad_json(self):
         with pytest.raises(MalformedLayout):
             loads("{")

@@ -17,7 +17,7 @@ import pytest
 from qalam.cli import main
 from qalam.errors import QalamError
 from qalam.fontmodel import load_font, serialize_font
-from qalam.layout import validate_document
+from qalam.layout import loads, validate_document
 
 from .conftest import DEMO_FONT_PATH
 from .util import DELETE, demo_font_doc, set_path
@@ -56,15 +56,33 @@ def _mutations(seed, base, count):
         yield doc, p
 
 
-def test_font_loader_survives_mutation():
+@pytest.fixture(scope="module")
+def font_mutation_outcomes():
+    """Each seed-400 font mutation, loaded once for the two tests below:
+    its path and its outcome, the exception ``load_font`` raised or the
+    sha256 of the loaded font's canonical serialization. The exceptions
+    keep no traceback, whose frames would hold every mutated document."""
     base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+    outcomes = []
     for doc, path in _mutations(400, base, 1500):
         try:
-            load_font(json.dumps(doc))
-        except QalamError:
-            pass
-        except Exception as exc:  # pragma: no cover - failure reporting
-            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
+            font = load_font(json.dumps(doc))
+        except Exception as exc:
+            outcome = exc.with_traceback(None)
+        else:
+            outcome = hashlib.sha256(serialize_font(font).encode("utf-8")).hexdigest()
+        outcomes.append(("/".join(map(str, path)), outcome))
+    return outcomes
+
+
+def _fail_on_raw_error(outcomes):
+    for where, outcome in outcomes:
+        if isinstance(outcome, Exception) and not isinstance(outcome, QalamError):
+            pytest.fail(f"raw {type(outcome).__name__} at {where}: {outcome}")
+
+
+def test_font_loader_survives_mutation(font_mutation_outcomes):
+    _fail_on_raw_error(font_mutation_outcomes)
 
 
 #: sha256 over the outcome of each seed-400 font mutation, one line each:
@@ -77,36 +95,58 @@ FONT_MUTATION_OUTCOMES_SHA256 = (
 )
 
 
-def test_font_loader_mutation_outcomes_are_pinned():
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_font_loader_mutation_outcomes_are_pinned(font_mutation_outcomes):
     """Each mutated font loads or raises a QalamError, and the outcomes
     match the pinned digest."""
-    base = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
-    outcomes = []
-    for doc, path in _mutations(400, base, 1500):
-        try:
-            font = load_font(json.dumps(doc))
-        except QalamError as exc:
-            outcomes.append(f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # pragma: no cover - failure reporting
-            pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
-        else:
-            text = serialize_font(font).encode("utf-8")
-            outcomes.append("ok " + hashlib.sha256(text).hexdigest())
-    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    _fail_on_raw_error(font_mutation_outcomes)
+    digest = _digest(
+        f"{type(outcome).__name__}: {outcome}"
+        if isinstance(outcome, Exception)
+        else f"ok {outcome}"
+        for _, outcome in font_mutation_outcomes
+    )
     assert digest == FONT_MUTATION_OUTCOMES_SHA256
 
 
-def test_layout_validator_survives_mutation(capsys):
+def _shaped_layout(capsys) -> dict:
     code = main(["shape", "--font", str(DEMO_FONT_PATH), "--text", "سَبُّ"])
     assert code == 0
-    base = json.loads(capsys.readouterr().out)
-    for doc, path in _mutations(401, base, 800):
+    return json.loads(capsys.readouterr().out)
+
+
+def test_layout_validator_survives_mutation(capsys):
+    for doc, path in _mutations(401, _shaped_layout(capsys), 800):
         try:
             validate_document(doc)
         except QalamError:
             pass
         except Exception as exc:  # pragma: no cover - failure reporting
             pytest.fail(f"raw {type(exc).__name__} at {'/'.join(map(str, path))}: {exc}")
+
+
+#: sha256 over the outcome of each seed-401 layout mutation read back by
+#: ``layout.loads``, one line each: the error class and message, or ``ok``.
+LAYOUT_MUTATION_OUTCOMES_SHA256 = (
+    "02b2e7c551866c78535af6ccd7051cdbef2ae1153e08465ce516fdc0c69e3769"
+)
+
+
+def test_layout_validator_mutation_outcomes_are_pinned(capsys):
+    """Which error a malformed layout raises first, and its message, match
+    the pinned digest."""
+    outcomes = []
+    for doc, _ in _mutations(401, _shaped_layout(capsys), 800):
+        try:
+            loads(json.dumps(doc))
+        except QalamError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        else:
+            outcomes.append("ok")
+    assert _digest(outcomes) == LAYOUT_MUTATION_OUTCOMES_SHA256
 
 
 def test_render_survives_layout_mutation(capsys, monkeypatch):
@@ -314,6 +354,28 @@ def test_font_key_appears_once_per_object(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: key '0628' appears twice in one object"]
+
+
+@pytest.mark.parametrize(
+    "value", ["9" * 5000, "[" * 100000 + "]" * 100000], ids=["long-integer", "deep-array"]
+)
+def test_json_python_cannot_read_is_one_error(tmp_path, capsys, monkeypatch, value):
+    """An integer too long for ``int`` or arrays nested too deep make
+    ``json.loads`` raise ``ValueError`` or ``RecursionError``, not a decode
+    error; a font or a layout holding one still fails with one line."""
+    text = DEMO_FONT_PATH.read_text(encoding="utf-8")
+    font = tmp_path / "font.json"
+    text = text.replace('"units_per_em": 1000', f'"units_per_em": {value}')
+    font.write_text(text, encoding="utf-8")
+    code = main(["shape", "--font", str(font), "--text", "ب"])
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("error: font file is not valid JSON: ")
+    monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"measure": {value}}}'))
+    code = main(["render", "--font", str(DEMO_FONT_PATH)])
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("error: layout is not valid JSON: ")
 
 
 @pytest.mark.parametrize(
