@@ -413,6 +413,54 @@ class TestFreshText:
         assert (code, sha256(out), sha256(err)) == (0, stdout_sha, stderr_sha)
 
 
+#: The demo font plus one rule of each kind the demo font lacks, each under
+#: its own feature tag (``tools/gen_demo_data.py``).
+RULES_FONT = str(DATA / "rules-test.qalam-font.json")
+RULES_TAGS = ("calt", "ccmp", "dist", "kern", "curs")
+RULES_FEATURES = ("liga", "jalt", "ss01", *RULES_TAGS)
+RULES_ARGS = [
+    "--font", RULES_FONT, "--text-file", str(CORPUS_PATH),
+    "--features", ",".join(RULES_FEATURES),
+]
+
+
+class TestRulesTestFont:
+    def test_shape_matches_golden_file(self, capsys):
+        code, out, _ = run(capsys, ["shape", *RULES_ARGS])
+        assert code == 0
+        assert out == (DATA / "golden_rules_shape.json").read_text(encoding="utf-8")
+
+    def test_justify_matches_golden_file(self, capsys):
+        argv = ["justify", *RULES_ARGS, "--algorithm", "optimum", "--variants", "on",
+                "--width", "4000"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == (DATA / "golden_rules_justify.json").read_text(encoding="utf-8")
+
+    def test_passes_fontlint(self, capsys):
+        assert run(capsys, ["fontlint", "--font", RULES_FONT]) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "tag, text",
+        [
+            ("calt", "إِلَى"),  # contextual_sub
+            ("ccmp", "إِلَى"),  # multiple_sub
+            ("dist", "شَرِبَ"),  # single_adj
+            ("kern", "وَرَحْمَةُ"),  # pair_adj
+            ("curs", "وَرَحْمَةُ"),  # cursive_attach
+        ],
+    )
+    def test_each_rule_changes_a_word_it_covers(self, capsys, tag, text):
+        def shaped(features):
+            argv = ["shape", "--font", RULES_FONT, "--text", text, "--features", features]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            return json.loads(out)["lines"]
+
+        others = [f for f in RULES_FEATURES if f != tag]
+        assert shaped(",".join(RULES_FEATURES)) != shaped(",".join(others))
+
+
 class TestRender:
     def shape_doc(self, capsys, text: str) -> str:
         code, out, _ = run(capsys, ["shape", "--font", FONT, "--text", text])

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled demo font and text corpus.
+"""Regenerate the bundled demo font and text corpus, and the rules test font.
 
 The font is authored here as structured Python, validated through the
 regular loader and linter (the build aborts if any lint finding appears),
 and written in canonical serialization so the checked-in file is bit-exact
-reproducible. Run from the repository root:
+reproducible. The rules test font in ``tests/data/`` is the demo font plus
+one rule of each kind the demo font lacks (``TEST_GSUB``, ``TEST_GPOS``),
+so that tests and ``tools/same_output.py`` run those rule kinds too. Run
+from the repository root:
 
     PYTHONPATH=src python tools/gen_demo_data.py
 """
@@ -20,7 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qalam.fontmodel import load_font, lint_font, mass_terciles, serialize_font
 from qalam.textmodel import DEFAULT_TABLE, Form, valid_forms
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "qalam" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "src" / "qalam" / "data"
+TEST_FONT_PATH = ROOT / "tests" / "data" / "rules-test.qalam-font.json"
 
 FORM_TAG = {
     Form.ISOLATED: "isol",
@@ -258,6 +263,48 @@ CORPUS = "\n".join(
 ) + "\n"
 
 
+# The rules test font's extra rules, appended to the demo font's tables.
+# Each has its own feature tag, acts on glyphs of the corpus, keeps every
+# glyph's role and leaves every advance at 0 or more.
+TEST_GSUB = [
+    {
+        "kind": "contextual_sub",
+        "feature": "calt",
+        "flags": ["ignore_marks"],
+        "contexts": [
+            # kaf.init starts words of the corpus, but none with this run.
+            {"match": ["kaf.init", "alef.fina", "yeh.fina"], "replace": {"2": "yeh.fina.wide"}},
+            # The alef maksura of "ila" widens after lam.
+            {"match": ["lam.init", "alef_maksura.fina"], "replace": {"1": "yeh.fina.wide"}},
+        ],
+    },
+    {
+        "kind": "multiple_sub",
+        "feature": "ccmp",
+        "sequences": {"alef_hamza_below.isol": ["alef.isol", "hamza.isol"]},
+    },
+]
+TEST_GPOS = [
+    {"kind": "single_adj", "feature": "dist", "adjustments": {"reh.fina": [10, 0, 40]}},
+    {
+        "kind": "pair_adj",
+        "feature": "kern",
+        "pairs": [
+            {"first": "waw.isol", "second": "reh.isol", "advance": -60},
+            {"first": "waw.fina", "second": "reh.isol", "advance": -40},
+        ],
+    },
+    {
+        "kind": "cursive_attach",
+        "feature": "curs",
+        "cursive": {
+            "hah.init": {"entry": [300, 0], "exit": [0, 40]},
+            "meem.medi": {"entry": [260, 0], "exit": [0, 0]},
+        },
+    },
+]
+
+
 def _extension(stretch_class: int, tag: str) -> int:
     if stretch_class <= 0:
         return 0
@@ -408,24 +455,40 @@ def build_font_doc() -> dict:
     }
 
 
-def main() -> int:
-    doc = build_font_doc()
+def canonical_font(doc: dict, name: str) -> str | None:
+    """The font's canonical serialization, or None after reporting why the
+    font is not fit to write: a lint finding, or a serialization that does
+    not round-trip."""
     font = load_font(json.dumps(doc))
     findings = lint_font(font)
     if findings:
         for d in findings:
             print(f"{d.severity.value}: {d.code}: {d.message}", file=sys.stderr)
-        print("demo font does not pass its own lint; aborting", file=sys.stderr)
-        return 1
+        print(f"{name} does not pass its own lint; aborting", file=sys.stderr)
+        return None
     text = serialize_font(font)
     if serialize_font(load_font(text)) != text:
         print("canonical serialization does not round-trip; aborting", file=sys.stderr)
+        return None
+    return text
+
+
+def main() -> int:
+    doc = build_font_doc()
+    text = canonical_font(doc, "demo font")
+    test_doc = {**doc, "font_id": "rules-test"}
+    test_doc["gsub"] = doc["gsub"] + TEST_GSUB
+    test_doc["gpos"] = doc["gpos"] + TEST_GPOS
+    test_text = canonical_font(test_doc, "rules test font")
+    if text is None or test_text is None:
         return 1
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     (DATA_DIR / "chawki-demo.qalam-font.json").write_text(text, encoding="utf-8")
     (DATA_DIR / "corpus.txt").write_text(CORPUS, encoding="utf-8")
-    print(f"wrote {DATA_DIR / 'chawki-demo.qalam-font.json'} ({len(font.glyphs)} glyphs)")
+    TEST_FONT_PATH.write_text(test_text, encoding="utf-8")
+    print(f"wrote {DATA_DIR / 'chawki-demo.qalam-font.json'} ({len(doc['glyphs'])} glyphs)")
     print(f"wrote {DATA_DIR / 'corpus.txt'} ({len(CORPUS.splitlines())} lines)")
+    print(f"wrote {TEST_FONT_PATH}")
     return 0
 
 

@@ -31,6 +31,14 @@ first seed, also runs ``justify --features liga,jalt --algorithm optimum
 lines, where the short paragraphs set only a few, so deep tie-breaks are
 compared too.
 
+The short paragraphs and the demo corpus also run ``shape`` and ``justify
+--algorithm optimum --variants on --width 4000`` with every feature of the
+rules test font, ``tests/data/rules-test.qalam-font.json``
+(``RULES_COMMANDS``), and ``render`` of each layout with that font. That
+font adds a rule of each kind the bundled font lacks. Both trees read the
+working tree's copy of it, so a revision from before the file existed
+still compares.
+
 Before the paragraphs, each tree also runs a fixed list of command lines
 (``CLI_LINES``): ``qalam -h`` and each ``<command> -h``, flag errors with
 the default and the ``json-errors`` format, and ``fontlint`` on its
@@ -93,6 +101,15 @@ COMMANDS = (
     ]
 )
 
+#: The rules test font, every feature it has, and what runs with it.
+RULES_FONT = ROOT / "tests" / "data" / "rules-test.qalam-font.json"
+RULES_FEATURES = ("--features", "liga,jalt,ss01,calt,ccmp,dist,kern,curs")
+RULES_COMMANDS = [
+    ("shape", *RULES_FEATURES),
+    ("justify", *RULES_FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", "4000"),
+]
+CORPUS = ROOT / "src" / "qalam" / "data" / "corpus.txt"
+
 #: Words in the long paragraph, and what runs on it.
 LONG_WORDS = 240
 LONG_COMMANDS = [
@@ -121,15 +138,16 @@ CLI_LINES = [
 ]
 
 #: Runs in a fresh interpreter: argv is (src directory, font path), stdin
-#: the JSON list of (paragraphs, commands) groups and the fixed command
-#: lines; writes one JSON record per command.
+#: the JSON list of (font, paragraphs, commands) groups and the fixed
+#: command lines; writes one JSON record per command. A group's font is
+#: null for the tree's bundled font.
 WORKER = r"""
 import io, json, sys, traceback
 from contextlib import redirect_stderr, redirect_stdout
 sys.path.insert(0, sys.argv[1])
 from qalam.cli import main
 
-font = sys.argv[2]
+bundled = sys.argv[2]
 groups, cli_lines = json.load(sys.stdin)
 
 def run(argv, stdin_text=""):
@@ -147,9 +165,10 @@ def run(argv, stdin_text=""):
 
 records = []
 for line in cli_lines:
-    argv = [font if word == "{font}" else word for word in line]
+    argv = [bundled if word == "{font}" else word for word in line]
     records.append(["qalam " + " ".join(line), *run(argv)])
-for paragraphs, commands in groups:
+for font, paragraphs, commands in groups:
+    font = font or bundled
     for label, text in paragraphs:
         for command in commands:
             name = " ".join(command)
@@ -257,7 +276,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     short = paragraphs(args.seeds, args.paragraphs, args.words)
-    groups = [(short, COMMANDS), ([long_paragraph(args.seeds[0])], LONG_COMMANDS)]
+    corpus = ("corpus", CORPUS.read_text(encoding="utf-8"))
+    groups = [
+        (None, short, COMMANDS),
+        (None, [long_paragraph(args.seeds[0])], LONG_COMMANDS),
+        (str(RULES_FONT), [*short, corpus], RULES_COMMANDS),
+    ]
     cases = [groups, CLI_LINES]
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -277,7 +301,7 @@ def main(argv=None) -> int:
     if difference is not None:
         print(difference)
         return 1
-    print(f"same output on {len(ours)} commands ({len(short) + 1} paragraphs)")
+    print(f"same output on {len(ours)} commands ({len(short) + 2} paragraphs)")
     return 0
 
 
