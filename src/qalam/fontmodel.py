@@ -34,7 +34,14 @@ from .errors import (
     checked,
 )
 from .jsonin import as_dict, as_int, as_list, as_str, int_key, loads, require
-from .lookups import LookupKind, LookupRule, rule_from_json, rule_to_json
+from .lookups import (
+    LookupKind,
+    LookupRule,
+    check_substitution_roles,
+    glyph_refs,
+    rule_to_json,
+    rules_from_json,
+)
 from .textmodel import (
     DEFAULT_TABLE,
     ELONGATABLE_MARKS,
@@ -467,29 +474,6 @@ def _parse_ligature(obj, index: int) -> LigatureEntry:
     )
 
 
-def _rule_glyph_refs(rule: LookupRule):
-    """The glyph ids a rule names, in groups, in the order they are checked."""
-    yield rule.coverage.glyphs
-    payload = rule.payload
-    if rule.kind is LookupKind.SINGLE_SUB:
-        yield payload.values()
-    elif rule.kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
-        yield from payload.values()
-    elif rule.kind is LookupKind.LIGATURE_SUB:
-        for entry in payload:
-            yield entry.components
-            yield (entry.ligature,)
-    elif rule.kind is LookupKind.CONTEXTUAL_SUB:
-        for entry in payload:
-            yield entry.match
-            yield [glyph for _, glyph in entry.substitutions]
-    elif rule.kind is LookupKind.PAIR_ADJ:
-        for entry in payload:
-            yield (entry.first, entry.second)
-    elif rule.kind in (LookupKind.MARK_TO_BASE, LookupKind.MARK_TO_LIGATURE, LookupKind.MARK_TO_MARK):
-        yield payload.glyphs
-
-
 def load_font(source) -> FontDescription:
     """Parse and validate a font description.
 
@@ -555,12 +539,8 @@ def load_font(source) -> FontDescription:
         cp = _code_point(cp_hex, "mark_cmap", mark_cmap)
         mark_cmap[cp] = as_str(mid, f"mark_cmap {cp_hex}")
 
-    gsub = tuple(
-        rule_from_json(obj) for obj in as_list(doc.get("gsub", []), "gsub")
-    )
-    gpos = tuple(
-        rule_from_json(obj) for obj in as_list(doc.get("gpos", []), "gpos")
-    )
+    gsub = rules_from_json(doc.get("gsub", []), "gsub")
+    gpos = rules_from_json(doc.get("gpos", []), "gpos")
 
     thresholds_obj = as_dict(require(doc, "size_thresholds", "font"), "size_thresholds")
     thresholds = SizeThresholds(
@@ -623,37 +603,6 @@ def load_font(source) -> FontDescription:
     return font
 
 
-def _check_substitution_roles(font: FontDescription) -> None:
-    """Reject a substitution that turns a mark into a base or back.
-
-    Shaping keeps each glyph's role through ``gsub``: a mark that became a
-    base, or a base that became a mark, would leave marks attached to
-    nothing.
-    """
-
-    def role(gid: str) -> str:
-        return "mark" if gid in font.marks else "base"
-
-    for rule in font.gsub:
-        kind = rule.kind
-        if kind in (LookupKind.SINGLE_SUB, LookupKind.ALTERNATE_SUB):
-            for source, outputs in rule.payload.items():
-                if kind is LookupKind.SINGLE_SUB:
-                    outputs = (outputs,)
-                for target in outputs:
-                    if role(source) != role(target):
-                        raise SchemaError(
-                            f"gsub {kind.value} rule maps {role(source)} {source!r} "
-                            f"to {role(target)} {target!r}"
-                        )
-        elif kind is LookupKind.LIGATURE_SUB:
-            for entry in rule.payload:
-                if entry.ligature in font.marks:
-                    raise SchemaError(
-                        f"gsub ligature_sub rule makes mark {entry.ligature!r} a ligature"
-                    )
-
-
 def load_font_path(path) -> FontDescription:
     with open(path, "rb") as fh:
         return load_font(fh)
@@ -678,11 +627,11 @@ def _validate_references(font: FontDescription) -> None:
             raise RefError(entry.glyph, "ligature result")
     for label, rules in (("gsub", font.gsub), ("gpos", font.gpos)):
         for rule in rules:
-            for group in _rule_glyph_refs(rule):
+            for group in glyph_refs(rule):
                 if not known.issuperset(group):
                     gid = next(gid for gid in group if gid not in known)
                     raise RefError(gid, f"{label} {rule.kind.value} rule")
-    _check_substitution_roles(font)
+    check_substitution_roles(font.gsub, font.marks)
     # A variant id names one size of one mark, so every mark glyph reads
     # back as a single (mark, size) pair (``FontDescription.mark_sizes``).
     size_of: dict[str, str] = {}

@@ -1,8 +1,10 @@
 """Rule-driven glyph substitution and mark positioning.
 
-This is a deliberately small smart-font engine. Substitution rules rewrite
-a glyph sequence (ligatures, alternates, contextual swaps); positioning
-rules attach marks and apply simple metric adjustments.
+This is a deliberately small smart-font engine. Substitution rules
+(``gsub``) rewrite a glyph sequence (ligatures, alternates, contextual
+swaps); positioning rules (``gpos``) attach marks and apply simple metric
+adjustments. This module alone reads each kind's payload: it parses,
+checks, runs and writes it, and walks it for the font loader's checks.
 
 Rules execute in font order, one left-to-right pass each, with no
 recursive re-matching, so a rule set's effect is deterministic and easy to
@@ -21,28 +23,14 @@ each one goes, from those same anchors and the word's geometry.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
 
-from .errors import BadComponent, MissingAnchor, SchemaError, checked
+from .errors import BadComponent, MissingAnchor, RangeError, SchemaError, checked
 from .jsonin import as_dict, as_list, as_point, glyph_id, glyph_ids, int_key
 from .textmodel import Placement
 
 if TYPE_CHECKING:
     from .fontmodel import FontDescription, LigatureEntry
-
-
-class CoverageTable(NamedTuple):
-    """The set of glyphs a rule applies to."""
-
-    glyphs: frozenset[str]
-
-    @classmethod
-    def of(cls, ids: Iterable[str]) -> "CoverageTable":
-        return cls(frozenset(ids))
-
-    def covers(self, glyph_id: str) -> bool:
-        return glyph_id in self.glyphs
 
 
 class LookupKind(enum.Enum):
@@ -90,40 +78,52 @@ class ContextualSub(NamedTuple):
     substitutions: tuple[tuple[int, str], ...]
 
 
-class PairAdjustment(NamedTuple):
-    first: str
-    second: str
-    delta_advance: int
+#: The kinds whose payload is a dict keyed by the glyph each entry acts on.
+_KEYED_KINDS = frozenset(
+    {
+        LookupKind.SINGLE_SUB,
+        LookupKind.MULTIPLE_SUB,
+        LookupKind.ALTERNATE_SUB,
+        LookupKind.SINGLE_ADJ,
+        LookupKind.CURSIVE_ATTACH,
+    }
+)
 
 
-class _LookupRuleFields(NamedTuple):
-    kind: LookupKind
-    feature: str
-    coverage: CoverageTable
-    payload: object
-    flags: frozenset[str] = frozenset()
+def _acted_on(kind: LookupKind, payload) -> frozenset[str] | None:
+    """The glyphs a payload can act on, which is also the coverage of a
+    rule that gives none; None for the mark attachment kinds, whose
+    coverage is free-standing."""
+    if kind in _KEYED_KINDS:
+        return frozenset(payload)
+    if kind is LookupKind.LIGATURE_SUB:
+        return frozenset(e.components[0] for e in payload)
+    if kind is LookupKind.CONTEXTUAL_SUB:
+        return frozenset(e.match[0] for e in payload)
+    if kind is LookupKind.PAIR_ADJ:
+        return frozenset(first for first, _ in payload)
+    return None
 
 
 @checked
-class LookupRule(_LookupRuleFields):
+class LookupRule(NamedTuple):
     """One substitution or positioning rule, gated by a feature tag.
 
-    A subclass of its fields, so that it has a ``__dict__`` for
-    ``pair_map``, which is built on first use.
+    A ``pair_adj`` payload maps (first, second) glyph pairs to an advance
+    delta for the first; a mark attachment payload is the frozenset of
+    glyphs on the other side of the attachment.
     """
 
-    @cached_property
-    def pair_map(self) -> dict[tuple[str, str], int]:
-        """A pair adjustment rule's advance deltas keyed by (first, second)."""
-        return {(e.first, e.second): e.delta_advance for e in self.payload}
+    kind: LookupKind
+    feature: str
+    coverage: frozenset[str]
+    payload: object
+    flags: frozenset[str] = frozenset()
 
     def _check(self) -> None:
         bad = self.flags - {"ignore_marks"}
         if bad:
             raise SchemaError(f"unknown lookup flags {sorted(bad)}")
-        self._check_payload()
-
-    def _check_payload(self) -> None:
         # ``type(...) is tuple``: qalam's records are tuples too, and none
         # of them is a payload or a payload value.
         kind, payload = self.kind, self.payload
@@ -150,45 +150,27 @@ class LookupRule(_LookupRuleFields):
                 type(v) is tuple and len(v) == 3 for v in payload.values()
             )
         elif kind is LookupKind.PAIR_ADJ:
-            ok = type(payload) is tuple and all(
-                isinstance(e, PairAdjustment) for e in payload
+            ok = isinstance(payload, dict) and all(
+                type(k) is tuple and len(k) == 2 and type(v) is int
+                for k, v in payload.items()
             )
         elif kind is LookupKind.CURSIVE_ATTACH:
             ok = isinstance(payload, dict) and all(
                 type(v) is tuple and len(v) == 2 for v in payload.values()
             )
         else:  # mark attachment kinds carry the other side's coverage
-            ok = isinstance(payload, CoverageTable)
+            ok = type(payload) is frozenset
         if not ok:
             raise SchemaError(f"payload shape does not match kind {kind.value}")
 
-        anchored = self._anchor_glyphs()
-        if anchored is not None:
-            loose = self.coverage.glyphs - anchored
+        acted_on = _acted_on(kind, payload)
+        if acted_on is not None:
+            loose = self.coverage - acted_on
             if loose:
                 raise SchemaError(
                     f"{kind.value} coverage names glyphs without payload data: "
                     f"{sorted(loose)}"
                 )
-
-    def _anchor_glyphs(self) -> frozenset[str] | None:
-        """Glyphs the payload can actually act on, for keyed rule kinds."""
-        kind, payload = self.kind, self.payload
-        if kind in (
-            LookupKind.SINGLE_SUB,
-            LookupKind.MULTIPLE_SUB,
-            LookupKind.ALTERNATE_SUB,
-            LookupKind.SINGLE_ADJ,
-            LookupKind.CURSIVE_ATTACH,
-        ):
-            return frozenset(payload)
-        if kind is LookupKind.LIGATURE_SUB:
-            return frozenset(e.components[0] for e in payload)
-        if kind is LookupKind.CONTEXTUAL_SUB:
-            return frozenset(e.match[0] for e in payload)
-        if kind is LookupKind.PAIR_ADJ:
-            return frozenset(e.first for e in payload)
-        return None  # mark attachment coverage is free-standing
 
 
 def rule_from_json(obj) -> LookupRule:
@@ -209,14 +191,12 @@ def rule_from_json(obj) -> LookupRule:
             glyph_id(k, ctx): glyph_id(v, ctx)
             for k, v in as_dict(obj.get("map", {}), ctx).items()
         }
-        default_cov = list(payload)
     elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
         key = "sequences" if kind is LookupKind.MULTIPLE_SUB else "alternates"
         payload = {
             glyph_id(k, ctx): tuple(glyph_ids(v, ctx))
             for k, v in as_dict(obj.get(key, {}), ctx).items()
         }
-        default_cov = list(payload)
     elif kind is LookupKind.LIGATURE_SUB:
         entries = []
         for e in as_list(obj.get("ligatures", []), ctx):
@@ -228,7 +208,6 @@ def rule_from_json(obj) -> LookupRule:
                 LigatureSub(components=comps, ligature=glyph_id(e["glyph"], ctx))
             )
         payload = tuple(entries)
-        default_cov = [e.components[0] for e in entries]
     elif kind is LookupKind.CONTEXTUAL_SUB:
         entries = []
         for e in as_list(obj.get("contexts", []), ctx):
@@ -241,28 +220,23 @@ def rule_from_json(obj) -> LookupRule:
                 subs.append((int_key(k, f"{ctx}: bad replacement offset"), glyph_id(v, ctx)))
             entries.append(ContextualSub(match=match, substitutions=tuple(sorted(subs))))
         payload = tuple(entries)
-        default_cov = [e.match[0] for e in entries]
     elif kind is LookupKind.SINGLE_ADJ:
         payload = {}
         for k, v in as_dict(obj.get("adjustments", {}), ctx).items():
             if not (isinstance(v, list) and len(v) == 3 and all(type(n) is int for n in v)):
                 raise SchemaError(f"{ctx}: expected [dx, dy, d_advance], got {v!r}")
             payload[glyph_id(k, ctx)] = tuple(v)
-        default_cov = list(payload)
     elif kind is LookupKind.PAIR_ADJ:
-        entries = []
+        payload = {}
         for e in as_list(obj.get("pairs", []), ctx):
             e = as_dict(e, ctx)
             delta = e.get("advance")
             if type(delta) is not int:  # not 3.9, "12" or true
                 raise SchemaError(f"{ctx}: bad pair adjustment {e!r}")
-            entries.append(
-                PairAdjustment(
-                    glyph_id(e.get("first"), ctx), glyph_id(e.get("second"), ctx), delta
-                )
-            )
-        payload = tuple(entries)
-        default_cov = [e.first for e in payload]
+            pair = (glyph_id(e.get("first"), ctx), glyph_id(e.get("second"), ctx))
+            if pair in payload:
+                raise SchemaError(f"{ctx}: pair {pair} appears twice")
+            payload[pair] = delta
     elif kind is LookupKind.CURSIVE_ATTACH:
         payload = {}
         for k, v in as_dict(obj.get("cursive", {}), ctx).items():
@@ -271,32 +245,101 @@ def rule_from_json(obj) -> LookupRule:
                 as_point(v.get("entry"), ctx),
                 as_point(v.get("exit"), ctx),
             )
-        default_cov = list(payload)
-    elif kind is LookupKind.MARK_TO_MARK:
-        payload = CoverageTable.of(glyph_ids(obj.get("lower", []), ctx))
-        default_cov = []
-    else:  # mark_to_base, mark_to_ligature
-        payload = CoverageTable.of(glyph_ids(obj.get("marks", []), ctx))
-        default_cov = []
+    else:  # mark attachment: the marks, or for mark_to_mark the lower marks
+        key = "lower" if kind is LookupKind.MARK_TO_MARK else "marks"
+        payload = frozenset(glyph_ids(obj.get(key, []), ctx))
 
-    coverage = CoverageTable.of(
-        glyph_ids(obj.get("coverage", default_cov), f"{ctx} coverage")
-    )
+    if "coverage" in obj:
+        coverage = frozenset(glyph_ids(obj["coverage"], f"{ctx} coverage"))
+    else:
+        coverage = _acted_on(kind, payload) or frozenset()
     return LookupRule(kind=kind, feature=feature, coverage=coverage, payload=payload, flags=flags)
+
+
+def rules_from_json(value, table: str) -> tuple[LookupRule, ...]:
+    """Parse the font's ``gsub`` or ``gpos`` table: ``gsub`` takes only
+    the substitution kinds, ``gpos`` only the others."""
+    rules = []
+    for i, obj in enumerate(as_list(value, table)):
+        rule = rule_from_json(obj)
+        if (rule.kind in SUBSTITUTION_KINDS) != (table == "gsub"):
+            other = "positioning" if table == "gsub" else "substitution"
+            raise SchemaError(f"{table} rule #{i}: {rule.kind.value} is a {other} kind")
+        rules.append(rule)
+    return tuple(rules)
+
+
+def glyph_refs(rule: LookupRule) -> Iterable[Iterable[str]]:
+    """The glyph ids a rule names, in groups, in the order the font loader
+    checks that each is defined: its coverage, its payload's keys, then
+    the rest of its payload."""
+    yield rule.coverage
+    kind, payload = rule.kind, rule.payload
+    if kind in _KEYED_KINDS:
+        yield payload.keys()
+    if kind is LookupKind.SINGLE_SUB:
+        yield payload.values()
+    elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
+        yield from payload.values()
+    elif kind is LookupKind.LIGATURE_SUB:
+        for entry in payload:
+            yield entry.components
+            yield (entry.ligature,)
+    elif kind is LookupKind.CONTEXTUAL_SUB:
+        for entry in payload:
+            yield entry.match
+            yield [glyph for _, glyph in entry.substitutions]
+    elif kind is LookupKind.PAIR_ADJ:
+        yield from payload
+    elif kind in MARK_ATTACH_KINDS:
+        yield payload
+
+
+def check_substitution_roles(rules: Iterable[LookupRule], marks: Container[str]) -> None:
+    """Reject a substitution that turns a mark into a base or back.
+
+    Shaping keeps each glyph's role through ``gsub``: a mark that became a
+    base, or a base that became a mark, would leave marks attached to
+    nothing. ``marks`` holds the font's mark ids.
+    """
+
+    def role(gid: str) -> str:
+        return "mark" if gid in marks else "base"
+
+    for rule in rules:
+        kind, payload = rule.kind, rule.payload
+        if kind is LookupKind.LIGATURE_SUB:
+            for entry in payload:
+                if entry.ligature in marks:
+                    raise SchemaError(
+                        f"gsub ligature_sub rule makes mark {entry.ligature!r} a ligature"
+                    )
+            continue
+        if kind is LookupKind.SINGLE_SUB:
+            pairs: Iterable[tuple[str, str]] = payload.items()
+        elif kind is LookupKind.CONTEXTUAL_SUB:
+            pairs = ((e.match[off], g) for e in payload for off, g in e.substitutions)
+        else:  # multiple_sub, alternate_sub
+            pairs = ((source, g) for source, outputs in payload.items() for g in outputs)
+        for source, target in pairs:
+            if role(source) != role(target):
+                raise SchemaError(
+                    f"gsub {kind.value} rule maps {role(source)} {source!r} "
+                    f"to {role(target)} {target!r}"
+                )
 
 
 def rule_to_json(rule: LookupRule) -> dict:
     out: dict = {"kind": rule.kind.value, "feature": rule.feature}
     if rule.flags:
         out["flags"] = sorted(rule.flags)
-    out["coverage"] = sorted(rule.coverage.glyphs)
+    out["coverage"] = sorted(rule.coverage)
     kind, payload = rule.kind, rule.payload
     if kind is LookupKind.SINGLE_SUB:
         out["map"] = dict(sorted(payload.items()))
-    elif kind is LookupKind.MULTIPLE_SUB:
-        out["sequences"] = {k: list(v) for k, v in sorted(payload.items())}
-    elif kind is LookupKind.ALTERNATE_SUB:
-        out["alternates"] = {k: list(v) for k, v in sorted(payload.items())}
+    elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
+        key = "sequences" if kind is LookupKind.MULTIPLE_SUB else "alternates"
+        out[key] = {k: list(v) for k, v in sorted(payload.items())}
     elif kind is LookupKind.LIGATURE_SUB:
         out["ligatures"] = [
             {"components": list(e.components), "glyph": e.ligature} for e in payload
@@ -310,18 +353,16 @@ def rule_to_json(rule: LookupRule) -> dict:
         out["adjustments"] = {k: list(v) for k, v in sorted(payload.items())}
     elif kind is LookupKind.PAIR_ADJ:
         out["pairs"] = [
-            {"first": e.first, "second": e.second, "advance": e.delta_advance}
-            for e in payload
+            {"first": first, "second": second, "advance": delta}
+            for (first, second), delta in payload.items()
         ]
     elif kind is LookupKind.CURSIVE_ATTACH:
         out["cursive"] = {
             k: {"entry": list(v[0]), "exit": list(v[1])}
             for k, v in sorted(payload.items())
         }
-    elif kind is LookupKind.MARK_TO_MARK:
-        out["lower"] = sorted(payload.glyphs)
     else:
-        out["marks"] = sorted(payload.glyphs)
+        out["lower" if kind is LookupKind.MARK_TO_MARK else "marks"] = sorted(payload)
     return out
 
 
@@ -394,79 +435,77 @@ def _matches_run(
     return positions, skipped
 
 
+def _match_at(
+    rule: LookupRule, items: Sequence[GlyphItem], i: int, skip_marks: bool
+) -> tuple[LigatureSub | ContextualSub, tuple[list[int], list[int]]] | None:
+    """The first entry of a ligature or contextual rule whose glyph run
+    matches at base glyph ``items[i]``, with the match; None when none does.
+
+    An entry's run is its first field: ``LigatureSub.components`` or
+    ``ContextualSub.match``.
+    """
+    it = items[i]
+    if it.is_mark or it.glyph not in rule.coverage:
+        return None
+    for entry in rule.payload:
+        run = entry[0]
+        if run[0] == it.glyph:
+            m = _matches_run(items, i, run, skip_marks)
+            if m is not None:
+                return entry, m
+    return None
+
+
 def _apply_rule(rule: LookupRule, items: list[GlyphItem]) -> list[GlyphItem]:
     # Every substitution kind acts only at a glyph its coverage names.
-    if rule.kind in SUBSTITUTION_KINDS and rule.coverage.glyphs.isdisjoint(
-        [it.glyph for it in items]
-    ):
+    if rule.coverage.isdisjoint([it.glyph for it in items]):
         return items
+    kind = rule.kind
     skip = "ignore_marks" in rule.flags
     out: list[GlyphItem] = []
 
-    if rule.kind in (LookupKind.SINGLE_SUB, LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
+    if kind in (LookupKind.SINGLE_SUB, LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
         mapping = rule.payload
         for it in items:
-            if (skip and it.is_mark) or not rule.coverage.covers(it.glyph):
+            if (skip and it.is_mark) or it.glyph not in rule.coverage:
                 out.append(it)
-            elif rule.kind is LookupKind.SINGLE_SUB:
+            elif kind is LookupKind.SINGLE_SUB:
                 out.append(it._replace(glyph=mapping[it.glyph]))
-            elif rule.kind is LookupKind.MULTIPLE_SUB:
+            elif kind is LookupKind.MULTIPLE_SUB:
                 out.extend(it._replace(glyph=g) for g in mapping[it.glyph])
             else:  # alternate substitution applies its first alternative
                 out.append(it._replace(glyph=mapping[it.glyph][0]))
         return out
 
-    if rule.kind is LookupKind.LIGATURE_SUB:
+    if kind is LookupKind.LIGATURE_SUB:
         i = 0
-        n = len(items)
-        while i < n:
-            it = items[i]
-            hit = None
-            if not it.is_mark and rule.coverage.covers(it.glyph):
-                for entry in rule.payload:
-                    if entry.components[0] != it.glyph:
-                        continue
-                    m = _matches_run(items, i, entry.components, skip)
-                    if m is not None:
-                        hit = (entry, m)
-                        break
+        while i < len(items):
+            hit = _match_at(rule, items, i, skip)
             if hit is None:
-                out.append(it)
+                out.append(items[i])
                 i += 1
                 continue
             entry, (positions, skipped) = hit
             clusters = tuple(c for p in positions for c in items[p].clusters)
             out.append(GlyphItem(glyph=entry.ligature, clusters=clusters))
             out.extend(items[s] for s in skipped)
-            i = max(positions) + 1
+            i = positions[-1] + 1
         return out
 
-    if rule.kind is LookupKind.CONTEXTUAL_SUB:
-        i = 0
-        n = len(items)
-        result = list(items)
-        while i < n:
-            it = result[i]
-            advanced = False
-            if not it.is_mark and rule.coverage.covers(it.glyph):
-                for entry in rule.payload:
-                    if entry.match[0] != it.glyph:
-                        continue
-                    m = _matches_run(result, i, entry.match, skip)
-                    if m is None:
-                        continue
-                    positions, _ = m
-                    for off, new_glyph in entry.substitutions:
-                        p = positions[off]
-                        result[p] = result[p]._replace(glyph=new_glyph)
-                    i = max(positions) + 1
-                    advanced = True
-                    break
-            if not advanced:
-                i += 1
-        return result
-
-    raise SchemaError(f"{rule.kind.value} is not a substitution rule")
+    # contextual_sub: replacements land in place, and later matches see them
+    out = list(items)
+    i = 0
+    while i < len(out):
+        hit = _match_at(rule, out, i, skip)
+        if hit is None:
+            i += 1
+            continue
+        entry, (positions, _) = hit
+        for off, new_glyph in entry.substitutions:
+            p = positions[off]
+            out[p] = out[p]._replace(glyph=new_glyph)
+        i = positions[-1] + 1
+    return out
 
 
 def apply_gsub_tracked(
@@ -477,20 +516,26 @@ def apply_gsub_tracked(
     """Run every enabled substitution rule, in order, one pass each."""
     current = list(items)
     for rule in rules:
-        if rule.kind not in SUBSTITUTION_KINDS:
-            continue
-        if rule.feature not in enabled_features:
-            continue
-        current = _apply_rule(rule, current)
+        if rule.feature in enabled_features:
+            current = _apply_rule(rule, current)
     return current
 
 
 def _covers(rules: Sequence[LookupRule], kind: LookupKind, glyph: str, other: str) -> bool:
     """Whether a ``kind`` rule covers ``glyph`` with ``other`` in its payload."""
     for r in rules:
-        if r.kind is kind and r.coverage.covers(glyph) and r.payload.covers(other):
+        if r.kind is kind and glyph in r.coverage and other in r.payload:
             return True
     return False
+
+
+def _adjusted(rule: LookupRule, pg: PlacedGlyph, delta: int) -> int:
+    """The base glyph's advance after an adjustment rule adds ``delta``;
+    no advance may go below 0."""
+    advance = pg.advance + delta
+    if advance < 0:
+        raise RangeError(f"{rule.kind.value} rule makes the advance of {pg.glyph} {advance}")
+    return advance
 
 
 def _check_component(
@@ -550,25 +595,25 @@ def position_marks(
     for rule in active:
         if rule.kind is LookupKind.SINGLE_ADJ:
             for idx, pg in enumerate(placed):
-                if pg is not None and not pg.is_mark and rule.coverage.covers(pg.glyph):
+                if pg is not None and not pg.is_mark and pg.glyph in rule.coverage:
                     dx, dy, dadv = rule.payload[pg.glyph]
                     placed[idx] = pg._replace(
                         x_offset=pg.x_offset + dx,
                         y_offset=pg.y_offset + dy,
-                        advance=pg.advance + dadv,
+                        advance=_adjusted(rule, pg, dadv),
                     )
         elif rule.kind is LookupKind.PAIR_ADJ:
-            pair_map = rule.pair_map
             base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
             for a, b in zip(base_idx, base_idx[1:]):
                 key = (placed[a].glyph, placed[b].glyph)
-                if rule.coverage.covers(key[0]) and key in pair_map:
-                    placed[a] = placed[a]._replace(advance=placed[a].advance + pair_map[key])
+                if key[0] in rule.coverage and key in rule.payload:
+                    advance = _adjusted(rule, placed[a], rule.payload[key])
+                    placed[a] = placed[a]._replace(advance=advance)
         elif rule.kind is LookupKind.CURSIVE_ATTACH:
             base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
             for a, b in zip(base_idx, base_idx[1:]):
                 ga, gb = placed[a].glyph, placed[b].glyph
-                if rule.coverage.covers(ga) and rule.coverage.covers(gb):
+                if ga in rule.coverage and gb in rule.coverage:
                     exit_anchor = rule.payload[ga][1]
                     entry_anchor = rule.payload[gb][0]
                     dy = placed[a].y_offset + exit_anchor[1] - entry_anchor[1]

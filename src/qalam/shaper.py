@@ -252,7 +252,7 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
         if pg.is_mark:
             continue
         for rule in alternate_rules:
-            if not rule.coverage.covers(pg.glyph):
+            if pg.glyph not in rule.coverage:
                 continue
             for alt in rule.payload[pg.glyph]:
                 alt_word = _reposition(word, font, {gi: alt})

@@ -126,6 +126,34 @@ class TestShape:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "rule, text, message",
+        [
+            (
+                {"kind": "single_adj", "feature": "kern", "adjustments": {"beh.isol": [0, 0, -5000]}},
+                "ب",
+                "error: single_adj rule makes the advance of beh.isol -4580\n",
+            ),
+            (
+                {
+                    "kind": "pair_adj",
+                    "feature": "kern",
+                    "pairs": [{"first": "beh.init", "second": "beh.fina", "advance": -300}],
+                },
+                "بب",
+                "error: pair_adj rule makes the advance of beh.init -60\n",
+            ),
+        ],
+        ids=["single_adj", "pair_adj"],
+    )
+    def test_negative_adjusted_advance_exit_1(self, capsys, tmp_path, rule, text, message):
+        doc = json.loads(Path(FONT).read_text(encoding="utf-8"))
+        doc["gpos"].append(rule)
+        font = tmp_path / "font.json"
+        font.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["shape", "--font", str(font), "--features", "kern", "--text", text]
+        assert run(capsys, argv) == (1, "", message)
+
     def test_non_utf8_text_file_exit_2(self, capsys, tmp_path):
         argv = ["shape", "--font", FONT, "--text-file", non_utf8_file(tmp_path)]
         assert_one_error_exit_2(*run(capsys, argv))

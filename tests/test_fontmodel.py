@@ -166,11 +166,63 @@ class TestLoad:
             load_doc(doc)
 
     def test_rule_with_unknown_glyph_is_ref_error(self):
+        rules = [
+            ("gsub", {"kind": "single_sub", "feature": "zz01", "map": {"beh.isol": "ghost"}}),
+            # Payload keys outside an explicit coverage name glyphs too.
+            (
+                "gsub",
+                {
+                    "kind": "single_sub",
+                    "feature": "zz01",
+                    "coverage": ["beh.isol"],
+                    "map": {"beh.isol": "beh.init", "ghost": "beh.isol"},
+                },
+            ),
+            (
+                "gpos",
+                {
+                    "kind": "single_adj",
+                    "feature": "zz01",
+                    "coverage": [],
+                    "adjustments": {"ghost2": [0, 0, 0]},
+                },
+            ),
+        ]
+        for (table, rule), ghost in zip(rules, ["ghost", "ghost", "ghost2"]):
+            doc = demo_font_doc()
+            doc[table].append(rule)
+            with pytest.raises(RefError, match=f"unknown glyph id '{ghost}'"):
+                load_doc(doc)
+
+    @pytest.mark.parametrize(
+        "table, rule, message",
+        [
+            (
+                "gsub",
+                {"kind": "single_adj", "feature": "kern", "adjustments": {"beh.isol": [0, 0, 5]}},
+                "gsub rule #4: single_adj is a positioning kind",
+            ),
+            (
+                "gsub",
+                {"kind": "mark_to_base", "feature": "mark", "marks": ["fatha"]},
+                "gsub rule #4: mark_to_base is a positioning kind",
+            ),
+            (
+                "gpos",
+                {
+                    "kind": "ligature_sub",
+                    "feature": "liga",
+                    "ligatures": [{"components": ["beh.init", "beh.fina"], "glyph": "beh.isol"}],
+                },
+                "gpos rule #3: ligature_sub is a substitution kind",
+            ),
+        ],
+        ids=["single_adj", "mark_to_base", "ligature_sub"],
+    )
+    def test_rule_in_the_wrong_table_rejected(self, table, rule, message):
         doc = demo_font_doc()
-        doc["gsub"].append(
-            {"kind": "single_sub", "feature": "zz01", "map": {"beh.isol": "ghost"}}
-        )
-        with pytest.raises(RefError):
+        doc[table].append(rule)
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             load_doc(doc)
 
     @pytest.mark.parametrize(
@@ -183,6 +235,13 @@ class TestLoad:
                 "kind": "ligature_sub",
                 "feature": "liga",
                 "ligatures": [{"components": ["beh.init", "beh.fina"], "glyph": "fatha"}],
+            },
+            {"kind": "multiple_sub", "feature": "ccmp", "sequences": {"beh.isol": ["fatha"]}},
+            {"kind": "multiple_sub", "feature": "ccmp", "sequences": {"fatha": ["beh.isol"]}},
+            {
+                "kind": "contextual_sub",
+                "feature": "calt",
+                "contexts": [{"match": ["beh.isol"], "replace": {"0": "fatha"}}],
             },
         ],
     )

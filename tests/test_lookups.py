@@ -9,7 +9,6 @@ from qalam.diacritics import mark_word
 from qalam.errors import BadComponent, MissingAnchor, SchemaError
 from qalam.fontmodel import FontDescription, load_font
 from qalam.lookups import (
-    CoverageTable,
     GlyphItem,
     LookupKind,
     LookupRule,
@@ -138,7 +137,7 @@ class TestApplyGsub:
             LookupRule(
                 kind=LookupKind.SINGLE_SUB,
                 feature="t",
-                coverage=CoverageTable.of(["a"]),
+                coverage=frozenset({"a"}),
                 payload=("not", "a", "dict"),
             )
 
@@ -376,3 +375,12 @@ class TestAdjustmentRules:
         assert first.advance == 100 + 11 - 13
         # Cursive attachment: b's entry rides a's exit height.
         assert second.y_offset == 7 + 30 - 10
+
+    def test_repeated_pair_rejected(self):
+        pair = {"first": "beh.init", "second": "beh.fina", "advance": -10}
+        with pytest.raises(
+            SchemaError, match=r"^pair_adj rule: pair \('beh.init', 'beh.fina'\) appears twice$"
+        ):
+            rule_from_json(
+                {"kind": "pair_adj", "feature": "kern", "pairs": [pair, {**pair, "advance": 5}]}
+            )

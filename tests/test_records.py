@@ -25,13 +25,7 @@ from qalam.fontmodel import (
     SizeThresholds,
 )
 from qalam.justify import JustifyParams
-from qalam.lookups import (
-    CoverageTable,
-    LookupKind,
-    LookupRule,
-    PairAdjustment,
-    PlacedGlyph,
-)
+from qalam.lookups import LookupKind, LookupRule, PlacedGlyph
 from qalam.textmodel import (
     DEFAULT_TABLE,
     Cluster,
@@ -152,7 +146,7 @@ class TestOtherCheckedRecords:
             LookupRule(
                 kind=LookupKind.SINGLE_SUB,
                 feature="liga",
-                coverage=CoverageTable.of(["a"]),
+                coverage=frozenset({"a"}),
                 payload={"a": "b"},
                 flags=frozenset({"ignore_bases"}),
             )
@@ -160,14 +154,14 @@ class TestOtherCheckedRecords:
     @pytest.mark.parametrize(
         "kind, payload",
         [
-            (LookupKind.SINGLE_ADJ, {"a": PairAdjustment("a", "b", 3)}),
+            (LookupKind.SINGLE_ADJ, {"a": GlueSpec(3, 2, 1)}),
             (LookupKind.CURSIVE_ATTACH, {"a": AnchorPoint(1, 2)}),
-            (LookupKind.LIGATURE_SUB, CoverageTable.of([])),
+            (LookupKind.LIGATURE_SUB, AnchorPoint(1, 2)),
         ],
     )
     def test_a_record_is_not_a_payload_tuple(self, kind, payload):
         with pytest.raises(SchemaError, match="payload shape does not match"):
-            LookupRule(kind, "liga", CoverageTable.of([]), payload)
+            LookupRule(kind, "liga", frozenset(), payload)
 
     @pytest.mark.parametrize(
         "field, value, message",
