@@ -74,6 +74,8 @@ as_str = _reader(str, "a string")
 as_dict = _reader(dict, "an object")
 as_list = _reader(list, "an array")
 glyph_id = _reader(str, "a glyph id string")
+flag_name = _reader(str, "a flag name string")
+flag_names = _reader(list, "an array of flag names")
 
 
 def glyph_ids(value, ctx: str) -> list[str]:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
 
 from .errors import BadComponent, MissingAnchor, RangeError, SchemaError, checked
 from .jsonin import as_dict, as_list, as_point, glyph_id, glyph_ids, int_key
+from .jsonin import flag_name, flag_names
 from .textmodel import Placement
 
 if TYPE_CHECKING:
@@ -184,7 +185,9 @@ def rule_from_json(obj) -> LookupRule:
     feature = obj.get("feature", "")
     if not isinstance(feature, str) or not feature:
         raise SchemaError(f"lookup rule missing feature tag: {obj!r}")
-    flags = frozenset(glyph_ids(obj.get("flags", []), f"{ctx} flags"))
+    flags_ctx = f"{ctx} flags"
+    flags = flag_names(obj.get("flags", []), flags_ctx)
+    flags = frozenset(flag_name(f, flags_ctx) for f in flags)
 
     if kind is LookupKind.SINGLE_SUB:
         payload: object = {
@@ -302,10 +305,6 @@ def check_substitution_roles(rules: Iterable[LookupRule], marks: Container[str])
     base, or a base that became a mark, would leave marks attached to
     nothing. ``marks`` holds the font's mark ids.
     """
-
-    def role(gid: str) -> str:
-        return "mark" if gid in marks else "base"
-
     for rule in rules:
         kind, payload = rule.kind, rule.payload
         if kind is LookupKind.LIGATURE_SUB:
@@ -322,10 +321,11 @@ def check_substitution_roles(rules: Iterable[LookupRule], marks: Container[str])
         else:  # multiple_sub, alternate_sub
             pairs = ((source, g) for source, outputs in payload.items() for g in outputs)
         for source, target in pairs:
-            if role(source) != role(target):
+            if (source in marks) != (target in marks):
+                roles = ("mark", "base") if source in marks else ("base", "mark")
                 raise SchemaError(
-                    f"gsub {kind.value} rule maps {role(source)} {source!r} "
-                    f"to {role(target)} {target!r}"
+                    f"gsub {kind.value} rule maps {roles[0]} {source!r} "
+                    f"to {roles[1]} {target!r}"
                 )
 
 

@@ -141,6 +141,19 @@ class TestApplyGsub:
                 payload=("not", "a", "dict"),
             )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (3, "expected an array of flag names, got 3"),
+            ([[]], r"expected a flag name string, got \[\]"),
+        ],
+        ids=["not-an-array", "not-a-string"],
+    )
+    def test_flags_are_read_as_flag_names(self, flags, message):
+        rule = rule_to_json(lam_alef_rule())
+        with pytest.raises(SchemaError, match=f"^ligature_sub rule flags: {message}$"):
+            rule_from_json({**rule, "flags": flags})
+
     def test_alternate_payload_must_be_nonempty(self):
         with pytest.raises(SchemaError):
             rule_from_json(

@@ -91,7 +91,7 @@ def test_font_loader_survives_mutation(font_mutation_outcomes):
 #: font raises first, in its message, or in what a valid one loads as,
 #: changes this digest.
 FONT_MUTATION_OUTCOMES_SHA256 = (
-    "ce9bc5686ae091d7dbdb0fd4f12cd2fdfc868cf42ba018a47c9f3730969f0b11"
+    "029d2019467fbe0809f48f1bd4917768f8705f0d9763fef9dcde76fdbfc4e7d2"
 )
 
 
