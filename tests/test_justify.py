@@ -25,7 +25,7 @@ from qalam.justify import (
 from qalam.shaper import shape_word, word_variants
 from qalam.textmodel import decompose
 
-from .break_oracle import oracle_best
+from .break_oracle import oracle_best, reference_best
 from .util import ALEF, BEH, DAL, SEEN, random_word_text, synth_font
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -250,7 +250,7 @@ class TestBreakOptimum:
             assert best is not None
             assert layout.total_demerits == best[0], (text, measure)
 
-    @pytest.mark.parametrize("line_penalty", [10, MAX_LINE_PENALTY])
+    @pytest.mark.parametrize("line_penalty", [MIN_LINE_PENALTY, -50, 10, MAX_LINE_PENALTY])
     @pytest.mark.parametrize("policy", ["single_site", "spread", "off"])
     @pytest.mark.parametrize("overlap_penalty", [0, 1, 50, 3000, INF])
     def test_matches_oracle_across_parameters(
@@ -258,7 +258,9 @@ class TestBreakOptimum:
     ):
         # The largest accepted line penalty puts every line's demerits just
         # under INF, so any overlap charge reaches the cap and break
-        # sequences differ by little more than their badness.
+        # sequences differ by little more than their badness. A negative
+        # one lets a line of some badness cost no demerits at all, and the
+        # smallest accepted one puts the cheapest lines at the loosest.
         rng = random.Random(7)
         params = JustifyParams(
             line_penalty=line_penalty,
@@ -283,10 +285,40 @@ class TestBreakOptimum:
                 tuple(line.candidate.word_range[1] for line in layout.lines),
                 tuple(v for line in layout.lines for v in line.candidate.variant_ids),
             )
-            assert got == oracle_best(words, measure, demo_font, params), (
-                text,
-                measure,
+            best = oracle_best(words, measure, demo_font, params)
+            assert got == best, (text, measure)
+            assert reference_best(words, measure, demo_font, params) == best
+
+    @pytest.mark.parametrize(
+        "stream, measure, words",
+        [
+            (gen.fresh_paragraphs, 4000, 240),
+            (gen.zipf_paragraphs, 4000, 240),
+            (gen.fresh_paragraphs, 16000, 120),
+            (gen.zipf_paragraphs, 16000, 60),
+        ],
+    )
+    def test_matches_reference_on_long_paragraphs(self, demo_font, stream, measure, words):
+        # The exhaustive oracle stops at about 10 words; the unpruned
+        # reference DP checks the pruned search, its tie walk and its
+        # variant ids on chains of dozens of lines. Each paragraph runs
+        # every elongation policy, each with its own overlap penalty.
+        text = next(stream(1, words=words))
+        shaped = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"})) for c in decompose(text)
+        ]
+        for policy, overlap_penalty in (("single_site", 0), ("spread", 3000), ("off", INF)):
+            params = JustifyParams(
+                overlap_penalty=overlap_penalty, variants=True, kashida_policy=policy
             )
+            layout = break_optimum(shaped, measure, demo_font, params)
+            got = (
+                layout.total_demerits,
+                len(layout.lines),
+                tuple(line.candidate.word_range[1] for line in layout.lines),
+                tuple(v for line in layout.lines for v in line.candidate.variant_ids),
+            )
+            assert got == reference_best(shaped, measure, demo_font, params), policy
 
     @pytest.mark.parametrize(
         "text, measure",
