@@ -17,32 +17,33 @@ shrink only. Hyphenation does not exist here: words never split.
 The dynamic program's state is (break position, quantized x-intervals of
 the just-laid line's elongations), which is exactly what the next line's
 overlap penalty depends on, so the search is exact for the cost model.
-Each break has one table of states, keyed by signature. A state keeps its
-line's start word and variants and a link to the state it follows, so no
-state copies the chain of breaks behind it. Two states with equal totals
-and line counts are ranked by walking both chains back in lockstep to the
-last state they share: only the lines after it can differ.
+``SIGNATURE_BUCKETS`` is 8, so the search holds a signature as a bit mask:
+overlap is ``(a & b).bit_count()`` and size ``.bit_count()``. Each break
+has one table of states, keyed by mask. A state keeps its line's start
+word and variants and a link to the state it follows, so no state copies
+the chain of breaks behind it. Two states with equal totals and line
+counts are ranked by walking both chains back in lockstep to the last
+state they share: only the lines after it can differ.
 
 The search reads two numbers of a line: its badness and its signature.
-Each width variant's numbers under the elongation policy (width, capacity,
-the elongation that uses its whole capacity, where each elongation
-starts) are worked out once per call. A line's variant choice is a chain
-of links, so growing it by a word copies nothing. Badness comes from the
-line's width and capacity sums; the signature comes from ``_stretch``, the
-helper that also sets the lines ``line_candidate`` builds.
-``LineCandidate`` records are built only for the lines of the chain the
-search returns.
+Each width variant's numbers under the elongation policy (width,
+capacity, the rank of its best site, the elongation that uses its whole
+capacity and where each of those elongations starts) are worked out once
+per call. A line's variant choice is a chain of links, so growing it by a
+word copies nothing. Badness comes from the line's width and capacity
+sums; the signature comes from ``_stretch``, the helper that also sets
+the lines ``line_candidate`` builds. ``LineCandidate`` records are built
+only for the lines of the chain the search returns.
 
 Breaks are visited in increasing order, so every state at an earlier break
-is final when lines ending at break j are set. Each line from i to j
-with its choice of variants is scored by a lower bound on the total of
-any state it can produce: the least total at i plus the line's demerits
-with no overlap charge. Lines are then set, for their signatures, in
-ascending bound order under a dominance rule. Let theta be the least
-``total + overlap_penalty * |signature|`` over the states built at j so
-far. A state at j whose total exceeds theta is dropped, and building stops
-at the first bound above theta. The rule is exact. Whatever line follows,
-its overlap charge against a state lies between 0 and ``overlap_penalty``
+is final when lines ending at break j are set. When break j closes, its
+floor, the least total of its kept states, is stored. A line from i to j
+with its choice of variants is ranked by a lower bound on the total of any
+state it can produce: the floor at i plus the line's demerits with no
+overlap charge. Let theta be the least ``total + overlap_penalty *
+|signature|`` over the states built at j so far. A state at j whose total
+exceeds theta is dropped. The rule is exact. Whatever line follows, its
+overlap charge against a state lies between 0 and ``overlap_penalty``
 times that state's signature size. Capping demerits at ``INF`` only
 narrows that gap. The rest of the paragraph does not depend on the state.
 So continuing from the state that sets theta costs strictly less than
@@ -51,14 +52,36 @@ still reach the documented tie-break. The bound holds for an infinite
 overlap penalty too: an overlapping line's demerits are capped at ``INF``,
 which ``overlap_penalty * |signature|`` already reaches once the
 signature is non-empty.
+
+Line starts are visited best-first. No line from start i costs less than
+the floor at i plus ``line_penalty ** 2`` (plus 0 when the line penalty
+is negative, since ``(line_penalty + badness) ** 2`` can then be 0), so
+the starts are taken in ascending floor. A start's variant choices are
+scored only once its lower bound is at most both theta and the least
+bound of the lines already scored, which wait in a heap. Lines leave the
+heap, and are set, while its least bound is at most theta. The search at
+j stops when both the heap's least bound and the next start's lower bound
+exceed theta, so a start that theta excludes never builds its variant
+choices.
+
+The order in which lines are set does not change the states kept. Let
+theta* be the least ``total + overlap_penalty * |signature|`` over all
+(line, previous state) pairs at j. A pair that reaches theta* has a bound
+of at most theta*, so it is set in any order, and theta always ends at
+theta*. A state set while theta was still higher, but whose total is above
+theta*, is dropped by the final filter. ``_precedes`` is a strict order on
+distinct chains, so each mask keeps the least of the pairs of that mask
+with total at most theta*, and every order that sets all lines with bound
+at most theta* keeps the same table, ties included. A start whose lower
+bound exceeds theta* has no such line.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import kashida
@@ -152,129 +175,116 @@ def demerits(
     prev_signature: frozenset[int] = frozenset(),
 ) -> int:
     """Aggregate cost of a line following a line with ``prev_signature``."""
-    return _demerits(line.badness, line.signature, params, prev_signature)
+    return _demerits(line.badness, len(line.signature & prev_signature), params)
 
 
-def _demerits(
-    cost: int,
-    signature: frozenset[int],
-    params: JustifyParams,
-    prev_signature: frozenset[int],
-) -> int:
-    """``demerits`` of a line given only its badness and signature."""
+def _demerits(cost: int, overlap: int, params: JustifyParams) -> int:
+    """``demerits`` of a line of badness ``cost`` whose signature shares
+    ``overlap`` buckets with the previous line's."""
     if cost >= INF:
         return INF
-    overlap = len(signature & prev_signature)
     if overlap and params.overlap_penalty >= INF:
         return INF
     value = (params.line_penalty + cost) ** 2 + params.overlap_penalty * overlap
     return min(value, INF)
 
 
-def _signature(intervals: Sequence[tuple[int, int]], measure: int) -> frozenset[int]:
-    bucket = max(1, measure // SIGNATURE_BUCKETS)
-    covered: set[int] = set()
-    for a, b in intervals:
-        if b <= a:
-            continue
-        covered.update(range(a // bucket, (b - 1) // bucket + 1))
-    return frozenset(covered)
+#: A word's elongations in glyph order, as (glyph index, where the
+#: elongation starts in the unstretched word, units) spans.
+Spans = tuple[tuple[int, int, int], ...]
 
 
 class _Fit:
     """A width variant's numbers under an elongation policy.
 
-    ``full`` (glyph -> elongation that uses the whole capacity) and
-    ``starts`` (glyph -> where its elongation starts in the word) are
-    worked out on first use and kept, so a search that sets many lines
-    with one variant works them out once.
+    ``rank`` is the stretch class rank of the variant's best site, by which
+    a line serves its words. ``full``, the spans of the elongation that
+    uses the whole capacity, is worked out on first use and kept, so a
+    search that sets many lines with one variant works it out once.
     """
 
-    __slots__ = ("variant", "width", "capacity", "policy", "_full", "_starts")
+    __slots__ = ("variant", "width", "capacity", "rank", "policy", "_full")
 
     def __init__(self, variant: WordVariant, policy: str) -> None:
         self.variant = variant
         self.width = variant.width
         self.capacity = kashida.word_capacity(variant.sites, policy)
+        self.rank = variant.sites[0].priority[0] if self.capacity else 0
         self.policy = policy
-        self._full: dict[int, int] | None = None
-        self._starts: dict[int, int] | None = None
+        self._full: Spans | None = None
 
     @property
-    def full(self) -> dict[int, int]:
+    def full(self) -> Spans:
         if self._full is None:
-            plan = kashida.allocate(self.variant.sites, self.capacity, self.policy)
-            self._full = plan.allocations
+            self._full = self.spans(self.capacity)
         return self._full
 
-    @property
-    def starts(self) -> dict[int, int]:
-        if self._starts is None:
-            self._starts = {s.glyph_index: s.x for s in self.variant.sites}
-        return self._starts
+    def spans(self, amount: int) -> Spans:
+        """The policy's elongation of ``amount`` units, at most ``capacity``."""
+        allocations = kashida.allocate(self.variant.sites, amount, self.policy).allocations
+        return tuple(
+            sorted(
+                [
+                    (s.glyph_index, s.x, allocations[s.glyph_index])
+                    for s in self.variant.sites
+                    if s.glyph_index in allocations
+                ]
+            )
+        )
 
 
 def _allocate_line_kashida(
-    fits: Sequence[_Fit], deficit: int
-) -> tuple[list[dict[int, int] | None], int]:
+    fits: Sequence[_Fit], deficit: int, capacity: int
+) -> tuple[list[Spans], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
     Words are served in priority order (best stretch class first, then
     nearest the line end); within a word the elongation policy applies.
-    Every word served before the last takes its whole capacity. Returns
-    per-word allocations (None for a word that does not stretch) plus the
+    Every word served before the last takes its whole capacity, so every
+    word does when the deficit reaches the line's ``capacity``. Returns
+    per-word spans (empty for a word that does not stretch) plus the
     amount actually absorbed.
     """
-    allocations: list[dict[int, int] | None] = [None] * len(fits)
-    ranked = sorted(
-        [(f.variant.sites[0].priority[0], wi) for wi, f in enumerate(fits) if f.capacity],
-        reverse=True,
-    )
+    if deficit >= capacity:
+        return [fit.full if fit.capacity else () for fit in fits], capacity
+    elongations: list[Spans] = [()] * len(fits)
+    ranked = sorted([(f.rank, wi) for wi, f in enumerate(fits) if f.capacity], reverse=True)
     remaining = deficit
     for _, wi in ranked:
         fit = fits[wi]
-        if remaining >= fit.capacity:
-            allocations[wi] = fit.full
-            remaining -= fit.capacity
-        else:
-            plan = kashida.allocate(fit.variant.sites, remaining, fit.policy)
-            allocations[wi] = plan.allocations
-            remaining = plan.residual
+        if remaining < fit.capacity:
+            # A policy absorbs anything up to its capacity.
+            elongations[wi] = fit.spans(remaining)
+            return elongations, deficit
+        elongations[wi] = fit.full
+        remaining -= fit.capacity
         if not remaining:
             break
-    return allocations, deficit - remaining
+    return elongations, deficit - remaining
 
 
 def _line_intervals(
-    fits: Sequence[_Fit],
-    allocations: Sequence[dict[int, int] | None],
-    glue_widths: Sequence[int],
-) -> list[tuple[int, int]]:
-    """Absolute x intervals of a line's elongations, left to right.
+    fits: Sequence[_Fit], elongations: Sequence[Spans], glue_widths: Sequence[int], measure: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Absolute x intervals of a line's elongations, left to right, and the
+    mask of the signature buckets they cover, bit k for bucket k.
 
     A site's elongation starts at the site's ``x`` in its word, moved right
     by the elongations of the sites before it in the word.
     """
-    out = []
+    bucket = max(1, measure // SIGNATURE_BUCKETS)
+    intervals = []
+    mask = 0
     x = 0
-    for fit, allocation, glue_width in zip(fits, allocations, (*glue_widths, 0)):
-        if allocation:
-            # Glyph order is pen order.
-            for gi in sorted(allocation):
-                amount = allocation[gi]
-                start = x + fit.starts[gi]
-                out.append((start, start + amount))
+    for fit, spans, glue_width in zip(fits, elongations, (*glue_widths, 0)):
+        if spans:
+            for _, site_x, amount in spans:
+                start = x + site_x
+                intervals.append((start, start + amount))
+                mask |= (2 << (start + amount - 1) // bucket) - (1 << start // bucket)
                 x += amount
         x += fit.width + glue_width
-    return out
-
-
-def _distribute(amount: int, gaps: int) -> list[int]:
-    """Split an integer amount over gaps, leftmost gaps get the remainder."""
-    if gaps == 0:
-        return []
-    share, extra = divmod(amount, gaps)
-    return [share + (1 if i < extra else 0) for i in range(gaps)]
+    return intervals, mask
 
 
 def _ratio(deficit: int, total_stretch: int, total_shrink: int, is_last: bool) -> float:
@@ -297,12 +307,12 @@ class _Stretch(NamedTuple):
     total_shrink: int
     ratio: float
     badness: int
-    allocations: list[dict[int, int] | None]  # per word: glyph -> elongation
+    elongations: list[Spans]
     glue_widths: list[int]
     width: int
     fills_measure: bool
     intervals: list[tuple[int, int]]
-    signature: frozenset[int]
+    mask: int  # signature buckets, bit k for bucket k
 
 
 def _stretch(
@@ -311,39 +321,44 @@ def _stretch(
     """Set one line: badness, elongations, glue split and signature.
 
     Elongation absorbs a deficit before glue does; glue shrink alone
-    absorbs a surplus.
+    absorbs a surplus. Glue changes are split evenly, the leftmost gaps
+    taking the remainder.
     """
     gaps = len(fits) - 1
-    natural = sum(f.width for f in fits) + glue.width * gaps
-    total_stretch = glue.stretch * gaps + sum(f.capacity for f in fits)
+    natural = glue.width * gaps
+    capacity = 0
+    for fit in fits:
+        natural += fit.width
+        capacity += fit.capacity
+    total_stretch = glue.stretch * gaps + capacity
     total_shrink = glue.shrink * gaps
     deficit = measure - natural
     ratio = _ratio(deficit, total_stretch, total_shrink, is_last)
     cost = badness(ratio)
-    allocations: list[dict[int, int] | None] = [None] * len(fits)
+    elongations: list[Spans] = [()] * len(fits)
     glue_widths = [glue.width] * gaps
     width = natural
     fills = True
     intervals: list[tuple[int, int]] = []
+    mask = 0
 
     if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
+        absorbed = 0
         if deficit > 0:
-            allocations, absorbed = _allocate_line_kashida(fits, deficit)
+            elongations, absorbed = _allocate_line_kashida(fits, deficit, capacity)
+        if gaps:
             rest = deficit - absorbed
-            if gaps:
-                glue_widths = [
-                    glue.width + d for d in _distribute(rest, gaps)
-                ]
-                width = measure
-            else:
-                width = natural + absorbed
-                fills = width == measure
-            if absorbed:
-                intervals = _line_intervals(fits, allocations, glue_widths)
-        else:
-            takes = _distribute(-deficit, gaps)
-            glue_widths = [glue.width - t for t in takes]
+            step = 1 if rest > 0 else -1
+            share, extra = divmod(abs(rest), gaps)
+            glue_widths = [glue.width + step * (share + 1)] * extra + [
+                glue.width + step * share
+            ] * (gaps - extra)
             width = measure
+        else:
+            width = natural + absorbed
+            fills = width == measure
+        if absorbed:
+            intervals, mask = _line_intervals(fits, elongations, glue_widths, measure)
 
     return _Stretch(
         natural,
@@ -351,12 +366,12 @@ def _stretch(
         total_shrink,
         ratio,
         cost,
-        allocations,
+        elongations,
         glue_widths,
         width,
         fills,
         intervals,
-        _signature(intervals, measure),
+        mask,
     )
 
 
@@ -371,6 +386,7 @@ def line_candidate(
     """Cost and full width assignment for one candidate line."""
     fits = [_Fit(v, params.kashida_policy) for v in variants]
     line = _stretch(fits, measure, font.glue, is_last)
+    mask = line.mask
     return LineCandidate(
         word_range=word_range,
         variant_ids=tuple(v.id for v in variants),
@@ -380,8 +396,8 @@ def line_candidate(
         ratio=line.ratio,
         badness=line.badness,
         kashida_intervals=tuple(line.intervals),
-        signature=line.signature,
-        plans=tuple(tuple(sorted(a.items())) if a else () for a in line.allocations),
+        signature=frozenset(k for k in range(mask.bit_length()) if mask >> k & 1),
+        plans=tuple(tuple((gi, units) for gi, _, units in spans) for spans in line.elongations),
         glue_widths=tuple(line.glue_widths),
         width=line.width,
         fills_measure=line.fills_measure,
@@ -597,82 +613,110 @@ def break_optimum(
         accumulate((min(v.width for v in vl) for vl in variant_lists), initial=0)
     )
     fits = [[_Fit(v, params.kashida_policy) for v in vl] for vl in variant_lists]
+    line_penalty = params.line_penalty
+    # The least demerits of any line with no overlap charge.
+    least_line = line_penalty**2 if line_penalty >= 0 else 0
 
-    # layers[j]: the states at break j, keyed by the signature of the line
-    # that ends there.
-    root = BreakNode(0, 0, 0, (), None)
-    layers: list[dict[frozenset[int], BreakNode]] = [{frozenset(): root}]
+    # layers[j]: the states at break j as (total, signature mask of the
+    # line that ends there, state), cheapest first; floors[j]: their least
+    # total, None if there is none.
+    layers: list[list[tuple[int, int, BreakNode]]] = [[(0, 0, BreakNode(0, 0, 0, (), None))]]
+    floors: list[int | None] = [0]
 
     for j in range(1, n + 1):
         is_last = j == n
-        # Score every feasible line ending at j by a lower bound on the
-        # total of any state it can produce: the cheapest state at its
-        # start plus its demerits without an overlap charge.
-        scored = []
-        # One entry per variant choice over words[i:j], grown by one word
-        # leftward per step: (width sum, capacity sum, fit of word i,
-        # entry for words[i+1:j]). The root entry ends every chain.
-        combos: list[tuple] = [(0, 0, None, None)]
+        # Starts whose narrowest packing of words[i:j] shrink-fits and that
+        # have states, cheapest floor first.
+        starts = []
         for i in range(j - 1, -1, -1):
             gaps = j - i - 1
-            # Even the narrowest packing of words[i:j] must shrink-fit.
-            total_shrink = glue.shrink * gaps
-            if min_prefix[j] - min_prefix[i] + glue.width * gaps > measure + total_shrink:
+            if min_prefix[j] - min_prefix[i] + glue.width * gaps > measure + glue.shrink * gaps:
                 break
-            combos = [
-                (combo[0] + fit.width, combo[1] + fit.capacity, fit, combo)
-                for fit in fits[i]
-                for combo in combos
-            ]
-            if not layers[i]:
-                continue
-            floor = min(node.total_demerits for node in layers[i].values())
-            short = measure - glue.width * gaps
-            glue_stretch = glue.stretch * gaps
-            for combo in combos:
-                cost = badness(
-                    _ratio(short - combo[0], glue_stretch + combo[1], total_shrink, is_last)
-                )
-                if cost < INF:
-                    # JustifyParams bounds line_penalty so that this stays below INF.
-                    bound = floor + (params.line_penalty + cost) ** 2
-                    scored.append((bound, i, combo, cost))
-        scored.sort(key=itemgetter(0))
+            if floors[i] is not None:
+                starts.append(i)
+        starts.sort(key=floors.__getitem__)
 
+        # chains[k]: one entry per variant choice over words[j-k:j], grown
+        # by one word leftward per step, and only as far as the starts
+        # scored need: (width sum, capacity sum, fit of word j-k, entry
+        # for words[j-k+1:j]). The root entry ends every chain.
+        chains: list[list[tuple]] = [[(0, 0, None, None)]]
+        # Scored lines, as (bound, start, index in chains[j - start], badness).
+        scored: list[tuple[int, int, int, int]] = []
         # theta: the least total + overlap_penalty * |signature| over the
-        # states built at j so far. A state above it is dominated; see the
-        # module docstring.
+        # states built at j so far; see the module docstring.
         theta: float = math.inf
-        layer: dict[frozenset[int], BreakNode] = {}
-        for bound, i, combo, cost in scored:
-            if bound > theta:
+        layer: dict[int, BreakNode] = {}
+        k = 0
+        while True:
+            lower = floors[starts[k]] + least_line if k < len(starts) else math.inf
+            if lower <= theta and (not scored or lower <= scored[0][0]):
+                # Score every variant choice of the next start.
+                i = starts[k]
+                k += 1
+                while len(chains) <= j - i:
+                    chains.append(
+                        [
+                            (combo[0] + fit.width, combo[1] + fit.capacity, fit, combo)
+                            for fit in fits[j - len(chains)]
+                            for combo in chains[-1]
+                        ]
+                    )
+                floor = floors[i]
+                gaps = j - i - 1
+                short = measure - glue.width * gaps
+                glue_stretch = glue.stretch * gaps
+                total_shrink = glue.shrink * gaps
+                for index, combo in enumerate(chains[j - i]):
+                    cost = badness(
+                        _ratio(short - combo[0], glue_stretch + combo[1], total_shrink, is_last)
+                    )
+                    if cost < INF:
+                        # JustifyParams bounds line_penalty so that this stays below INF.
+                        heappush(scored, (floor + (line_penalty + cost) ** 2, i, index, cost))
+            elif scored and scored[0][0] <= theta:
+                # Set the line of least bound, for its signature.
+                bound, i, index, cost = heappop(scored)
+                # The line's demerits with no overlap charge.
+                least = bound - floors[i]
+                combo = chains[j - i][index]
+                line_fits = []
+                while combo[2] is not None:
+                    line_fits.append(combo[2])
+                    combo = combo[3]
+                mask = _stretch(line_fits, measure, glue, is_last).mask
+                charge = params.overlap_penalty * mask.bit_count()
+                variants = tuple([fit.variant for fit in line_fits])
+                for prev_total, prev_mask, prev in layers[i]:
+                    if prev_total + least > theta:
+                        break  # and so is every later, dearer state
+                    total = prev_total + _demerits(cost, (mask & prev_mask).bit_count(), params)
+                    if total > theta:
+                        continue
+                    new = BreakNode(total, prev.line_count + 1, i, variants, prev)
+                    old = layer.get(mask)
+                    if old is None or _precedes(new, old):
+                        layer[mask] = new
+                    if total + charge < theta:
+                        theta = total + charge
+            else:
                 break
-            line_fits = []
-            while combo[2] is not None:
-                line_fits.append(combo[2])
-                combo = combo[3]
-            signature = _stretch(line_fits, measure, glue, is_last).signature
-            variants = tuple(fit.variant for fit in line_fits)
-            for prev_signature, prev in layers[i].items():
-                total = prev.total_demerits + _demerits(
-                    cost, signature, params, prev_signature
-                )
-                if total > theta:
-                    continue
-                new = BreakNode(total, prev.line_count + 1, i, variants, prev)
-                old = layer.get(signature)
-                if old is None or _precedes(new, old):
-                    layer[signature] = new
-                theta = min(theta, total + params.overlap_penalty * len(signature))
-        layers.append(
-            {sig: node for sig, node in layer.items() if node.total_demerits <= theta}
+        # Masks are distinct, so the sort never compares states.
+        kept = sorted(
+            [
+                (node.total_demerits, mask, node)
+                for mask, node in layer.items()
+                if node.total_demerits <= theta
+            ]
         )
+        layers.append(kept)
+        floors.append(kept[0][0] if kept else None)
 
     if not layers[n]:
         raise NoFeasibleBreak(
             f"no sequence of feasible lines covers all {n} words at measure {measure}"
         )
-    best = reduce(lambda a, b: b if _precedes(b, a) else a, layers[n].values())
+    best = reduce(lambda a, b: b if _precedes(b, a) else a, [node for _, _, node in layers[n]])
 
     # Only the lines of the winning chain are built in full.
     chosen = []

@@ -320,6 +320,27 @@ class TestBreakOptimum:
             )
             assert got == reference_best(shaped, measure, demo_font, params), policy
 
+    def test_scores_only_the_starts_theta_admits(self, demo_font, monkeypatch):
+        # A count, not a timing, so it repeats exactly. The search visits
+        # line starts in ascending floor and scores a start's variant
+        # choices only while its lower bound can still beat theta; scoring
+        # every choice of every start that shrink-fits calls badness 317
+        # times on this paragraph.
+        from qalam import justify
+
+        text = next(gen.zipf_paragraphs(1, words=24))
+        words = [
+            shape_word(c, demo_font, frozenset({"liga", "jalt"})) for c in decompose(text)
+        ]
+        calls = []
+        real_badness = justify.badness
+        monkeypatch.setattr(
+            justify, "badness", lambda ratio: calls.append(ratio) or real_badness(ratio)
+        )
+        layout = break_optimum(words, 16000, demo_font, JustifyParams(variants=True))
+        assert len(layout.lines) == 2
+        assert len(calls) == 144
+
     @pytest.mark.parametrize(
         "text, measure",
         [
