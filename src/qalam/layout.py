@@ -242,15 +242,18 @@ def validate_document(doc) -> dict:
             raise MalformedLayout(f"line {li} must be an object with a glyphs array")
         if type(line.get("width")) is not int:
             raise MalformedLayout(f"line {li}: width must be an integer")
+        if line["width"] < 0:
+            raise MalformedLayout(f"line {li}: width must be a non-negative integer")
         for gi, glyph in enumerate(line["glyphs"]):
             _check_record(
                 glyph, (li, gi), ("glyph", "x", "y", "advance", "elongation", "marks"),
                 None, ("x", "y", "advance", "elongation"),
             )
-            if glyph["elongation"] < 0:
-                raise MalformedLayout(
-                    f"line {li} glyph {gi}: elongation must be a non-negative integer"
-                )
+            for key in ("advance", "elongation"):
+                if glyph[key] < 0:
+                    raise MalformedLayout(
+                        f"line {li} glyph {gi}: {key} must be a non-negative integer"
+                    )
             if not isinstance(glyph["marks"], list):
                 raise MalformedLayout(f"line {li} glyph {gi}: marks must be an array")
             for mi, mark in enumerate(glyph["marks"]):

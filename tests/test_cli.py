@@ -564,6 +564,22 @@ class TestRender:
         assert code == 2
         assert json.loads(out) == {"error": {"code": "MalformedLayout", "message": message}}
 
+    def test_negative_width_and_advance_exit_2(self, capsys, tmp_path):
+        """The engine never writes a negative line width or glyph advance,
+        and ``render`` refuses one rather than drawing an invalid SVG."""
+        doc = json.loads(self.shape_doc(capsys, "ب"))
+        line = doc["lines"][0]
+        line["width"] = line["glyphs"][0]["advance"] = -4580
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["render", "--font", FONT, "--input", str(layout_path)]
+        message = "line 0: width must be a non-negative integer"
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        line["width"] = 1000
+        layout_path.write_text(json.dumps(doc), encoding="utf-8")
+        message = "line 0 glyph 0: advance must be a non-negative integer"
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
     def test_non_utf8_input_exit_2(self, capsys, tmp_path):
         argv = ["render", "--font", FONT, "--input", non_utf8_file(tmp_path)]
         assert_one_error_exit_2(*run(capsys, argv))

@@ -167,6 +167,20 @@ class TestValidation:
         with pytest.raises(MalformedLayout, match=f"^{message}$"):
             validate_document(doc)
 
+    def test_rejects_negative_advance(self, demo_font):
+        doc = self.good(demo_font)
+        doc["lines"][0]["glyphs"][0]["advance"] = -1
+        message = "line 0 glyph 0: advance must be a non-negative integer"
+        with pytest.raises(MalformedLayout, match=f"^{message}$"):
+            validate_document(doc)
+
+    def test_rejects_negative_line_width(self, demo_font):
+        doc = self.good(demo_font)
+        doc["lines"][0]["width"] = -1
+        message = "line 0: width must be a non-negative integer"
+        with pytest.raises(MalformedLayout, match=f"^{message}$"):
+            validate_document(doc)
+
     def test_loads_rejects_bad_json(self):
         with pytest.raises(MalformedLayout):
             loads("{")

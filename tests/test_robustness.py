@@ -131,7 +131,7 @@ def test_layout_validator_survives_mutation(capsys):
 #: sha256 over the outcome of each seed-401 layout mutation read back by
 #: ``layout.loads``, one line each: the error class and message, or ``ok``.
 LAYOUT_MUTATION_OUTCOMES_SHA256 = (
-    "02b2e7c551866c78535af6ccd7051cdbef2ae1153e08465ce516fdc0c69e3769"
+    "2ba20e00a819ed8379341a1d3397cb77fdf82bba9f5aaafb9005b5c7d26c3750"
 )
 
 
