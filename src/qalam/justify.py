@@ -54,15 +54,17 @@ which ``overlap_penalty * |signature|`` already reaches once the
 signature is non-empty.
 
 Line starts are visited best-first. No line from start i costs less than
-the floor at i plus ``line_penalty ** 2`` (plus 0 when the line penalty
-is negative, since ``(line_penalty + badness) ** 2`` can then be 0), so
-the starts are taken in ascending floor. A start's variant choices are
-scored only once its lower bound is at most both theta and the least
+the floor at i plus ``line_penalty ** 2``, or plus 0 when the line
+penalty is negative, since ``(line_penalty + badness) ** 2`` can then be
+0; so the starts are taken in ascending floor. A start's variant choices
+are scored only once that lower bound is at most both theta and the least
 bound of the lines already scored, which wait in a heap. Lines leave the
 heap, and are set, while its least bound is at most theta. The search at
 j stops when both the heap's least bound and the next start's lower bound
 exceed theta, so a start that theta excludes never builds its variant
-choices.
+choices. A break keeps its states cheapest first, so setting a line
+stops at the first state before it that even a zero overlap charge puts
+above theta.
 
 The order in which lines are set does not change the states kept. Let
 theta* be the least ``total + overlap_penalty * |signature|`` over all
@@ -191,7 +193,7 @@ def _demerits(cost: int, overlap: int, params: JustifyParams) -> int:
 
 #: A word's elongations in glyph order, as (glyph index, where the
 #: elongation starts in the unstretched word, units) spans.
-Spans = tuple[tuple[int, int, int], ...]
+_Spans = tuple[tuple[int, int, int], ...]
 
 
 class _Fit:
@@ -211,15 +213,15 @@ class _Fit:
         self.capacity = kashida.word_capacity(variant.sites, policy)
         self.rank = variant.sites[0].priority[0] if self.capacity else 0
         self.policy = policy
-        self._full: Spans | None = None
+        self._full: _Spans | None = None
 
     @property
-    def full(self) -> Spans:
+    def full(self) -> _Spans:
         if self._full is None:
             self._full = self.spans(self.capacity)
         return self._full
 
-    def spans(self, amount: int) -> Spans:
+    def spans(self, amount: int) -> _Spans:
         """The policy's elongation of ``amount`` units, at most ``capacity``."""
         allocations = kashida.allocate(self.variant.sites, amount, self.policy).allocations
         return tuple(
@@ -235,7 +237,7 @@ class _Fit:
 
 def _allocate_line_kashida(
     fits: Sequence[_Fit], deficit: int, capacity: int
-) -> tuple[list[Spans], int]:
+) -> tuple[list[_Spans], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
     Words are served in priority order (best stretch class first, then
@@ -247,7 +249,7 @@ def _allocate_line_kashida(
     """
     if deficit >= capacity:
         return [fit.full if fit.capacity else () for fit in fits], capacity
-    elongations: list[Spans] = [()] * len(fits)
+    elongations: list[_Spans] = [()] * len(fits)
     ranked = sorted([(f.rank, wi) for wi, f in enumerate(fits) if f.capacity], reverse=True)
     remaining = deficit
     for _, wi in ranked:
@@ -264,7 +266,7 @@ def _allocate_line_kashida(
 
 
 def _line_intervals(
-    fits: Sequence[_Fit], elongations: Sequence[Spans], glue_widths: Sequence[int], measure: int
+    fits: Sequence[_Fit], elongations: Sequence[_Spans], glue_widths: Sequence[int], measure: int
 ) -> tuple[list[tuple[int, int]], int]:
     """Absolute x intervals of a line's elongations, left to right, and the
     mask of the signature buckets they cover, bit k for bucket k.
@@ -307,7 +309,7 @@ class _Stretch(NamedTuple):
     total_shrink: int
     ratio: float
     badness: int
-    elongations: list[Spans]
+    elongations: list[_Spans]
     glue_widths: list[int]
     width: int
     fills_measure: bool
@@ -335,7 +337,7 @@ def _stretch(
     deficit = measure - natural
     ratio = _ratio(deficit, total_stretch, total_shrink, is_last)
     cost = badness(ratio)
-    elongations: list[Spans] = [()] * len(fits)
+    elongations: list[_Spans] = [()] * len(fits)
     glue_widths = [glue.width] * gaps
     width = natural
     fills = True
