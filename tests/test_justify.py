@@ -36,6 +36,16 @@ def make_words(font, letters: str):
     return [shape_word(c, font, frozenset()) for c in decompose(letters)]
 
 
+def outcome(layout):
+    """(total, line count, breaks, variant ids), as the references report it."""
+    return (
+        layout.total_demerits,
+        len(layout.lines),
+        tuple(line.candidate.word_range[1] for line in layout.lines),
+        tuple(v for line in layout.lines for v in line.candidate.variant_ids),
+    )
+
+
 class TestBadness:
     def test_perfect_fit(self):
         assert badness(0.0) == 0
@@ -279,14 +289,8 @@ class TestBreakOptimum:
                 max(word_variants(w, demo_font)[0].width for w in words) + 100, 3000
             )
             layout = break_optimum(words, measure, demo_font, params)
-            got = (
-                layout.total_demerits,
-                len(layout.lines),
-                tuple(line.candidate.word_range[1] for line in layout.lines),
-                tuple(v for line in layout.lines for v in line.candidate.variant_ids),
-            )
             best = oracle_best(words, measure, demo_font, params)
-            assert got == best, (text, measure)
+            assert outcome(layout) == best, (text, measure)
             assert reference_best(words, measure, demo_font, params) == best
 
     @pytest.mark.parametrize(
@@ -312,13 +316,7 @@ class TestBreakOptimum:
                 overlap_penalty=overlap_penalty, variants=True, kashida_policy=policy
             )
             layout = break_optimum(shaped, measure, demo_font, params)
-            got = (
-                layout.total_demerits,
-                len(layout.lines),
-                tuple(line.candidate.word_range[1] for line in layout.lines),
-                tuple(v for line in layout.lines for v in line.candidate.variant_ids),
-            )
-            assert got == reference_best(shaped, measure, demo_font, params), policy
+            assert outcome(layout) == reference_best(shaped, measure, demo_font, params), policy
 
     def test_scores_only_the_starts_theta_admits(self, demo_font, monkeypatch):
         # A count, not a timing, so it repeats exactly. The search visits
