@@ -18,12 +18,15 @@ The dynamic program's state is (break position, quantized x-intervals of
 the just-laid line's elongations), which is exactly what the next line's
 overlap penalty depends on, so the search is exact for the cost model.
 ``SIGNATURE_BUCKETS`` is 8, so the search holds a signature as a bit mask:
-overlap is ``(a & b).bit_count()`` and size ``.bit_count()``. Each break
-has one table of states, keyed by mask. A state keeps its line's start
-word and variants and a link to the state it follows, so no state copies
-the chain of breaks behind it. Two states with equal totals and line
-counts are ranked by walking both chains back in lockstep to the last
-state they share: only the lines after it can differ.
+overlap is ``(a & b).bit_count()`` and size ``.bit_count()``. Bit k stands
+for bucket origin + k, where the origin is the lowest bucket any
+elongation of the paragraph can start in: 0, unless a positioning rule
+moves a stretch site left of its word, when buckets below 0 get bits too.
+Each break has one table of states, keyed by mask. A state keeps its
+line's start word and variants and a link to the state it follows, so no
+state copies the chain of breaks behind it. Two states with equal totals
+and line counts are ranked by walking both chains back in lockstep to the
+last state they share: only the lines after it can differ.
 
 The search reads two numbers of a line: its badness and its signature.
 Each width variant's numbers under the elongation policy (width,
@@ -84,7 +87,7 @@ import math
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kashida
 from .diacritics import at_word, mark_word
@@ -236,19 +239,16 @@ class _Fit:
 
 
 def _allocate_line_kashida(
-    fits: Sequence[_Fit], deficit: int, capacity: int
+    fits: Sequence[_Fit], deficit: int
 ) -> tuple[list[_Spans], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
     Words are served in priority order (best stretch class first, then
     nearest the line end); within a word the elongation policy applies.
-    Every word served before the last takes its whole capacity, so every
-    word does when the deficit reaches the line's ``capacity``. Returns
+    Every word served before the last takes its whole capacity. Returns
     per-word spans (empty for a word that does not stretch) plus the
     amount actually absorbed.
     """
-    if deficit >= capacity:
-        return [fit.full if fit.capacity else () for fit in fits], capacity
     elongations: list[_Spans] = [()] * len(fits)
     ranked = sorted([(f.rank, wi) for wi, f in enumerate(fits) if f.capacity], reverse=True)
     remaining = deficit
@@ -265,11 +265,28 @@ def _allocate_line_kashida(
     return elongations, deficit - remaining
 
 
+def _origin(fits: Iterable[_Fit], measure: int) -> int:
+    """The signature bucket that bit 0 of a mask stands for: the bucket of
+    the leftmost point where an elongation of ``fits`` can start.
+
+    A line's pen never moves left, since advances and glue widths are not
+    negative, and an elongation starts at its site's ``x`` in the word or
+    right of it. So none starts left of 0 or of the least site ``x``, which
+    is negative when a positioning rule moves a glyph left of its word.
+    """
+    least = min([0, *(site.x for fit in fits for site in fit.variant.sites)])
+    return least // max(1, measure // SIGNATURE_BUCKETS)
+
+
 def _line_intervals(
-    fits: Sequence[_Fit], elongations: Sequence[_Spans], glue_widths: Sequence[int], measure: int
+    fits: Sequence[_Fit],
+    elongations: Sequence[_Spans],
+    glue_widths: Sequence[int],
+    measure: int,
+    origin: int,
 ) -> tuple[list[tuple[int, int]], int]:
     """Absolute x intervals of a line's elongations, left to right, and the
-    mask of the signature buckets they cover, bit k for bucket k.
+    mask of the signature buckets they cover, bit k for bucket origin + k.
 
     A site's elongation starts at the site's ``x`` in its word, moved right
     by the elongations of the sites before it in the word.
@@ -283,7 +300,9 @@ def _line_intervals(
             for _, site_x, amount in spans:
                 start = x + site_x
                 intervals.append((start, start + amount))
-                mask |= (2 << (start + amount - 1) // bucket) - (1 << start // bucket)
+                first = start // bucket - origin
+                last = (start + amount - 1) // bucket - origin
+                mask |= (2 << last) - (1 << first)
                 x += amount
         x += fit.width + glue_width
     return intervals, mask
@@ -314,13 +333,14 @@ class _Stretch(NamedTuple):
     width: int
     fills_measure: bool
     intervals: list[tuple[int, int]]
-    mask: int  # signature buckets, bit k for bucket k
+    mask: int  # signature buckets, bit k for bucket origin + k
 
 
 def _stretch(
-    fits: Sequence[_Fit], measure: int, glue: GlueSpec, is_last: bool
+    fits: Sequence[_Fit], measure: int, glue: GlueSpec, is_last: bool, origin: int
 ) -> _Stretch:
-    """Set one line: badness, elongations, glue split and signature.
+    """Set one line: badness, elongations, glue split and signature, as a
+    mask whose bit 0 stands for bucket ``origin`` (see ``_origin``).
 
     Elongation absorbs a deficit before glue does; glue shrink alone
     absorbs a surplus. Glue changes are split evenly, the leftmost gaps
@@ -347,7 +367,7 @@ def _stretch(
     if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
         absorbed = 0
         if deficit > 0:
-            elongations, absorbed = _allocate_line_kashida(fits, deficit, capacity)
+            elongations, absorbed = _allocate_line_kashida(fits, deficit)
         if gaps:
             rest = deficit - absorbed
             step = 1 if rest > 0 else -1
@@ -360,7 +380,7 @@ def _stretch(
             width = natural + absorbed
             fills = width == measure
         if absorbed:
-            intervals, mask = _line_intervals(fits, elongations, glue_widths, measure)
+            intervals, mask = _line_intervals(fits, elongations, glue_widths, measure, origin)
 
     return _Stretch(
         natural,
@@ -387,7 +407,8 @@ def line_candidate(
 ) -> LineCandidate:
     """Cost and full width assignment for one candidate line."""
     fits = [_Fit(v, params.kashida_policy) for v in variants]
-    line = _stretch(fits, measure, font.glue, is_last)
+    origin = _origin(fits, measure)
+    line = _stretch(fits, measure, font.glue, is_last, origin)
     mask = line.mask
     return LineCandidate(
         word_range=word_range,
@@ -398,7 +419,7 @@ def line_candidate(
         ratio=line.ratio,
         badness=line.badness,
         kashida_intervals=tuple(line.intervals),
-        signature=frozenset(k for k in range(mask.bit_length()) if mask >> k & 1),
+        signature=frozenset(origin + k for k in range(mask.bit_length()) if mask >> k & 1),
         plans=tuple(tuple((gi, units) for gi, _, units in spans) for spans in line.elongations),
         glue_widths=tuple(line.glue_widths),
         width=line.width,
@@ -615,6 +636,8 @@ def break_optimum(
         accumulate((min(v.width for v in vl) for vl in variant_lists), initial=0)
     )
     fits = [[_Fit(v, params.kashida_policy) for v in vl] for vl in variant_lists]
+    # One origin for every mask of the search, so that masks compare.
+    origin = _origin((fit for word_fits in fits for fit in word_fits), measure)
     line_penalty = params.line_penalty
     # The least demerits of any line with no overlap charge.
     least_line = line_penalty**2 if line_penalty >= 0 else 0
@@ -686,7 +709,7 @@ def break_optimum(
                 while combo[2] is not None:
                     line_fits.append(combo[2])
                     combo = combo[3]
-                mask = _stretch(line_fits, measure, glue, is_last).mask
+                mask = _stretch(line_fits, measure, glue, is_last, origin).mask
                 charge = params.overlap_penalty * mask.bit_count()
                 variants = tuple([fit.variant for fit in line_fits])
                 for prev_total, prev_mask, prev in layers[i]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qalam.errors import WordTooWide
+from qalam.fontmodel import load_font
 from qalam.justify import (
     INF,
     MAX_BADNESS,
@@ -26,6 +28,7 @@ from qalam.shaper import shape_word, word_variants
 from qalam.textmodel import decompose
 
 from .break_oracle import oracle_best, reference_best
+from .conftest import DEMO_FONT_PATH
 from .util import ALEF, BEH, DAL, SEEN, random_word_text, synth_font
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -317,6 +320,33 @@ class TestBreakOptimum:
             )
             layout = break_optimum(shaped, measure, demo_font, params)
             assert outcome(layout) == reference_best(shaped, measure, demo_font, params), policy
+
+    @pytest.mark.parametrize("policy", ["single_site", "spread"])
+    def test_elongations_left_of_the_line_start(self, policy):
+        # A positioning rule that moves beh.init 5000 units left puts the
+        # stretch site of each word "بد" left of the word's start, so its
+        # elongations start in signature buckets below 0. Signatures keep
+        # those buckets, and the search ranks lines as the reference does.
+        doc = json.loads(DEMO_FONT_PATH.read_text(encoding="utf-8"))
+        doc["gpos"].append(
+            {"kind": "single_adj", "feature": "kern", "adjustments": {"beh.init": [-5000, 0, 0]}}
+        )
+        font = load_font(json.dumps(doc))
+        words = [shape_word(c, font, frozenset({"kern"})) for c in decompose(" ".join(["بد"] * 9))]
+        measure = 1000
+        bucket = measure // 8
+        params = JustifyParams(variants=True, kashida_policy=policy)
+        optimum = break_optimum(words, measure, font, params)
+        for layout in (break_greedy(words, measure, font, params), optimum):
+            for line in layout.lines:
+                candidate = line.candidate
+                assert candidate.signature == frozenset(
+                    k
+                    for a, b in candidate.kashida_intervals
+                    for k in range(a // bucket, (b - 1) // bucket + 1)
+                )
+        assert min(k for line in optimum.lines for k in line.candidate.signature) < 0
+        assert outcome(optimum) == reference_best(words, measure, font, params)
 
     def test_scores_only_the_starts_theta_admits(self, demo_font, monkeypatch):
         # A count, not a timing, so it repeats exactly. The search visits
