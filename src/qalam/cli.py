@@ -7,9 +7,9 @@ codes: 0 success, 1 font problem, 2 text or layout-document problem,
 Each ``main`` call does its work once: it builds only the parser of the
 subcommand it runs, loads the font once, and within ``shape`` and
 ``justify`` shapes, sites and marks each distinct word of the paragraph
-once (the words are told apart by their source text). Those memos are
-locals of the call, so nothing outlives it and a second call starts from
-nothing.
+once (a word repeats when ``decompose`` yields it from the same
+clusters). Those memos are locals of the call, so nothing outlives it and
+a second call starts from nothing.
 """
 
 from __future__ import annotations
@@ -273,12 +273,6 @@ def _read_text(args) -> str:
     return text.replace("\r", " ").replace("\n", " ").replace("\t", " ").strip()
 
 
-def _source_words(text: str) -> list[str]:
-    """Each word's source text, in the order ``decompose(text)`` yields the
-    words: a word is a maximal run of characters other than U+0020."""
-    return [word for word in text.split(" ") if word]
-
-
 def _features(args) -> frozenset[str]:
     return frozenset(f for f in args.features.split(",") if f)
 
@@ -295,7 +289,7 @@ def _cmd_shape(args) -> int:
     font = _load_font_arg(args)
     text = _read_text(args)
     features = _features(args)
-    shaped = shape_words(decompose(text), font, features, _source_words(text))
+    shaped = shape_words(decompose(text), font, features)
     words = []
     diagnostics = []
     marked_by_word = {}  # id(word in ``shaped``) -> mark_word's result
@@ -324,7 +318,7 @@ def _cmd_justify(args) -> int:
         kashida_policy=_POLICY_FLAG[args.kashida_policy],
         gap_epsilon=args.gap_epsilon,
     )
-    words = shape_words(decompose(text), font, features, _source_words(text))
+    words = shape_words(decompose(text), font, features)
     breaker = break_optimum if args.algorithm == "optimum" else break_greedy
     result = breaker(words, args.width, font, params)
     doc = layout_mod.justified_document(font, result)

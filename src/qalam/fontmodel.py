@@ -281,11 +281,6 @@ class FontDescription(_FontFields):
         return {mid: cp for cp, mid in self.mark_cmap.items()}
 
     @cached_property
-    def eager_gsub(self) -> tuple[LookupRule, ...]:
-        """Substitution rules the default shape applies: all but alternates."""
-        return tuple(r for r in self.gsub if r.kind is not LookupKind.ALTERNATE_SUB)
-
-    @cached_property
     def alternate_gsub(self) -> tuple[LookupRule, ...]:
         """Client-choice alternate rules, which only width variants apply."""
         return tuple(r for r in self.gsub if r.kind is LookupKind.ALTERNATE_SUB)

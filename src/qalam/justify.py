@@ -121,6 +121,14 @@ class JustifyParams(NamedTuple):
     gap_epsilon: int = 10
 
     def _check(self) -> None:
+        for name in ("line_penalty", "overlap_penalty", "gap_epsilon"):
+            value = getattr(self, name)
+            if type(value) is not int:  # not 1.5 or True
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.variants) is not bool:
+            raise ValueError(f"variants must be a bool, got {self.variants!r}")
+        if self.kashida_policy not in kashida.POLICIES:
+            raise ValueError(f"kashida_policy must be one of {kashida.POLICIES}")
         # A negative penalty would reward stacked elongations and void the
         # breaker's dominance bound.
         if self.overlap_penalty < 0:
@@ -214,7 +222,7 @@ class _Fit:
         self.variant = variant
         self.width = variant.width
         self.capacity = kashida.word_capacity(variant.sites, policy)
-        self.rank = variant.sites[0].priority[0] if self.capacity else 0
+        self.rank = variant.sites[0].rank if self.capacity else 0
         self.policy = policy
         self._full: _Spans | None = None
 
@@ -477,7 +485,8 @@ def _variant_lists(
     words: Sequence[ShapedWord], font: FontDescription, params: JustifyParams
 ) -> list[tuple[WordVariant, ...]]:
     """Each word's width variants, built once per distinct word object:
-    repeats of a word that ``shape_words`` shaped once share one list."""
+    the repeats of a word share one ``ShapedWord`` from ``shape_words``,
+    and so share one list."""
     by_word: dict[int, tuple[WordVariant, ...]] = {}
     out = []
     for word in words:

@@ -1,16 +1,16 @@
 """Elongation planning: where a word may stretch and by how much.
 
 A stretch site is a glyph whose letter is elongatable (stretch class above
-zero) and whose glyph carries spare extension capacity. Sites are ranked
-by the font's priority table for the letter's stretch class, ties broken
-toward the end of the word, where the connecting stroke is traditionally
-drawn out. An explicit elongation character typed in the input marks its
-cluster's site as preferred over any unhinted one; on letters that can
-never stretch the hint is ignored.
+zero) and whose glyph carries spare extension capacity. A site's
+``rank`` is the font's priority for the letter's stretch class; sites
+are ordered by rank, ties broken toward the end of the word, where the
+connecting stroke is traditionally drawn out. An explicit elongation
+character typed in the input raises its cluster's site above any unhinted
+one; on letters that can never stretch the hint is ignored.
 
-Three allocation policies: ``single_site`` pours the whole deficit into
-the best site (one elongation per word, the calligraphic default),
-``spread`` cascades across sites in priority order, and ``off`` never
+Three allocation policies (``POLICIES``): ``single_site`` pours the whole
+deficit into the best site (one elongation per word, the calligraphic
+default), ``spread`` cascades across sites best first, and ``off`` never
 elongates. Whatever cannot be placed is returned as the residual, so
 allocations plus residual always equal the requested deficit.
 
@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 #: character; an explicit hint outranks any stretch class.
 HINT_BOOST = 1000
 
+#: The elongation policies, by the name ``JustifyParams.kashida_policy`` takes.
+POLICIES = ("single_site", "spread", "off")
+
 
 class StretchSite(NamedTuple):
     """A glyph that may elongate, and where in its word the elongation starts.
@@ -47,7 +50,7 @@ class StretchSite(NamedTuple):
 
     glyph_index: int
     capacity: int
-    priority: tuple[int, int]  # (stretch-class rank, position weight)
+    rank: int  # the font's priority for the stretch class, plus any hint boost
     x: int
 
 
@@ -82,11 +85,11 @@ def enumerate_sites(word: "ShapedWord", font: "FontDescription") -> list[Stretch
             StretchSite(
                 glyph_index=gi,
                 capacity=capacity,
-                priority=(rank, gi),
+                rank=rank,
                 x=x + placed.x_offset + glyph.ink.x_max,
             )
         )
-    sites.sort(key=lambda s: s.priority, reverse=True)
+    sites.sort(key=lambda s: (s.rank, s.glyph_index), reverse=True)
     return sites
 
 
@@ -94,13 +97,11 @@ def _policy_sites(
     sites: Sequence[StretchSite], policy: str
 ) -> Sequence[StretchSite]:
     """The sites an elongation policy may use, best first."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown elongation policy {policy!r}")
     if policy == "single_site":
         return sites[:1]
-    if policy == "spread":
-        return sites
-    if policy == "off":
-        return ()
-    raise ValueError(f"unknown elongation policy {policy!r}")
+    return sites if policy == "spread" else ()
 
 
 def word_capacity(sites: Sequence[StretchSite], policy: str) -> int:

@@ -1,8 +1,8 @@
 """Rule-driven glyph substitution and mark positioning.
 
 This is a deliberately small smart-font engine. Substitution rules
-(``gsub``) rewrite a glyph sequence (ligatures, alternates, contextual
-swaps); positioning rules (``gpos``) attach marks and apply simple metric
+(``gsub``) rewrite a glyph sequence (ligatures, contextual swaps);
+positioning rules (``gpos``) attach marks and apply simple metric
 adjustments. This module alone reads each kind's payload: it parses,
 checks, runs and writes it, and walks it for the font loader's checks.
 
@@ -464,17 +464,15 @@ def _apply_rule(rule: LookupRule, items: list[GlyphItem]) -> list[GlyphItem]:
     skip = "ignore_marks" in rule.flags
     out: list[GlyphItem] = []
 
-    if kind in (LookupKind.SINGLE_SUB, LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
+    if kind in (LookupKind.SINGLE_SUB, LookupKind.MULTIPLE_SUB):
         mapping = rule.payload
         for it in items:
             if (skip and it.is_mark) or it.glyph not in rule.coverage:
                 out.append(it)
             elif kind is LookupKind.SINGLE_SUB:
                 out.append(it._replace(glyph=mapping[it.glyph]))
-            elif kind is LookupKind.MULTIPLE_SUB:
+            else:
                 out.extend(it._replace(glyph=g) for g in mapping[it.glyph])
-            else:  # alternate substitution applies its first alternative
-                out.append(it._replace(glyph=mapping[it.glyph][0]))
         return out
 
     if kind is LookupKind.LIGATURE_SUB:
@@ -513,10 +511,11 @@ def apply_gsub_tracked(
     items: Sequence[GlyphItem],
     enabled_features: frozenset[str] | set[str],
 ) -> list[GlyphItem]:
-    """Run every enabled substitution rule, in order, one pass each."""
+    """Run every enabled substitution rule but ``alternate_sub``, in order,
+    one pass each: only ``shaper.word_variants`` applies alternates."""
     current = list(items)
     for rule in rules:
-        if rule.feature in enabled_features:
+        if rule.feature in enabled_features and rule.kind is not LookupKind.ALTERNATE_SUB:
             current = _apply_rule(rule, current)
     return current
 

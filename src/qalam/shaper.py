@@ -3,9 +3,10 @@
 Shaping runs the classic pipeline: joining analysis picks each letter's
 contextual form, the character map yields glyph ids, substitution rules
 rewrite the glyph string (the LamAlef ligature is linguistic and always
-on; aesthetic ligatures and alternates only when their features are
-enabled), and positioning rules decide what each mark attaches to. Marks
-leave shaping with zero offsets; ``diacritics.mark_word`` places them.
+on; aesthetic ligatures only when their feature is enabled; alternates
+only in width variants), and positioning rules decide what each mark
+attaches to. Marks leave shaping with zero offsets;
+``diacritics.mark_word`` places them.
 
 Glyphs are stored in logical order with offsets in a logical frame; the
 renderer is responsible for right-to-left layout. ``word_variants``
@@ -159,10 +160,7 @@ def shape_word(
     if not clusters:
         raise EmptyWord("cannot shape an empty word")
     feats = frozenset(features) | ALWAYS_ON_FEATURES
-    items = _build_items(clusters, font)
-    # Alternate substitutions are client-choice rules: the default shape
-    # keeps the nominal glyph and word_variants enumerates the alternates.
-    items = apply_gsub_tracked(font.eager_gsub, items, feats)
+    items = apply_gsub_tracked(font.gsub, _build_items(clusters, font), feats)
     return _finish(items, clusters, font, feats)
 
 
@@ -170,21 +168,19 @@ def shape_words(
     clusters_per_word: Sequence[Sequence[Cluster]],
     font: FontDescription,
     features: frozenset[str] | set[str],
-    keys: Sequence[str],
 ) -> list[ShapedWord]:
     """Shape a paragraph's words, each distinct word once.
 
-    ``keys`` names each word, one key per entry of ``clusters_per_word``:
-    words with equal keys must have equal clusters, and share one
-    ``ShapedWord``. The command line passes each word's source text. The
-    memo lives only for this call, so it holds at most the paragraph's
-    distinct words.
+    Words made of the same ``Cluster`` objects share one ``ShapedWord``.
+    ``decompose`` interns clusters, so every repeat of a word in its
+    output is such a word. The memo is keyed by the clusters' ids; each
+    ``ShapedWord`` it holds keeps its clusters alive, so no id is reused
+    while the memo lives, which is only for this call.
     """
-    if len(keys) != len(clusters_per_word):
-        raise ValueError(f"{len(keys)} keys for {len(clusters_per_word)} words")
-    shaped: dict[str, ShapedWord] = {}
+    shaped: dict[tuple[int, ...], ShapedWord] = {}
     out = []
-    for clusters, key in zip(clusters_per_word, keys):
+    for clusters in clusters_per_word:
+        key = tuple(map(id, clusters))
         word = shaped.get(key)
         if word is None:
             word = shaped[key] = shape_word(clusters, font, features)

@@ -52,12 +52,6 @@ class JoiningClass(enum.Enum):
     NONE = "none"
 
 
-class DotPosition(enum.Enum):
-    ABOVE = "above"
-    BELOW = "below"
-    NONE = "none"
-
-
 class Placement(enum.Enum):
     # Members are singletons, so identity hashing, which runs in C, is
     # equivalent to Enum's hash of the member name, which runs in Python.
@@ -66,12 +60,6 @@ class Placement(enum.Enum):
     ABOVE = "above"
     BELOW = "below"
     THROUGH = "through"
-
-
-class MarkCategory(enum.Enum):
-    LANGUAGE = "language"
-    AESTHETIC = "aesthetic"
-    EXPLANATORY = "explanatory"
 
 
 class MassClass(enum.Enum):
@@ -98,18 +86,10 @@ class LetterRecord(NamedTuple):
     code_point: int
     name: str
     joining_class: JoiningClass
-    dot_count: int
-    dot_position: DotPosition
     skeleton_family: str
     stretch_class: int
-    default_mass_class: MassClass
 
     def _check(self) -> None:
-        if (self.dot_count == 0) != (self.dot_position is DotPosition.NONE):
-            raise ValueError(
-                f"{self.name}: dot_count {self.dot_count} inconsistent with "
-                f"dot_position {self.dot_position.value}"
-            )
         if self.stretch_class < 0:
             raise ValueError(f"{self.name}: stretch_class must be >= 0")
 
@@ -119,8 +99,6 @@ class DiacriticRecord(NamedTuple):
 
     code_point: int
     name: str
-    placement: Placement
-    category: MarkCategory
 
     @property
     def elongatable(self) -> bool:
@@ -148,7 +126,8 @@ class Cluster(NamedTuple):
                     f"mark {mark.name} repeated on letter {self.base.name}"
                 )
             seen.add(mark.code_point)
-            if mark.category is MarkCategory.LANGUAGE and mark.code_point != SHADDA_CP:
+            # Every registered mark but shadda fills the letter's vowel slot.
+            if mark.code_point != SHADDA_CP:
                 vowel_slots += 1
         if vowel_slots > 1:
             raise DuplicateMark(
@@ -156,57 +135,57 @@ class Cluster(NamedTuple):
             )
 
 
-# One row per letter: code point, name, joining, dots, dot side, skeleton
-# family (letters sharing a family differ only in their dot pattern),
-# stretch class (0 = never elongated), default mass class.
+# One row per letter: code point, name, joining, skeleton family (letters
+# sharing a family share one dotless shape), stretch class (0 = never
+# elongated). The font, not this table, gives a glyph's mass class.
 _LETTER_ROWS = [
-    (0x0621, "hamza", "none", 0, "none", "hamza", 0, "light"),
-    (0x0622, "alef_madda", "right", 0, "none", "alef_madda", 0, "medium"),
-    (0x0623, "alef_hamza_above", "right", 0, "none", "alef_hamza_above", 0, "medium"),
-    (0x0624, "waw_hamza_above", "right", 0, "none", "waw_hamza_above", 0, "medium"),
-    (0x0625, "alef_hamza_below", "right", 0, "none", "alef_hamza_below", 0, "medium"),
-    (0x0626, "yeh_hamza_above", "dual", 0, "none", "yeh_hamza_above", 2, "light"),
-    (0x0627, "alef", "right", 0, "none", "alef", 0, "medium"),
-    (0x0628, "beh", "dual", 1, "below", "beh", 2, "light"),
-    (0x0629, "teh_marbuta", "right", 2, "above", "teh_marbuta", 0, "medium"),
-    (0x062A, "teh", "dual", 2, "above", "beh", 2, "light"),
-    (0x062B, "theh", "dual", 3, "above", "beh", 2, "light"),
-    (0x062C, "jeem", "dual", 1, "below", "hah", 1, "medium"),
-    (0x062D, "hah", "dual", 0, "none", "hah", 1, "medium"),
-    (0x062E, "khah", "dual", 1, "above", "hah", 1, "medium"),
-    (0x062F, "dal", "right", 0, "none", "dal", 0, "medium"),
-    (0x0630, "thal", "right", 1, "above", "dal", 0, "medium"),
-    (0x0631, "reh", "right", 0, "none", "reh", 0, "medium"),
-    (0x0632, "zain", "right", 1, "above", "reh", 0, "medium"),
-    (0x0633, "seen", "dual", 0, "none", "seen", 3, "heavy"),
-    (0x0634, "sheen", "dual", 3, "above", "seen", 3, "heavy"),
-    (0x0635, "sad", "dual", 0, "none", "sad", 3, "heavy"),
-    (0x0636, "dad", "dual", 1, "above", "sad", 3, "heavy"),
-    (0x0637, "tah", "dual", 0, "none", "tah", 1, "heavy"),
-    (0x0638, "zah", "dual", 1, "above", "tah", 1, "heavy"),
-    (0x0639, "ain", "dual", 0, "none", "ain", 1, "medium"),
-    (0x063A, "ghain", "dual", 1, "above", "ain", 1, "medium"),
-    (0x0641, "feh", "dual", 1, "above", "feh", 2, "light"),
-    (0x0642, "qaf", "dual", 2, "above", "qaf", 2, "medium"),
-    (0x0643, "kaf", "dual", 0, "none", "kaf", 2, "heavy"),
-    (0x0644, "lam", "dual", 0, "none", "lam", 1, "heavy"),
-    (0x0645, "meem", "dual", 0, "none", "meem", 1, "medium"),
-    (0x0646, "noon", "dual", 1, "above", "noon", 2, "light"),
-    (0x0647, "heh", "dual", 0, "none", "heh", 1, "medium"),
-    (0x0648, "waw", "right", 0, "none", "waw", 0, "medium"),
-    (0x0649, "alef_maksura", "dual", 0, "none", "yeh", 2, "light"),
-    (0x064A, "yeh", "dual", 2, "below", "yeh", 2, "light"),
+    (0x0621, "hamza", "none", "hamza", 0),
+    (0x0622, "alef_madda", "right", "alef_madda", 0),
+    (0x0623, "alef_hamza_above", "right", "alef_hamza_above", 0),
+    (0x0624, "waw_hamza_above", "right", "waw_hamza_above", 0),
+    (0x0625, "alef_hamza_below", "right", "alef_hamza_below", 0),
+    (0x0626, "yeh_hamza_above", "dual", "yeh_hamza_above", 2),
+    (0x0627, "alef", "right", "alef", 0),
+    (0x0628, "beh", "dual", "beh", 2),
+    (0x0629, "teh_marbuta", "right", "teh_marbuta", 0),
+    (0x062A, "teh", "dual", "beh", 2),
+    (0x062B, "theh", "dual", "beh", 2),
+    (0x062C, "jeem", "dual", "hah", 1),
+    (0x062D, "hah", "dual", "hah", 1),
+    (0x062E, "khah", "dual", "hah", 1),
+    (0x062F, "dal", "right", "dal", 0),
+    (0x0630, "thal", "right", "dal", 0),
+    (0x0631, "reh", "right", "reh", 0),
+    (0x0632, "zain", "right", "reh", 0),
+    (0x0633, "seen", "dual", "seen", 3),
+    (0x0634, "sheen", "dual", "seen", 3),
+    (0x0635, "sad", "dual", "sad", 3),
+    (0x0636, "dad", "dual", "sad", 3),
+    (0x0637, "tah", "dual", "tah", 1),
+    (0x0638, "zah", "dual", "tah", 1),
+    (0x0639, "ain", "dual", "ain", 1),
+    (0x063A, "ghain", "dual", "ain", 1),
+    (0x0641, "feh", "dual", "feh", 2),
+    (0x0642, "qaf", "dual", "qaf", 2),
+    (0x0643, "kaf", "dual", "kaf", 2),
+    (0x0644, "lam", "dual", "lam", 1),
+    (0x0645, "meem", "dual", "meem", 1),
+    (0x0646, "noon", "dual", "noon", 2),
+    (0x0647, "heh", "dual", "heh", 1),
+    (0x0648, "waw", "right", "waw", 0),
+    (0x0649, "alef_maksura", "dual", "yeh", 2),
+    (0x064A, "yeh", "dual", "yeh", 2),
 ]
 
 _DIACRITIC_ROWS = [
-    (0x064B, "fathatan", "above", "language"),
-    (0x064C, "dammatan", "above", "language"),
-    (0x064D, "kasratan", "below", "language"),
-    (0x064E, "fatha", "above", "language"),
-    (0x064F, "damma", "above", "language"),
-    (0x0650, "kasra", "below", "language"),
-    (0x0651, "shadda", "above", "language"),
-    (0x0652, "sukun", "above", "language"),
+    (0x064B, "fathatan"),
+    (0x064C, "dammatan"),
+    (0x064D, "kasratan"),
+    (0x064E, "fatha"),
+    (0x064F, "damma"),
+    (0x0650, "kasra"),
+    (0x0651, "shadda"),
+    (0x0652, "sukun"),
 ]
 
 
@@ -237,27 +216,10 @@ class CharacterTable:
 
 def _default_table() -> CharacterTable:
     letters = [
-        LetterRecord(
-            code_point=cp,
-            name=name,
-            joining_class=JoiningClass(joining),
-            dot_count=dots,
-            dot_position=DotPosition(dot_pos),
-            skeleton_family=family,
-            stretch_class=stretch,
-            default_mass_class=MassClass(mass),
-        )
-        for cp, name, joining, dots, dot_pos, family, stretch, mass in _LETTER_ROWS
+        LetterRecord(cp, name, JoiningClass(joining), family, stretch)
+        for cp, name, joining, family, stretch in _LETTER_ROWS
     ]
-    diacritics = [
-        DiacriticRecord(
-            code_point=cp,
-            name=name,
-            placement=Placement(placement),
-            category=MarkCategory(category),
-        )
-        for cp, name, placement, category in _DIACRITIC_ROWS
-    ]
+    diacritics = [DiacriticRecord(cp, name) for cp, name in _DIACRITIC_ROWS]
     return CharacterTable(letters, diacritics)
 
 

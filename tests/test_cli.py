@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 import qalam.cli
 import qalam.diacritics
 import qalam.shaper
-from qalam.cli import _build_parser, _source_words, main
+from qalam.cli import _build_parser, main
 from qalam.justify import MAX_LINE_PENALTY
-from qalam.textmodel import decompose
 
 from .conftest import CORPUS_PATH, DEMO_FONT_PATH
 
@@ -903,23 +902,6 @@ class TestWordMemo:
             "480 of glyph 0"
         )
         assert err.splitlines() == [f"{overlap} @0,0", f"{overlap} @2,0"]
-
-    @given(
-        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=12),
-        gaps=st.lists(st.integers(1, 3), min_size=11, max_size=11),
-        lead=st.integers(0, 3),
-        trail=st.integers(0, 3),
-    )
-    def test_source_words_match_decomposed_words(self, seeds, gaps, lead, trail):
-        words = [gen.random_word(random.Random(seed)) for seed in seeds]
-        text = " " * lead + words[0]
-        for word, gap in zip(words[1:], gaps):
-            text += " " * gap + word
-        text += " " * trail
-        keys = _source_words(text)
-        decomposed = decompose(text)
-        assert keys == words
-        assert [decompose(key) for key in keys] == [[clusters] for clusters in decomposed]
 
 
 def run_captured(argv, stdin_text=""):

@@ -91,7 +91,9 @@ class TestApplyGsub:
         )
         assert gsub_glyphs([rule], ["x", "a", "y"], {"ccmp"}) == ["x", "b", "c", "y"]
 
-    def test_alternate_sub_picks_first(self):
+    def test_alternate_sub_is_left_to_width_variants(self):
+        # Alternates are client-choice: an enabled rule leaves the glyph
+        # it covers alone, and only word_variants offers its alternatives.
         rule = rule_from_json(
             {
                 "kind": "alternate_sub",
@@ -99,7 +101,7 @@ class TestApplyGsub:
                 "alternates": {"a": ["a.wide", "a.wider"]},
             }
         )
-        assert gsub_glyphs([rule], ["a"], {"jalt"}) == ["a.wide"]
+        assert gsub_glyphs([rule], ["x", "a"], {"jalt"}) == ["x", "a"]
 
     def test_contextual_sub_replaces_at_offset(self):
         rule = rule_from_json(

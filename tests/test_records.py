@@ -29,10 +29,8 @@ from qalam.lookups import LookupKind, LookupRule, PlacedGlyph
 from qalam.textmodel import (
     DEFAULT_TABLE,
     Cluster,
-    DotPosition,
     JoiningClass,
     LetterRecord,
-    MassClass,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,16 +42,13 @@ SHADDA = DEFAULT_TABLE.diacritics[0x0651]
 INK = Rect(0, 0, 100, 100)
 
 
-def letter(dot_count=1, dot_position=DotPosition.BELOW, stretch_class=2):
+def letter(stretch_class=2):
     return LetterRecord(
         code_point=0x0628,
         name="beh",
         joining_class=JoiningClass.DUAL,
-        dot_count=dot_count,
-        dot_position=dot_position,
         skeleton_family="beh",
         stretch_class=stretch_class,
-        default_mass_class=MassClass.LIGHT,
     )
 
 
@@ -114,13 +109,6 @@ class TestFontRecords:
 
 
 class TestTextRecords:
-    @pytest.mark.parametrize(
-        "dot_count, dot_position", [(1, DotPosition.NONE), (0, DotPosition.ABOVE)]
-    )
-    def test_dots_must_agree_with_their_position(self, dot_count, dot_position):
-        with pytest.raises(ValueError, match="inconsistent with dot_position"):
-            letter(dot_count=dot_count, dot_position=dot_position)
-
     def test_negative_stretch_class_is_rejected(self):
         with pytest.raises(ValueError, match="stretch_class must be >= 0"):
             letter(stretch_class=-1)
@@ -169,6 +157,12 @@ class TestOtherCheckedRecords:
             ("overlap_penalty", -1, "overlap_penalty must be >= 0"),
             ("line_penalty", 10**9, "line_penalty must lie in"),
             ("gap_epsilon", -1, "gap_epsilon must be >= 0"),
+            ("line_penalty", 1.5, "line_penalty must be an int, got 1.5"),
+            ("overlap_penalty", True, "overlap_penalty must be an int, got True"),
+            ("gap_epsilon", "10", "gap_epsilon must be an int, got '10'"),
+            ("variants", 1, "variants must be a bool, got 1"),
+            ("kashida_policy", "zigzag", "kashida_policy must be one of"),
+            ("kashida_policy", "single", "kashida_policy must be one of"),
         ],
     )
     def test_justify_params_are_checked(self, field, value, message):

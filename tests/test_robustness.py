@@ -11,13 +11,18 @@ import hashlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qalam.cli import main
+from qalam.diacritics import mark_word
 from qalam.errors import QalamError
 from qalam.fontmodel import load_font, serialize_font
-from qalam.layout import loads, validate_document
+from qalam.justify import JustifyParams, break_optimum
+from qalam.layout import dumps, justified_document, loads, shaped_document, validate_document
+from qalam.shaper import shape_words
+from qalam.textmodel import decompose
 
 from .conftest import DEMO_FONT_PATH
 from .util import DELETE, demo_font_doc, set_path
@@ -35,15 +40,17 @@ def _paths(node, prefix=()):
             yield from _paths(v, prefix + (i,))
 
 
-def _mutations(seed, base, count):
+def _mutations(seed, base, count, under=None, replacements=REPLACEMENTS):
     """``count`` seeded copies of ``base``, each with one node deleted or
-    replaced, paired with the path of that node.
+    replaced by one of ``replacements``, paired with the path of that node.
+    With ``under``, a set of top-level keys, only those keys' nodes are
+    edited.
 
     A copy shares every subtree off the edited path with ``base``; only
     the containers on the path are copied, so ``base`` stays intact.
     """
     rng = random.Random(seed)
-    paths = [p for p in _paths(base) if p]
+    paths = [p for p in _paths(base) if p and (under is None or p[0] in under)]
     for _ in range(count):
         p = rng.choice(paths)
         doc = node = copy.copy(base)
@@ -52,7 +59,7 @@ def _mutations(seed, base, count):
         if rng.random() < 0.4 and isinstance(node, dict):
             del node[p[-1]]
         else:
-            node[p[-1]] = rng.choice(REPLACEMENTS)
+            node[p[-1]] = rng.choice(replacements)
         yield doc, p
 
 
@@ -103,13 +110,76 @@ def test_font_loader_mutation_outcomes_are_pinned(font_mutation_outcomes):
     """Each mutated font loads or raises a QalamError, and the outcomes
     match the pinned digest."""
     _fail_on_raw_error(font_mutation_outcomes)
-    digest = _digest(
+    assert _outcomes_digest(font_mutation_outcomes) == FONT_MUTATION_OUTCOMES_SHA256
+
+
+def _outcomes_digest(outcomes) -> str:
+    return _digest(
         f"{type(outcome).__name__}: {outcome}"
         if isinstance(outcome, Exception)
         else f"ok {outcome}"
-        for _, outcome in font_mutation_outcomes
+        for _, outcome in outcomes
     )
-    assert digest == FONT_MUTATION_OUTCOMES_SHA256
+
+
+RULES_FONT_PATH = Path(__file__).resolve().parent / "data" / "rules-test.qalam-font.json"
+#: Words that run every rule of the rules test font, with every feature on:
+#: each substitution and metric kind, marks on ligatures and stacked on a
+#: shadda, and one repeated word.
+RULES_TEXT = "إِلَى شَرِبَ وَرَحْمَةُ فِي لَمْسٍ لَا بَ كَ سَبُّ إِلَى"
+RULES_FEATURES = frozenset({"liga", "jalt", "ss01", "calt", "ccmp", "dist", "kern", "curs"})
+#: Besides values of the wrong type, rule edits put in glyph ids the font
+#: defines and numbers a rule may hold, so that many edited fonts load.
+RULE_REPLACEMENTS = [
+    *REPLACEMENTS, "beh.isol", "alef.fina", "lam_alef.isol", "fatha", "shadda", -400, 0, 60,
+]
+
+
+@pytest.fixture(scope="module")
+def rule_mutation_outcomes():
+    """Each seed-406 edit under the rules test font's ``gsub`` and
+    ``gpos``, run once for the two tests below: its path and its outcome.
+    A font that loads shapes ``RULES_TEXT`` and justifies it optimally
+    with width variants at 1500 units; the outcome is the first exception
+    raised, or the sha256 of both layout documents."""
+    base = json.loads(RULES_FONT_PATH.read_text(encoding="utf-8"))
+    # Only the rule tables change, so the rest of the font is written once.
+    tables = ("gsub", "gpos")
+    head = json.dumps({k: v for k, v in base.items() if k not in tables})[:-1]
+    params = JustifyParams(variants=True)
+    outcomes = []
+    for doc, path in _mutations(406, base, 400, set(tables), RULE_REPLACEMENTS):
+        rules = "".join(f', "{k}": {json.dumps(doc[k])}' for k in tables if k in doc)
+        try:
+            font = load_font(head + rules + "}")
+            words = shape_words(decompose(RULES_TEXT), font, RULES_FEATURES)
+            marked = [mark_word(word, font, params.gap_epsilon)[0] for word in words]
+            layout = break_optimum(words, 1500, font, params)
+        except Exception as exc:
+            outcome = exc.with_traceback(None)
+        else:
+            docs = dumps(shaped_document(font, marked)) + dumps(justified_document(font, layout))
+            outcome = hashlib.sha256(docs.encode("utf-8")).hexdigest()
+        outcomes.append(("/".join(map(str, path)), outcome))
+    return outcomes
+
+
+def test_rule_kinds_survive_mutation(rule_mutation_outcomes):
+    _fail_on_raw_error(rule_mutation_outcomes)
+
+
+#: sha256 over the outcome of each seed-406 rule mutation, one line each:
+#: the error class and message, or ``ok`` and the sha256 of the layouts.
+RULE_MUTATION_OUTCOMES_SHA256 = (
+    "79623330a6bfa97598c5c6d977f19f101ad6cc5d6beab9072dd14bb836189202"
+)
+
+
+def test_rule_mutation_outcomes_are_pinned(rule_mutation_outcomes):
+    """Which error an edited rule raises first, and what the text shapes
+    and justifies as under a rule set that loads, match the pinned digest."""
+    _fail_on_raw_error(rule_mutation_outcomes)
+    assert _outcomes_digest(rule_mutation_outcomes) == RULE_MUTATION_OUTCOMES_SHA256
 
 
 def _shaped_layout(capsys) -> dict:

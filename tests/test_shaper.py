@@ -129,14 +129,23 @@ class TestShapeWord:
 class TestShapeWords:
     def test_repeats_share_one_shaped_word(self, demo_font):
         text = "بَا لَا بَا بَا"
-        words = shape_words(decompose(text), demo_font, ALL_FEATURES, text.split(" "))
+        words = shape_words(decompose(text), demo_font, ALL_FEATURES)
         assert words[0] is words[2] is words[3]
         assert words[1] is not words[0]
         assert words == [shape_word(c, demo_font, ALL_FEATURES) for c in decompose(text)]
 
-    def test_one_key_per_word(self, demo_font):
-        with pytest.raises(ValueError):
-            shape_words(decompose("بَا لَا"), demo_font, ALL_FEATURES, ["بَا"])
+    def test_near_duplicates_are_shaped_apart(self, demo_font):
+        # A repeat shares its first occurrence's word; words that differ
+        # only in tatweel count or in the order of their marks do not.
+        fatha_shadda, shadda_fatha = "\u0628\u064e\u0651", "\u0628\u0651\u064e"
+        texts = ["\u0628\u0633\u0645", "\u0628\u0640\u0633\u0645",
+                 "\u0628\u0640\u0640\u0633\u0645", fatha_shadda, shadda_fatha]
+        clusters = decompose(" ".join(texts + texts))
+        words = shape_words(clusters, demo_font, ALL_FEATURES)
+        n = len(texts)
+        assert all(words[i] is words[n + i] for i in range(n))
+        assert len({id(w) for w in words}) == n
+        assert words == [shape_word(c, demo_font, ALL_FEATURES) for c in clusters]
 
 
 class TestWordVariants:

@@ -231,15 +231,13 @@ class TestJoining:
 
 
 class TestTableInvariants:
-    def test_skeleton_families_differ_only_in_dots(self):
+    def test_skeleton_families_share_a_joining_class(self):
         by_family: dict[str, list] = {}
         for letter in DEFAULT_TABLE.letters.values():
             by_family.setdefault(letter.skeleton_family, []).append(letter)
         for family, members in by_family.items():
             joinings = {m.joining_class for m in members}
             assert len(joinings) == 1, family
-            dot_patterns = {(m.dot_count, m.dot_position) for m in members}
-            assert len(dot_patterns) == len(members), family
 
     def test_only_fatha_family_elongatable(self):
         for mark in DEFAULT_TABLE.diacritics.values():

@@ -31,6 +31,14 @@ first seed, also runs ``justify --features liga,jalt --algorithm optimum
 lines, where the short paragraphs set only a few, so deep tie-breaks are
 compared too.
 
+One fixed paragraph, ``REPEATS_TEXT``, runs ``shape`` and ``justify
+--algorithm optimum --variants on --width 4000``, both with ``--features
+liga,jalt`` (``REPEATS_COMMANDS``), and ``render`` of both layouts. It
+repeats words among near-duplicates that differ only in tatweel count or
+in the order of a letter's marks. A word memo that confuses two tatweel
+counts shows as a difference; the order of a shadda and a vowel does not
+change any output, so only ``tests/test_shaper.py`` sees that case.
+
 The short paragraphs and the demo corpus also run ``shape`` and ``justify
 --algorithm optimum --variants on --width 4000`` with every feature of the
 rules test font, ``tests/data/rules-test.qalam-font.json``
@@ -115,6 +123,17 @@ LONG_WORDS = 240
 LONG_COMMANDS = [
     ("justify", *FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", width)
     for width in ("4000", "16000")
+]
+
+#: Repeated words among near-duplicates: ``بسم`` with zero, one and two
+#: tatweels, and beh with fatha and shadda typed in both orders.
+REPEATS_TEXT = " ".join(
+    ["\u0628\u0633\u0645", "\u0628\u0640\u0633\u0645", "\u0628\u0640\u0640\u0633\u0645",
+     "\u0628\u064e\u0651", "\u0628\u0651\u064e", "\u0633\u064e\u0628\u0651\u064f"] * 3
+)
+REPEATS_COMMANDS = [
+    ("shape", *FEATURES),
+    ("justify", *FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", "4000"),
 ]
 
 _TEXT = ("--text", "\u0628")
@@ -280,6 +299,7 @@ def main(argv=None) -> int:
     groups = [
         (None, short, COMMANDS),
         (None, [long_paragraph(args.seeds[0])], LONG_COMMANDS),
+        (None, [("repeats", REPEATS_TEXT)], REPEATS_COMMANDS),
         (str(RULES_FONT), [*short, corpus], RULES_COMMANDS),
     ]
     cases = [groups, CLI_LINES]
@@ -301,7 +321,7 @@ def main(argv=None) -> int:
     if difference is not None:
         print(difference)
         return 1
-    print(f"same output on {len(ours)} commands ({len(short) + 2} paragraphs)")
+    print(f"same output on {len(ours)} commands ({len(short) + 3} paragraphs)")
     return 0
 
 
