@@ -35,7 +35,6 @@ from .errors import (
 )
 from .jsonin import as_dict, as_int, as_list, as_str, int_key, loads, require
 from .lookups import (
-    LookupKind,
     LookupRule,
     check_substitution_roles,
     glyph_refs,
@@ -279,11 +278,6 @@ class FontDescription(_FontFields):
     def mark_codepoints(self) -> dict[str, int]:
         """Canonical mark glyph id to the code point that maps to it."""
         return {mid: cp for cp, mid in self.mark_cmap.items()}
-
-    @cached_property
-    def alternate_gsub(self) -> tuple[LookupRule, ...]:
-        """Client-choice alternate rules, which only width variants apply."""
-        return tuple(r for r in self.gsub if r.kind is LookupKind.ALTERNATE_SUB)
 
     def mass_offset(self, mass: MassClass, side: Placement) -> int:
         return self.mass_positions.get(mass, {}).get(side, 0)

@@ -23,7 +23,7 @@ for bucket origin + k, where the origin is the lowest bucket any
 elongation of the paragraph can start in: 0, unless a positioning rule
 moves a stretch site left of its word, when buckets below 0 get bits too.
 Each break has one table of states, keyed by mask. A state keeps its
-line's start word and variants and a link to the state it follows, so no
+line's start word and fits and a link to the state it follows, so no
 state copies the chain of breaks behind it. Two states with equal totals
 and line counts are ranked by walking both chains back in lockstep to the
 last state they share: only the lines after it can differ.
@@ -32,11 +32,13 @@ The search reads two numbers of a line: its badness and its signature.
 Each width variant's numbers under the elongation policy (width,
 capacity, the rank of its best site, the elongation that uses its whole
 capacity and where each of those elongations starts) are worked out once
-per call. A line's variant choice is a chain of links, so growing it by a
-word copies nothing. Badness comes from the line's width and capacity
-sums; the signature comes from ``_stretch``, the helper that also sets
-the lines ``line_candidate`` builds. ``LineCandidate`` records are built
-only for the lines of the chain the search returns.
+per distinct variant per call, in a ``_Fit`` that every line holding the
+variant shares, the returned lines included. A line's variant choice is a
+chain of links, so growing it by a word copies nothing. Badness comes from
+the line's width and capacity sums; the signature comes from ``_stretch``,
+the helper that also sets the lines ``line_candidate`` builds.
+``LineCandidate`` records are built only for the lines of the chain the
+search returns.
 
 Breaks are visited in increasing order, so every state at an earlier break
 is final when lines ending at break j are set. When break j closes, its
@@ -210,10 +212,12 @@ _Spans = tuple[tuple[int, int, int], ...]
 class _Fit:
     """A width variant's numbers under an elongation policy.
 
-    ``rank`` is the stretch class rank of the variant's best site, by which
-    a line serves its words. ``full``, the spans of the elongation that
-    uses the whole capacity, is worked out on first use and kept, so a
-    search that sets many lines with one variant works it out once.
+    A breaker builds one per distinct variant per call (see ``_fit_lists``)
+    and every line that holds the variant reads it. ``rank`` is the stretch
+    class rank of the variant's best site, by which a line serves its
+    words. ``full``, the spans of the elongation that uses the whole
+    capacity, is worked out on first use and kept, so it is worked out
+    once however many lines use the variant.
     """
 
     __slots__ = ("variant", "width", "capacity", "rank", "policy", "_full")
@@ -406,21 +410,19 @@ def _stretch(
 
 
 def line_candidate(
-    variants: Sequence[WordVariant],
+    fits: Sequence[_Fit],
     word_range: tuple[int, int],
     measure: int,
     font: FontDescription,
-    params: JustifyParams,
     is_last: bool,
 ) -> LineCandidate:
-    """Cost and full width assignment for one candidate line."""
-    fits = [_Fit(v, params.kashida_policy) for v in variants]
+    """Cost and full width assignment for one candidate line of ``fits``."""
     origin = _origin(fits, measure)
     line = _stretch(fits, measure, font.glue, is_last, origin)
     mask = line.mask
     return LineCandidate(
         word_range=word_range,
-        variant_ids=tuple(v.id for v in variants),
+        variant_ids=tuple(fit.variant.id for fit in fits),
         natural=line.natural,
         total_stretch=line.total_stretch,
         total_shrink=line.total_shrink,
@@ -437,12 +439,12 @@ def line_candidate(
 
 class BreakNode(NamedTuple):
     """Dynamic-programming state after laying the line ``words[start:j]`` at
-    break j, with ``variants``, after state ``prev`` (None at the start)."""
+    break j, with ``fits``, after state ``prev`` (None at the start)."""
 
     total_demerits: int
     line_count: int
     start: int
-    variants: tuple[WordVariant, ...]
+    fits: tuple[_Fit, ...]
     prev: BreakNode | None
 
 
@@ -464,7 +466,7 @@ def _precedes(a: BreakNode, b: BreakNode) -> bool:
 def _lines_key(tail: list[BreakNode]) -> tuple[list[int], list[str]]:
     """Starts, then flattened variant ids, of ``tail``'s states, last first."""
     lines = tail[::-1]
-    return [node.start for node in lines], [v.id for node in lines for v in node.variants]
+    return [node.start for node in lines], [f.variant.id for node in lines for f in node.fits]
 
 
 class LineLayout(NamedTuple):
@@ -481,39 +483,37 @@ class ParagraphLayout(NamedTuple):
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def _variant_lists(
+def _fit_lists(
     words: Sequence[ShapedWord], font: FontDescription, params: JustifyParams
-) -> list[tuple[WordVariant, ...]]:
-    """Each word's width variants, built once per distinct word object:
-    the repeats of a word share one ``ShapedWord`` from ``shape_words``,
-    and so share one list."""
-    by_word: dict[int, tuple[WordVariant, ...]] = {}
+) -> list[tuple[_Fit, ...]]:
+    """Each word's width variants as fits, built once per distinct word
+    object: the repeats of a word share one ``ShapedWord`` from
+    ``shape_words``, and so share one tuple of fits."""
+    by_word: dict[int, tuple[_Fit, ...]] = {}
     out = []
     for word in words:
-        variants = by_word.get(id(word))
-        if variants is None:
+        fits = by_word.get(id(word))
+        if fits is None:
             if params.variants:
                 variants = word_variants(word, font)
             else:
                 variants = (default_variant(word, font),)
-            by_word[id(word)] = variants
-        out.append(variants)
+            fits = by_word[id(word)] = tuple([_Fit(v, params.kashida_policy) for v in variants])
+        out.append(fits)
     return out
 
 
-def _check_widths(
-    variant_lists: Sequence[tuple[WordVariant, ...]], measure: int
-) -> None:
-    for wi, variants in enumerate(variant_lists):
-        if min(v.width for v in variants) > measure:
+def _check_widths(fit_lists: Sequence[tuple[_Fit, ...]], measure: int) -> None:
+    for wi, fits in enumerate(fit_lists):
+        if min(f.width for f in fits) > measure:
             raise WordTooWide(
-                f"word {wi} is {min(v.width for v in variants)} units wide "
+                f"word {wi} is {min(f.width for f in fits)} units wide "
                 f"in its narrowest variant; measure is {measure}"
             )
 
 
 def _finalize(
-    chosen: Sequence[tuple[LineCandidate, tuple[WordVariant, ...]]],
+    chosen: Sequence[tuple[LineCandidate, tuple[_Fit, ...]]],
     measure: int,
     font: FontDescription,
     total: int,
@@ -526,7 +526,7 @@ def _finalize(
     # with the same elongation plan is stretched and marked once. ``chosen``
     # holds every variant word until the loop ends, so no id is reused.
     marked_by_key: dict = {}
-    for li, (candidate, variants) in enumerate(chosen):
+    for li, (candidate, fits) in enumerate(chosen):
         if li < len(chosen) - 1 and not candidate.fills_measure:
             diagnostics.append(
                 Diagnostic(
@@ -540,7 +540,8 @@ def _finalize(
                 )
             )
         final_words = []
-        for k, variant in enumerate(variants):
+        for k, fit in enumerate(fits):
+            variant = fit.variant
             index = candidate.word_range[0] + k
             key = (id(variant.word), candidate.plans[k])
             marked = marked_by_key.get(key)
@@ -585,13 +586,13 @@ def break_greedy(
     if not words:
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
     glue = font.glue
-    variant_lists = _variant_lists(words, font, params)
-    _check_widths(variant_lists, measure)
+    fit_lists = _fit_lists(words, font, params)
+    _check_widths(fit_lists, measure)
 
-    def pick(wi: int) -> WordVariant:
-        default = variant_lists[wi][0]
+    def pick(wi: int) -> _Fit:
+        default = fit_lists[wi][0]
         if default.width > measure:
-            return min(variant_lists[wi], key=lambda v: (v.width, v.id))
+            return min(fit_lists[wi], key=lambda f: (f.width, f.variant.id))
         return default
 
     ranges: list[tuple[int, int]] = []
@@ -610,13 +611,11 @@ def break_greedy(
     total = 0
     prev_signature: frozenset[int] = frozenset()
     for li, (i, j) in enumerate(ranges):
-        variants = tuple(pick(wi) for wi in range(i, j))
-        candidate = line_candidate(
-            variants, (i, j), measure, font, params, is_last=(li == len(ranges) - 1)
-        )
+        fits = tuple(pick(wi) for wi in range(i, j))
+        candidate = line_candidate(fits, (i, j), measure, font, is_last=(li == len(ranges) - 1))
         total += demerits(candidate, params, prev_signature)
         prev_signature = candidate.signature
-        chosen.append((candidate, variants))
+        chosen.append((candidate, fits))
     return _finalize(chosen, measure, font, total, params)
 
 
@@ -636,15 +635,12 @@ def break_optimum(
     if not words:
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
     glue = font.glue
-    variant_lists = _variant_lists(words, font, params)
-    _check_widths(variant_lists, measure)
+    fits = _fit_lists(words, font, params)
+    _check_widths(fits, measure)
     n = len(words)
 
     # min_prefix[k]: the narrowest packing of words[:k], glue aside.
-    min_prefix = list(
-        accumulate((min(v.width for v in vl) for vl in variant_lists), initial=0)
-    )
-    fits = [[_Fit(v, params.kashida_policy) for v in vl] for vl in variant_lists]
+    min_prefix = list(accumulate((min(f.width for f in wf) for wf in fits), initial=0))
     # One origin for every mask of the search, so that masks compare.
     origin = _origin((fit for word_fits in fits for fit in word_fits), measure)
     line_penalty = params.line_penalty
@@ -718,16 +714,16 @@ def break_optimum(
                 while combo[2] is not None:
                     line_fits.append(combo[2])
                     combo = combo[3]
+                line_fits = tuple(line_fits)
                 mask = _stretch(line_fits, measure, glue, is_last, origin).mask
                 charge = params.overlap_penalty * mask.bit_count()
-                variants = tuple([fit.variant for fit in line_fits])
                 for prev_total, prev_mask, prev in layers[i]:
                     if prev_total + least > theta:
                         break  # and so is every later, dearer state
                     total = prev_total + _demerits(cost, (mask & prev_mask).bit_count(), params)
                     if total > theta:
                         continue
-                    new = BreakNode(total, prev.line_count + 1, i, variants, prev)
+                    new = BreakNode(total, prev.line_count + 1, i, line_fits, prev)
                     old = layer.get(mask)
                     if old is None or _precedes(new, old):
                         layer[mask] = new
@@ -756,10 +752,8 @@ def break_optimum(
     chosen = []
     node, j = best, n
     while node.prev is not None:
-        candidate = line_candidate(
-            node.variants, (node.start, j), measure, font, params, j == n
-        )
-        chosen.append((candidate, node.variants))
+        candidate = line_candidate(node.fits, (node.start, j), measure, font, j == n)
+        chosen.append((candidate, node.fits))
         node, j = node.prev, node.start
     chosen.reverse()
     return _finalize(chosen, measure, font, best.total_demerits, params)

@@ -23,7 +23,7 @@ each one goes, from those same anchors and the word's geometry.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadComponent, MissingAnchor, RangeError, SchemaError, checked
 from .jsonin import as_dict, as_list, as_point, glyph_id, glyph_ids, int_key
@@ -512,12 +512,35 @@ def apply_gsub_tracked(
     enabled_features: frozenset[str] | set[str],
 ) -> list[GlyphItem]:
     """Run every enabled substitution rule but ``alternate_sub``, in order,
-    one pass each: only ``shaper.word_variants`` applies alternates."""
+    one pass each: alternates are a client's choice, which ``alternates``
+    lists."""
     current = list(items)
     for rule in rules:
         if rule.feature in enabled_features and rule.kind is not LookupKind.ALTERNATE_SUB:
             current = _apply_rule(rule, current)
     return current
+
+
+def alternates(
+    rules: Sequence[LookupRule],
+    glyphs: Sequence[PlacedGlyph],
+    enabled_features: Container[str],
+) -> Iterator[tuple[int, str]]:
+    """Yield ``(glyph index, alternate glyph)`` for each alternate that an
+    enabled ``alternate_sub`` rule covering a base glyph offers, by glyph,
+    then rule, then payload order."""
+    offering = [
+        r
+        for r in rules
+        if r.kind is LookupKind.ALTERNATE_SUB and r.feature in enabled_features
+    ]
+    for gi, pg in enumerate(glyphs):
+        if pg.is_mark:
+            continue
+        for rule in offering:
+            if pg.glyph in rule.coverage:
+                for alt in rule.payload[pg.glyph]:
+                    yield gi, alt
 
 
 def _covers(rules: Sequence[LookupRule], kind: LookupKind, glyph: str, other: str) -> bool:

@@ -27,8 +27,8 @@ from typing import NamedTuple, Sequence
 from . import kashida
 from .errors import EmptyWord, NoGlyph
 from .fontmodel import FontDescription, glyph_for
-from .lookups import GlyphItem, PlacedGlyph, apply_gsub_tracked, position_marks
-from .textmodel import SHADDA_CP, Cluster, analyze_joining
+from .lookups import GlyphItem, PlacedGlyph, alternates, apply_gsub_tracked, position_marks
+from .textmodel import Cluster, analyze_joining
 
 #: Features a conforming renderer may never disable: the linguistic
 #: ligature and mark attachment itself.
@@ -107,10 +107,6 @@ def word_tables(word: ShapedWord) -> WordTables:
     return WordTables(tuple(pens), tuple(bases), tuple(marks_of))
 
 
-def _stack_order(marks):
-    return sorted(marks, key=lambda m: 0 if m.code_point == SHADDA_CP else 1)
-
-
 def _build_items(
     clusters: Sequence[Cluster], font: FontDescription
 ) -> list[GlyphItem]:
@@ -121,8 +117,7 @@ def _build_items(
         cp = cluster.base.code_point
         gid = cmap.get((cp, form)) or glyph_for(font, cp, form)
         items.append(GlyphItem(gid, (ci,), False))
-        marks = cluster.marks
-        for mark in _stack_order(marks) if len(marks) > 1 else marks:
+        for mark in cluster.marks:
             mid = mark_cmap.get(mark.code_point)
             if mid is None:
                 raise NoGlyph(f"no mark glyph mapped for U+{mark.code_point:04X}")
@@ -205,14 +200,14 @@ def _reposition(
     return _finish(items, word.clusters, font, word.features)
 
 
+def _variant(variant_id: str, word: ShapedWord, font: FontDescription) -> WordVariant:
+    sites = tuple(kashida.enumerate_sites(word, font))
+    return WordVariant(variant_id, word.natural_width, sites, word)
+
+
 def default_variant(word: ShapedWord, font: FontDescription) -> WordVariant:
     """The word as shaped, as a width variant: the first of ``word_variants``."""
-    return WordVariant(
-        id="default",
-        width=word.natural_width,
-        sites=tuple(kashida.enumerate_sites(word, font)),
-        word=word,
-    )
+    return _variant("default", word, font)
 
 
 def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant, ...]:
@@ -222,42 +217,12 @@ def word_variants(word: ShapedWord, font: FontDescription) -> tuple[WordVariant,
     applied, the wider unligated rendering is offered; every registered
     alternate of a glyph in the word contributes an allograph variant.
     """
-    out: list[WordVariant] = []
-    seen: set[str] = set()
-
-    def add(variant: WordVariant) -> None:
-        if variant.id not in seen:
-            seen.add(variant.id)
-            out.append(variant)
-
-    add(default_variant(word, font))
+    out = [default_variant(word, font)]
     aesthetic = font.aesthetic_ligatures
     if "liga" in word.features and any(g.glyph in aesthetic for g in word.glyphs):
         off = shape_word(word.clusters, font, word.features - {"liga"})
-        add(
-            WordVariant(
-                id="liga_off",
-                width=off.natural_width,
-                sites=tuple(kashida.enumerate_sites(off, font)),
-                word=off,
-            )
-        )
-
-    alternate_rules = [r for r in font.alternate_gsub if r.feature in word.features]
-    for gi, pg in enumerate(word.glyphs):
-        if pg.is_mark:
-            continue
-        for rule in alternate_rules:
-            if pg.glyph not in rule.coverage:
-                continue
-            for alt in rule.payload[pg.glyph]:
-                alt_word = _reposition(word, font, {gi: alt})
-                add(
-                    WordVariant(
-                        id=f"alt:{gi}:{alt}",
-                        width=alt_word.natural_width,
-                        sites=tuple(kashida.enumerate_sites(alt_word, font)),
-                        word=alt_word,
-                    )
-                )
+        out.append(_variant("liga_off", off, font))
+    # An alternate offered twice for one glyph is one variant.
+    for gi, alt in dict.fromkeys(alternates(font.gsub, word.glyphs, word.features)):
+        out.append(_variant(f"alt:{gi}:{alt}", _reposition(word, font, {gi: alt}), font))
     return tuple(out)

@@ -107,7 +107,11 @@ class DiacriticRecord(NamedTuple):
 
 @checked
 class Cluster(NamedTuple):
-    """A base letter plus the marks that ride on it, in input order.
+    """A base letter plus the marks that ride on it, in stacking order.
+
+    ``decompose`` puts shadda first and the other marks in typed order, so
+    the two spellings of a letter with shadda and a vowel are one cluster.
+    A hand-built ``Cluster`` is shaped in the order it holds.
 
     ``stretch_hint`` counts explicit elongation characters typed after the
     letter; the elongation planner may honour or ignore the hint.
@@ -243,9 +247,11 @@ def decompose(text: str | Iterable[int]) -> list[list[Cluster]]:
     spaces close the current word. Runs of spaces and leading or trailing
     spaces produce no empty words.
 
-    Clusters are interned per call: each distinct (letter, marks, stretch
-    hint) is built and checked once, and every occurrence in the text
-    shares that ``Cluster``.
+    A cluster's marks are stored in stacking order: shadda first, the
+    others in typed order. Clusters are interned per call: every
+    occurrence of a distinct (letter, marks in stacking order, stretch
+    hint) shares one ``Cluster``, whichever order its marks were typed in.
+    Marks are checked in typed order, so an error names them as typed.
 
     Raises LeadingMark when a mark or elongation character has no letter
     before it, DuplicateMark on conflicting vowel marks, and
@@ -284,9 +290,16 @@ def decompose(text: str | Iterable[int]) -> list[list[Cluster]]:
             key = (base, tuple(marks), hint)
             cluster = interned.get(key)
             if cluster is None:
-                cluster = interned[key] = Cluster(
-                    letters[base], tuple([diacritics[m] for m in marks]), hint
-                )
+                # Checked as typed, so that an error names the marks in the
+                # order they were typed; kept in stacking order.
+                cluster = Cluster(letters[base], tuple([diacritics[m] for m in marks]), hint)
+                if SHADDA_CP in marks[1:]:
+                    stacked = sorted(cluster.marks, key=lambda m: m.code_point != SHADDA_CP)
+                    cluster = interned.setdefault(
+                        (base, tuple([m.code_point for m in stacked]), hint),
+                        cluster._replace(marks=tuple(stacked)),
+                    )
+                interned[key] = cluster
             word.append(cluster)
             marks = []
             hint = 0

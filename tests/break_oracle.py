@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from qalam.justify import INF, JustifyParams, demerits, line_candidate
+from qalam.justify import INF, JustifyParams, _Fit, demerits, line_candidate
 from qalam.shaper import word_variants
 
 
@@ -40,7 +40,8 @@ def oracle_best(words, measure: int, font, params: JustifyParams):
         key = (i, j, tuple(v.id for v in combo))
         got = cache.get(key)
         if got is None:
-            got = line_candidate(combo, (i, j), measure, font, params, is_last=(j == n))
+            fits = [_Fit(v, params.kashida_policy) for v in combo]
+            got = line_candidate(fits, (i, j), measure, font, is_last=(j == n))
             cache[key] = got
         return got
 
@@ -109,7 +110,8 @@ def reference_best(words, measure: int, font, params: JustifyParams):
             if width > measure + glue.shrink * (j - i - 1):
                 break
             for combo in product(*variant_lists[i:j]):
-                line = line_candidate(combo, (i, j), measure, font, params, is_last=(j == n))
+                fits = [_Fit(v, params.kashida_policy) for v in combo]
+                line = line_candidate(fits, (i, j), measure, font, is_last=(j == n))
                 if line.badness >= INF:
                     continue
                 ids = tuple(v.id for v in combo)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -18,13 +19,14 @@ from qalam.justify import (
     MAX_LINE_PENALTY,
     MIN_LINE_PENALTY,
     JustifyParams,
+    _Fit,
     badness,
     break_greedy,
     break_optimum,
     demerits,
     line_candidate,
 )
-from qalam.shaper import shape_word, word_variants
+from qalam.shaper import shape_word, shape_words, word_variants
 from qalam.textmodel import decompose
 
 from .break_oracle import oracle_best, reference_best
@@ -140,8 +142,8 @@ class TestJustifyLine:
 
     def fit(self, words, measure, font, params=JustifyParams()):
         """The words set as one non-final line at their default variants."""
-        variants = [word_variants(w, font)[0] for w in words]
-        return line_candidate(variants, (0, len(words)), measure, font, params, False)
+        fits = [_Fit(word_variants(w, font)[0], params.kashida_policy) for w in words]
+        return line_candidate(fits, (0, len(words)), measure, font, False)
 
     def test_zero_deficit_identity(self):
         font = self.font()
@@ -432,14 +434,37 @@ class TestBreakOptimum:
         built = []
         real_candidate = justify.line_candidate
 
-        def counted_candidate(variants, word_range, *rest):
+        def counted_candidate(fits, word_range, *rest):
             built.append(word_range)
-            return real_candidate(variants, word_range, *rest)
+            return real_candidate(fits, word_range, *rest)
 
         monkeypatch.setattr(justify, "line_candidate", counted_candidate)
         layout = break_optimum(words, 4000, demo_font, JustifyParams(variants=True))
         assert len(layout.lines) > 1
         assert sorted(built) == [line.candidate.word_range for line in layout.lines]
+
+    @pytest.mark.parametrize("breaker, variants", [(break_optimum, True), (break_greedy, False)])
+    def test_one_fit_per_distinct_variant(self, demo_font, monkeypatch, breaker, variants):
+        from qalam import kashida
+
+        text = next(gen.zipf_paragraphs(1, words=60))
+        words = shape_words(decompose(text), demo_font, frozenset({"liga", "jalt"}))
+        distinct = list({id(w): w for w in words}.values())
+        assert len(distinct) < len(words)
+        if variants:
+            expected = sum(len(word_variants(w, demo_font)) for w in distinct)
+        else:
+            expected = len(distinct)
+        calls = []
+        real_capacity = kashida.word_capacity
+        monkeypatch.setattr(
+            kashida, "word_capacity", lambda *a: calls.append(1) or real_capacity(*a)
+        )
+        layout = breaker(words, 4000, demo_font, JustifyParams(variants=variants))
+        assert len(layout.lines) > 1
+        # Repeats of a word share its variants' numbers, and the lines the
+        # breaker returns read them rather than working them out again.
+        assert len(calls) == expected
 
     @pytest.mark.parametrize("policy", ["single_site", "spread", "off"])
     @pytest.mark.parametrize("overlap_penalty", [0, 3000, INF])
@@ -569,6 +594,9 @@ class TestBreakOptimum:
         break_optimum(words, 16000, demo_font, params)
         peaks = []
         for n in (240, 480):
+            # Objects left by earlier tests must not be collected inside a
+            # traced window, where the collection's own allocations count.
+            gc.collect()
             tracemalloc.start()
             try:
                 break_optimum(words[:n], 16000, demo_font, params)
@@ -586,7 +614,8 @@ class TestLineCandidateDetails:
         words = make_words(font, "س ا")
         params = JustifyParams()
         line = line_candidate(
-            [word_variants(w, font)[0] for w in words], (0, 2), 800, font, params, False
+            [_Fit(word_variants(w, font)[0], params.kashida_policy) for w in words],
+            (0, 2), 800, font, False,
         )
         # Deficit 800-610=190 goes to the seen's tail at ink end 560.
         assert line.kashida_intervals == ((560, 750),)
@@ -600,7 +629,8 @@ class TestLineCandidateDetails:
         words = make_words(font, "ا ا")
         params = JustifyParams()
         line = line_candidate(
-            [word_variants(words[0], font)[0]], (0, 1), 500, font, params, False
+            [_Fit(word_variants(words[0], font)[0], params.kashida_policy)],
+            (0, 1), 500, font, False,
         )
         assert line.badness == 10000  # cannot stretch at all, stays feasible
         assert line.width == 40

@@ -12,6 +12,8 @@ from qalam.lookups import (
     GlyphItem,
     LookupKind,
     LookupRule,
+    PlacedGlyph,
+    alternates,
     position_marks,
     rule_from_json,
     rule_to_json,
@@ -102,6 +104,31 @@ class TestApplyGsub:
             }
         )
         assert gsub_glyphs([rule], ["x", "a"], {"jalt"}) == ["x", "a"]
+
+    def test_alternates_are_offered_only_inside_coverage(self):
+        # "b" has payload data but lies outside the coverage, so no rule
+        # offers it; a mark is never offered one either.
+        narrow = rule_from_json(
+            {
+                "kind": "alternate_sub",
+                "feature": "jalt",
+                "coverage": ["a"],
+                "alternates": {"a": ["a.wide", "a.wider"], "b": ["b.wide"]},
+            }
+        )
+        other = rule_from_json(
+            {"kind": "alternate_sub", "feature": "salt", "alternates": {"a": ["a.alt"]}}
+        )
+        glyphs = [PlacedGlyph("b", 100), PlacedGlyph("a", 100), PlacedGlyph("a", 0, is_mark=True)]
+        assert list(alternates([narrow, other], glyphs, {"jalt"})) == [
+            (1, "a.wide"),
+            (1, "a.wider"),
+        ]
+        assert list(alternates([narrow, other], glyphs, {"jalt", "salt"})) == [
+            (1, "a.wide"),
+            (1, "a.wider"),
+            (1, "a.alt"),
+        ]
 
     def test_contextual_sub_replaces_at_offset(self):
         rule = rule_from_json(

@@ -81,6 +81,15 @@ class TestDecompose:
         assert len(w) == 1
         assert [m.code_point for m in w[0].marks] == [SHADDA, FATHA]
 
+    def test_both_typed_orders_share_one_stacked_cluster(self):
+        # Shadda stacks first whichever order it was typed in, so both
+        # spellings are one cluster.
+        for text in ([BEH, FATHA, SHADDA, BEH, SHADDA, FATHA],
+                     [BEH, SHADDA, FATHA, BEH, FATHA, SHADDA]):
+            ((first, second),) = decompose(text)
+            assert first is second
+            assert [m.code_point for m in first.marks] == [SHADDA, FATHA]
+
     def test_duplicate_vowel_rejected(self):
         with pytest.raises(DuplicateMark):
             decompose([BEH, FATHA, 0x064F])
@@ -141,8 +150,10 @@ class TestDecompose:
             ("بَx", UnsupportedCharacter, "U+0078 at position 17"),
             ("بَبَُ", DuplicateMark, "letter beh carries 2 vowel marks"),
             ("بّّ", DuplicateMark, "mark shadda repeated on letter beh"),
+            # Checked as typed: the fatha repeats before the shadda does.
+            ("بََّّ", DuplicateMark, "mark fatha repeated on letter beh"),
         ],
-        ids=["mark", "tatweel", "unsupported", "second-vowel", "repeated-mark"],
+        ids=["mark", "tatweel", "unsupported", "second-vowel", "repeated-mark", "typed-order"],
     )
     def test_errors_in_a_later_word_keep_absolute_positions(self, bad, error, message):
         # Three words whose clusters are built before the bad word's.
