@@ -2,7 +2,8 @@
 
 Artifacts (layout JSON, SVG) go to stdout; diagnostics go to stderr. Exit
 codes: 0 success, 1 font problem, 2 text or layout-document problem,
-3 unjustifiable paragraph, 4 lint findings of error severity.
+3 unjustifiable paragraph, 4 lint findings of error severity. Codes 1–3
+are the ``exit_code`` of the error's family in ``errors``.
 
 Each ``main`` call does its work once: it builds only the parser of the
 subcommand it runs, loads the font once, and within ``shape`` and
@@ -44,9 +45,6 @@ from .shaper import shape_words
 from .textmodel import decompose
 
 EXIT_OK = 0
-EXIT_FONT = 1
-EXIT_TEXT = 2
-EXIT_LAYOUT = 3
 EXIT_LINT = 4
 
 _POLICY_FLAG = {"single": "single_site", "spread": "spread", "off": "off"}
@@ -182,15 +180,6 @@ def _add_fontlint(sub) -> None:
     _add_font(fontlint)
 
 
-#: Each subcommand and what registers its parser, in the order of help.
-_SUBCOMMANDS = {
-    "shape": _add_shape,
-    "justify": _add_justify,
-    "render": _add_render,
-    "fontlint": _add_fontlint,
-}
-
-
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser for a command line whose first word is ``command``.
 
@@ -219,7 +208,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         parser_class=functools.partial(_Parser, formatter_class=formatter),
     )
     for name in (command,) if only else _SUBCOMMANDS:
-        _SUBCOMMANDS[name](sub)
+        _SUBCOMMANDS[name][0](sub)
     return parser
 
 
@@ -370,6 +359,15 @@ def _cmd_fontlint(args) -> int:
     return EXIT_OK
 
 
+#: Each subcommand's parser builder and handler, in the order of help.
+_SUBCOMMANDS = {
+    "shape": (_add_shape, _cmd_shape),
+    "justify": (_add_justify, _cmd_justify),
+    "render": (_add_render, _cmd_render),
+    "fontlint": (_add_fontlint, _cmd_fontlint),
+}
+
+
 def _print_json_error(code: str, message: str) -> None:
     import json
 
@@ -390,26 +388,14 @@ def main(argv=None) -> int:
         if message is not None and _asks_for_json_errors(argv):
             _print_json_error("UsageError", message)
         raise
-    handlers = {
-        "shape": _cmd_shape,
-        "justify": _cmd_justify,
-        "render": _cmd_render,
-        "fontlint": _cmd_fontlint,
-    }
     try:
-        return handlers[args.command](args)
+        return _SUBCOMMANDS[args.command][1](args)
     except QalamError as exc:
         if getattr(args, "format", "text") == "json-errors":
             _print_json_error(type(exc).__name__, str(exc))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, FontError):
-            return EXIT_FONT
-        if isinstance(exc, TextError):
-            return EXIT_TEXT
-        if isinstance(exc, LayoutError):
-            return EXIT_LAYOUT
-        return EXIT_TEXT
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -116,6 +116,13 @@ class PlacedMark:
         self.variant = SizeVariant.NORMAL
 
 
+def _stack_point(lower: PlacedMark) -> tuple[int, int]:
+    """Where a mark stacked on ``lower`` attaches: ``lower``'s origin plus
+    its stacking anchor at its current size."""
+    stack = lower.sized.stack_anchor
+    return lower.x + stack.x, lower.y + stack.y
+
+
 class _Placer:
     def __init__(self, word: ShapedWord, font: FontDescription):
         self.word = word
@@ -151,10 +158,7 @@ class _Placer:
 
             # Shaping checked that every anchor read here exists.
             if stacked_on is not None:
-                lower = states[stacked_on]
-                stack = lower.sized.stack_anchor
-                ax = lower.x + stack.x
-                ay = lower.y + stack.y
+                ax, ay = _stack_point(states[stacked_on])
             else:
                 side = sized.side
                 if ligature is not None:
@@ -227,10 +231,7 @@ class _Placer:
                 continue
             anchor = state.sized.anchor
             if state.stacked_on is not None:
-                lower = states[state.stacked_on]
-                stack = lower.sized.stack_anchor
-                state.anchor_x = lower.x + stack.x
-                state.anchor_y = lower.y + stack.y
+                state.anchor_x, state.anchor_y = _stack_point(states[state.stacked_on])
                 state.x = state.anchor_x - anchor.x
             elif keep_anchor:
                 state.x = state.anchor_x - anchor.x
@@ -280,32 +281,33 @@ def resolve_collisions(
     """Nudge overlapping same-side marks apart by a minimal x shift,
     moving the sweep's ``states`` (keyed by glyph index) in place.
 
+    Precondition: ``states`` is in glyph order. The sweep fills it base by
+    base, and a base's marks lie between it and the next base, so its keys
+    ascend and a mark comes after the mark it is ``stacked_on``.
+
     A stacked mark moves with its carrier: marks are grouped into stack
-    units once, each keyed by its lowest mark, and each side's units are
-    swept in logical order. The sweep fills ``states`` base by base in
-    glyph order, so a mark comes after the mark it is ``stacked_on``.
-    Gemination marks, and any stack carrying one, never move. When neither
-    of an overlapping pair may move, or the needed shift exceeds the
-    mark's owner ink span, the overlap is reported and left in place.
+    units once, each led by its lowest mark, and each side's units are
+    swept in logical order, the order in which they are built. Gemination
+    marks, and any stack carrying one, never move. When neither of an
+    overlapping pair may move, or the needed shift exceeds the mark's owner
+    ink span, the overlap is reported and left in place.
     """
-    units: dict[int, _StackUnit] = {}  # keyed by the stack's lowest mark
+    by_side: dict[Placement, list[_StackUnit]] = {side: [] for side in _SIDES}
     unit_of: dict[int, _StackUnit] = {}
     for mi, state in states.items():
         sized = state.sized
         lo, hi = state.x + sized.ink_lo, state.x + sized.ink_hi
         if state.stacked_on is None:
-            units[mi] = unit_of[mi] = _StackUnit(state, lo, hi)
+            unit = unit_of[mi] = _StackUnit(state, lo, hi)
+            by_side[unit.side].append(unit)
         else:
             unit = unit_of[mi] = unit_of[state.stacked_on]
             unit.states.append(state)
             unit.lo, unit.hi = min(unit.lo, lo), max(unit.hi, hi)
             unit.pinned = unit.pinned or sized.shadda
-    by_side: tuple[list[_StackUnit], ...] = ([], [], [])
-    for key in sorted(units):
-        by_side[_SIDES.index(units[key].side)].append(units[key])
 
     diagnostics: list[Diagnostic] = []
-    for side_units in by_side:
+    for side_units in by_side.values():
         for left, right in zip(side_units, side_units[1:]):
             overlap = left.hi + left.dx - (right.lo + right.dx)
             if overlap <= 0:
@@ -345,11 +347,8 @@ def resolve_collisions(
                 )
                 continue
             target.dx += dx
-
-    for unit in units.values():
-        if unit.dx:
-            for state in unit.states:
-                state.x += unit.dx
+            for state in target.states:
+                state.x += dx
     return diagnostics
 
 
@@ -392,7 +391,7 @@ def place_diacritics(
             )
 
     diagnostics = resolve_collisions(states, word, font, gap_epsilon)
-    return [states[mi] for mi in sorted(states)], diagnostics + ornaments
+    return list(states.values()), diagnostics + ornaments
 
 
 def with_marks(word: ShapedWord, marks: Sequence[PlacedMark]) -> ShapedWord:

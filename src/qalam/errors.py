@@ -1,9 +1,11 @@
 """Exception hierarchy and the diagnostic record shared across the engine.
 
-Errors split into three families that the command-line driver maps to
-distinct exit codes: font problems (bad font file, missing glyph data),
-text problems (ill-formed input), and layout problems (a paragraph that
-cannot be set at the requested measure).
+Errors split into three families, each with its own exit code, the class
+attribute ``exit_code`` that the command-line driver returns: font
+problems (1: bad font file, missing glyph data), text problems (2:
+ill-formed input text or layout document), and layout problems (3: a
+paragraph that cannot be set at the requested measure). A bare
+``QalamError`` exits 2.
 
 Diagnostics are non-fatal findings: font lint results, unresolvable mark
 overlaps, leftover space annotations. They carry a stable machine-readable
@@ -22,11 +24,15 @@ from typing import NamedTuple
 class QalamError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2
 
-# --- font family (CLI exit 1) -------------------------------------------
+
+# --- font family ----------------------------------------------------------
 
 class FontError(QalamError):
     """A problem with the font description or its glyph data."""
+
+    exit_code = 1
 
 
 class ParseError(FontError):
@@ -66,7 +72,7 @@ class MissingVariant(FontError):
     """A size variant is requested but not defined for the mark."""
 
 
-# --- text family (CLI exit 2) -------------------------------------------
+# --- text family ----------------------------------------------------------
 
 class TextError(QalamError):
     """Ill-formed input text."""
@@ -92,10 +98,12 @@ class MalformedLayout(TextError):
     """A layout document does not follow the qalam-layout/1 schema."""
 
 
-# --- layout family (CLI exit 3) -----------------------------------------
+# --- layout family --------------------------------------------------------
 
 class LayoutError(QalamError):
     """The paragraph cannot be set as requested."""
+
+    exit_code = 3
 
 
 class WordTooWide(LayoutError):

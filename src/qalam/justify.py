@@ -161,7 +161,8 @@ def badness(ratio: float | None) -> int:
 
 
 class LineCandidate(NamedTuple):
-    """One candidate line: break range, variant choice, cost, assignment.
+    """One line as a breaker returns it: break range, variant choice, cost
+    (the adjustment ``ratio`` and its ``badness``) and assignment.
 
     ``fills_measure`` is False only for a non-final line that physically
     cannot reach the measure: no inter-word gaps and a deficit beyond the
@@ -171,9 +172,6 @@ class LineCandidate(NamedTuple):
 
     word_range: tuple[int, int]
     variant_ids: tuple[str, ...]
-    natural: int
-    total_stretch: int
-    total_shrink: int
     ratio: float
     badness: int
     kashida_intervals: tuple[tuple[int, int], ...]
@@ -335,9 +333,6 @@ def _ratio(deficit: int, total_stretch: int, total_shrink: int, is_last: bool) -
 class _Stretch(NamedTuple):
     """How one line is set: its cost, and the assignment behind it."""
 
-    natural: int
-    total_stretch: int
-    total_shrink: int
     ratio: float
     badness: int
     elongations: list[_Spans]
@@ -395,9 +390,6 @@ def _stretch(
             intervals, mask = _line_intervals(fits, elongations, glue_widths, measure, origin)
 
     return _Stretch(
-        natural,
-        total_stretch,
-        total_shrink,
         ratio,
         cost,
         elongations,
@@ -423,9 +415,6 @@ def line_candidate(
     return LineCandidate(
         word_range=word_range,
         variant_ids=tuple(fit.variant.id for fit in fits),
-        natural=line.natural,
-        total_stretch=line.total_stretch,
-        total_shrink=line.total_shrink,
         ratio=line.ratio,
         badness=line.badness,
         kashida_intervals=tuple(line.intervals),
@@ -503,13 +492,16 @@ def _fit_lists(
     return out
 
 
-def _check_widths(fit_lists: Sequence[tuple[_Fit, ...]], measure: int) -> None:
-    for wi, fits in enumerate(fit_lists):
-        if min(f.width for f in fits) > measure:
+def _narrowest(fit_lists: Sequence[tuple[_Fit, ...]], measure: int) -> list[int]:
+    """Each word's narrowest variant width; raises ``WordTooWide`` for the
+    first word whose narrowest variant is wider than ``measure``."""
+    widths = [min(f.width for f in fits) for fits in fit_lists]
+    for wi, width in enumerate(widths):
+        if width > measure:
             raise WordTooWide(
-                f"word {wi} is {min(f.width for f in fits)} units wide "
-                f"in its narrowest variant; measure is {measure}"
+                f"word {wi} is {width} units wide in its narrowest variant; measure is {measure}"
             )
+    return widths
 
 
 def _finalize(
@@ -587,19 +579,18 @@ def break_greedy(
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
     glue = font.glue
     fit_lists = _fit_lists(words, font, params)
-    _check_widths(fit_lists, measure)
-
-    def pick(wi: int) -> _Fit:
-        default = fit_lists[wi][0]
-        if default.width > measure:
-            return min(fit_lists[wi], key=lambda f: (f.width, f.variant.id))
-        return default
+    _narrowest(fit_lists, measure)
+    # Each word's default variant, or its narrowest if the default overflows.
+    picks = [
+        fits[0] if fits[0].width <= measure else min(fits, key=lambda f: (f.width, f.variant.id))
+        for fits in fit_lists
+    ]
 
     ranges: list[tuple[int, int]] = []
     start = 0
-    used = pick(start).width
+    used = picks[start].width
     for wi in range(1, len(words)):
-        w = pick(wi).width
+        w = picks[wi].width
         if used + glue.width + w > measure:
             ranges.append((start, wi))
             start, used = wi, w
@@ -611,7 +602,7 @@ def break_greedy(
     total = 0
     prev_signature: frozenset[int] = frozenset()
     for li, (i, j) in enumerate(ranges):
-        fits = tuple(pick(wi) for wi in range(i, j))
+        fits = tuple(picks[i:j])
         candidate = line_candidate(fits, (i, j), measure, font, is_last=(li == len(ranges) - 1))
         total += demerits(candidate, params, prev_signature)
         prev_signature = candidate.signature
@@ -636,11 +627,10 @@ def break_optimum(
         return ParagraphLayout(lines=(), total_demerits=0, measure=measure)
     glue = font.glue
     fits = _fit_lists(words, font, params)
-    _check_widths(fits, measure)
     n = len(words)
 
     # min_prefix[k]: the narrowest packing of words[:k], glue aside.
-    min_prefix = list(accumulate((min(f.width for f in wf) for wf in fits), initial=0))
+    min_prefix = list(accumulate(_narrowest(fits, measure), initial=0))
     # One origin for every mask of the search, so that masks compare.
     origin = _origin((fit for word_fits in fits for fit in word_fits), measure)
     line_penalty = params.line_penalty

@@ -75,6 +75,22 @@ def _document(
     }
 
 
+def _line(
+    font: FontDescription,
+    words: Sequence[ShapedWord],
+    glue_widths: Sequence[int],
+    width: int | None,
+) -> dict:
+    """A line record: ``words`` laid from x 0 with ``glue_widths[k]`` after
+    word k. Its width is ``width``, or the line's extent when that is None."""
+    glyphs: list[dict] = []
+    x = 0
+    for word, glue_width in zip(words, (*glue_widths, 0)):
+        glyphs.extend(_glyph_records(font, word, x))
+        x += word.natural_width + glue_width
+    return {"width": x if width is None else width, "glyphs": glyphs}
+
+
 def shaped_document(
     font: FontDescription,
     words: Sequence[ShapedWord],
@@ -83,29 +99,15 @@ def shaped_document(
     """Document for an unjustified run: one line at natural widths."""
     lines = []
     if words:
-        glyphs: list[dict] = []
-        x = 0
-        for wi, word in enumerate(words):
-            if wi:
-                x += font.glue.width
-            glyphs.extend(_glyph_records(font, word, x))
-            x += word.natural_width
-        lines.append({"width": x, "glyphs": glyphs})
+        lines.append(_line(font, words, [font.glue.width] * (len(words) - 1), None))
     return _document(font, None, lines, diagnostics)
 
 
 def justified_document(font: FontDescription, layout: ParagraphLayout) -> dict:
-    lines = []
-    for line in layout.lines:
-        glue_widths = line.candidate.glue_widths
-        glyphs: list[dict] = []
-        x = 0
-        for wi, word in enumerate(line.words):
-            glyphs.extend(_glyph_records(font, word, x))
-            x += word.natural_width
-            if wi < len(glue_widths):
-                x += glue_widths[wi]
-        lines.append({"width": line.candidate.width, "glyphs": glyphs})
+    lines = [
+        _line(font, line.words, line.candidate.glue_widths, line.candidate.width)
+        for line in layout.lines
+    ]
     return _document(font, layout.measure, lines, layout.diagnostics)
 
 
@@ -230,6 +232,11 @@ def validate_document(doc) -> dict:
     for key in ("font_id", "units_per_em", "direction", "lines"):
         if key not in doc:
             raise MalformedLayout(f"layout missing field {key!r}")
+    # The renderer draws right to left and names the font it was set in.
+    if doc["direction"] != "rtl":
+        raise MalformedLayout('direction must be "rtl"')
+    if not isinstance(doc["font_id"], str):
+        raise MalformedLayout("font_id must be a string")
     if type(doc["units_per_em"]) is not int or doc["units_per_em"] <= 0:
         raise MalformedLayout("units_per_em must be a positive integer")
     measure = doc.get("measure")

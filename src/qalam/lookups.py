@@ -600,8 +600,7 @@ def position_marks(
     read is checked here, so a font that lacks one fails at shape time.
     """
     placed: list[PlacedGlyph | None] = []
-    owner_of: list[int | None] = []
-    cur_base: int | None = None
+    bases: list[int] = []
     for idx, it in enumerate(items):
         if it.is_mark:
             placed.append(None)
@@ -609,15 +608,15 @@ def position_marks(
             # Built unchecked: a base glyph with no elongation passes ``_check``.
             advance = font.glyphs[it.glyph].advance
             placed.append(tuple.__new__(PlacedGlyph, (it.glyph, advance, 0, 0, 0, None, False)))
-            cur_base = idx
-        owner_of.append(cur_base if it.is_mark else None)
+            bases.append(idx)
 
     active = [r for r in font.gpos if r.feature in enabled_features]
 
     for rule in active:
         if rule.kind is LookupKind.SINGLE_ADJ:
-            for idx, pg in enumerate(placed):
-                if pg is not None and not pg.is_mark and pg.glyph in rule.coverage:
+            for idx in bases:
+                pg = placed[idx]
+                if pg.glyph in rule.coverage:
                     dx, dy, dadv = rule.payload[pg.glyph]
                     placed[idx] = pg._replace(
                         x_offset=pg.x_offset + dx,
@@ -625,15 +624,13 @@ def position_marks(
                         advance=_adjusted(rule, pg, dadv),
                     )
         elif rule.kind is LookupKind.PAIR_ADJ:
-            base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
-            for a, b in zip(base_idx, base_idx[1:]):
+            for a, b in zip(bases, bases[1:]):
                 key = (placed[a].glyph, placed[b].glyph)
                 if key[0] in rule.coverage and key in rule.payload:
                     advance = _adjusted(rule, placed[a], rule.payload[key])
                     placed[a] = placed[a]._replace(advance=advance)
         elif rule.kind is LookupKind.CURSIVE_ATTACH:
-            base_idx = [i for i, pg in enumerate(placed) if pg is not None and not pg.is_mark]
-            for a, b in zip(base_idx, base_idx[1:]):
+            for a, b in zip(bases, bases[1:]):
                 ga, gb = placed[a].glyph, placed[b].glyph
                 if ga in rule.coverage and gb in rule.coverage:
                     exit_anchor = rule.payload[ga][1]
@@ -644,13 +641,14 @@ def position_marks(
     mark_rules = [r for r in active if r.kind in MARK_ATTACH_KINDS]
     ligature_map = font.ligature_by_glyph
     last_mark: dict[tuple[int, Placement], int] = {}
+    owner_idx: int | None = None  # the last base before the mark
 
     for idx, it in enumerate(items):
         if not it.is_mark:
+            owner_idx = idx
             continue
         side = font.marks[it.glyph].attachment_class
         cluster = it.clusters[0]
-        owner_idx = owner_of[idx]
         if owner_idx is None:
             raise MissingAnchor(f"mark {it.glyph} has no base glyph before it")
         owner = items[owner_idx]
@@ -686,4 +684,5 @@ def position_marks(
         placed[idx] = tuple.__new__(PlacedGlyph, (it.glyph, 0, 0, 0, 0, (target, side), True))
         last_mark[(cluster, side)] = idx
 
-    return [pg for pg in placed if pg is not None]
+    # Every mark's slot is filled above, or the call has raised.
+    return placed

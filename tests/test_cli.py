@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qalam.cli
 import qalam.diacritics
+import qalam.errors
 import qalam.shaper
 from qalam.cli import _build_parser, main
 from qalam.justify import MAX_LINE_PENALTY
@@ -659,6 +660,10 @@ class TestRender:
             ((), {"measure": -4000}),
             ((), {"measure": 0}),
             (("elongation",), -100000),
+            ((), {"direction": "ltr"}),
+            ((), {"direction": 5}),
+            ((), {"font_id": 5}),
+            ((), {"font_id": None}),
         ],
     )
     def test_bad_layout_exit_2(self, capsys, tmp_path, path, value):
@@ -706,6 +711,33 @@ class TestFontlint:
         bad.write_text("definitely not json", encoding="utf-8")
         code, _, _ = run(capsys, ["fontlint", "--font", str(bad)])
         assert code == 1
+
+
+#: The exit code of each error family; a bare ``QalamError`` exits 2.
+FAMILY_EXIT_CODES = {
+    qalam.errors.FontError: 1,
+    qalam.errors.TextError: 2,
+    qalam.errors.LayoutError: 3,
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        cls
+        for cls in vars(qalam.errors).values()
+        if isinstance(cls, type) and issubclass(cls, qalam.errors.QalamError)
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_error_exit_code_is_its_family_s(cls):
+    """``main`` returns the raised error's ``exit_code``: 1 for a font
+    problem, 2 for text, 3 for layout."""
+    if cls is qalam.errors.QalamError:
+        assert cls.exit_code == 2
+        return
+    (family,) = [family for family in FAMILY_EXIT_CODES if issubclass(cls, family)]
+    assert cls.exit_code == FAMILY_EXIT_CODES[family]
 
 
 def usage_error(capsys, argv):

@@ -77,9 +77,6 @@ def fake_line(b: int, signature=frozenset()):
     return LineCandidate(
         word_range=(0, 1),
         variant_ids=("default",),
-        natural=100,
-        total_stretch=10,
-        total_shrink=5,
         ratio=0.0,
         badness=b,
         kashida_intervals=(),

@@ -160,6 +160,16 @@ class TestValidation:
         with pytest.raises(MalformedLayout):
             validate_document(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("direction", "ltr", 'direction must be "rtl"'), ("font_id", 5, "font_id must be a string")],
+    )
+    def test_rejects_what_the_renderer_cannot_honour(self, demo_font, key, value, message):
+        doc = self.good(demo_font)
+        doc[key] = value
+        with pytest.raises(MalformedLayout, match=f"^{message}$"):
+            validate_document(doc)
+
     def test_rejects_negative_elongation(self, demo_font):
         doc = self.good(demo_font)
         doc["lines"][0]["glyphs"][0]["elongation"] = -1

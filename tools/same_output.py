@@ -22,6 +22,8 @@ font:
 - ``shape --features liga,jalt,ss01``, and ``justify --features
   liga,jalt,ss01 --algorithm optimum --variants on --width 4000``, so
   that the bundled font's ``ss01`` substitution runs too;
+- ``justify --features liga,jalt --variants on --width 4000 --stats``,
+  greedy and optimum, so that the per-line totals on stderr compare too;
 - ``render`` of every layout that the commands above wrote.
 
 One longer paragraph, ``LONG_WORDS`` words from the fresh stream of the
@@ -50,7 +52,10 @@ still compares.
 Before the paragraphs, each tree also runs a fixed list of command lines
 (``CLI_LINES``): ``qalam -h`` and each ``<command> -h``, flag errors with
 the default and the ``json-errors`` format, and ``fontlint`` on its
-bundled font. A flag error with ``--format json-errors`` may differ only
+bundled font, and one command line per error exit (``_ERROR_EXITS``: a
+missing font file, a character outside the repertoire, a word wider than
+the measure, a malformed layout on stdin) with ``--format text`` and with
+``--format json-errors``. A flag error with ``--format json-errors`` may differ only
 by the one ``{"error": ...}`` line that such a tree prints on stdout, so
 that a revision from before that line was added still compares equal.
 
@@ -107,6 +112,11 @@ COMMANDS = (
         ("shape", *ALL_FEATURES),
         ("justify", *ALL_FEATURES, "--algorithm", "optimum", "--variants", "on", "--width", "4000"),
     ]
+    + [
+        ("justify", *FEATURES, "--algorithm", algorithm, "--variants", "on", "--width", "4000",
+         "--stats")
+        for algorithm in ("greedy", "optimum")
+    ]
 )
 
 #: The rules test font, every feature it has, and what runs with it.
@@ -143,7 +153,17 @@ _FLAG_ERRORS = [
     ("justify", *_TEXT, "--width", "4000", "--line-penalty", "40000000"),
     ("justify", *_TEXT, "--width", "4000", "--overlap-penalty", "-5"),
 ]
-#: Command lines run once per tree; ``{font}`` stands for its bundled font.
+#: One command line per error exit, as (argv, stdin): a missing font file
+#: (1), a character outside the repertoire (2), a word wider than the
+#: measure (3) and a malformed layout on stdin (2).
+_ERROR_EXITS = [
+    (("shape", "--font", "no-such-dir/font.json", *_TEXT), ""),
+    (("shape", "--font", "{font}", "--text", "a"), ""),
+    (("justify", "--font", "{font}", "--text", "\u0628\u0633\u0645", "--width", "10"), ""),
+    (("render", "--font", "{font}"), '{"schema": "qalam-layout/1"}'),
+]
+#: Command lines run once per tree; ``{font}`` stands for its bundled font,
+#: and the word after ``<``, if any, is the line's stdin.
 CLI_LINES = [
     (),
     ("-h",),
@@ -154,6 +174,11 @@ CLI_LINES = [
     ("justify", *_TEXT),
     ("render", "--bogus"),
     ("fontlint", "--font", "{font}"),
+    *[
+        (*argv, "--format", style, *(("<", stdin) if stdin else ()))
+        for argv, stdin in _ERROR_EXITS
+        for style in ("text", "json-errors")
+    ],
 ]
 
 #: Runs in a fresh interpreter: argv is (src directory, font path), stdin
@@ -185,7 +210,10 @@ def run(argv, stdin_text=""):
 records = []
 for line in cli_lines:
     argv = [bundled if word == "{font}" else word for word in line]
-    records.append(["qalam " + " ".join(line), *run(argv)])
+    stdin_text = ""
+    if "<" in argv:
+        argv, stdin_text = argv[:argv.index("<")], argv[-1]
+    records.append(["qalam " + " ".join(line), *run(argv, stdin_text)])
 for font, paragraphs, commands in groups:
     font = font or bundled
     for label, text in paragraphs:
@@ -259,7 +287,7 @@ def _usage_error_json(stderr: str) -> str:
 def _comparable(record: list) -> list:
     """``record`` without the stdout line a json-errors flag error may add."""
     label, code, out, err = record
-    if code == 2 and label.endswith(" ".join(_JSON_ERRORS)):
+    if code == 2 and err and label.endswith(" ".join(_JSON_ERRORS)):
         out = out.replace(_usage_error_json(err), "", 1)
     return [label, code, out, err]
 
