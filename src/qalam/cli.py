@@ -50,46 +50,30 @@ EXIT_LINT = 4
 _POLICY_FLAG = {"single": "single_site", "spread": "spread", "off": "off"}
 
 
-def _overlap_penalty(value: str) -> int:
-    """Parse ``--overlap-penalty``: a non-negative integer, or ``inf``."""
-    text = value.strip().lower()
-    if text == "inf":
-        return INF
-    try:
-        penalty = int(text)
-    except ValueError:
-        penalty = -1
-    if penalty < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer or 'inf', got {value!r}"
-        )
-    return penalty
+def _integer(least: int, most: int | None = None, inf: bool = False):
+    """An argparse type for an integer flag, from ``least`` to ``most``.
 
+    With no ``most``, ``least`` is 0 and the flag takes any non-negative
+    integer; with ``inf`` it also takes the word ``inf``, in any case and
+    with spaces around it, as ``INF``.
+    """
+    if most is None:
+        expected = "a non-negative integer" + (" or 'inf'" if inf else "")
+    else:
+        expected = f"an integer from {least} to {most}"
 
-def _gap_epsilon(value: str) -> int:
-    """Parse ``--gap-epsilon``: a non-negative integer."""
-    try:
-        epsilon = int(value)
-    except ValueError:
-        epsilon = -1
-    if epsilon < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
-    return epsilon
+    def parse(value: str) -> int:
+        if inf and value.strip().lower() == "inf":
+            return INF
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if number is None or number < least or (most is not None and number > most):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
 
-
-def _line_penalty(value: str) -> int:
-    """Parse ``--line-penalty``: an integer small enough that no line's
-    demerits saturate at ``INF``."""
-    try:
-        penalty = int(value)
-    except ValueError:
-        penalty = None
-    if penalty is None or not MIN_LINE_PENALTY <= penalty <= MAX_LINE_PENALTY:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer from {MIN_LINE_PENALTY} to {MAX_LINE_PENALTY}, "
-            f"got {value!r}"
-        )
-    return penalty
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +117,7 @@ def _add_text(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--gap-epsilon",
-        type=_gap_epsilon,
+        type=_integer(0),
         default=10,
         help="minimum clearance between neighbouring marks, font units: "
         "a non-negative integer",
@@ -152,10 +136,12 @@ def _add_justify(sub) -> None:
     _add_text(justify)
     justify.add_argument("--width", type=int, required=True, help="measure in font units")
     justify.add_argument("--algorithm", choices=("greedy", "optimum"), default="optimum")
-    justify.add_argument("--line-penalty", type=_line_penalty, default=10)
+    justify.add_argument(
+        "--line-penalty", type=_integer(MIN_LINE_PENALTY, MAX_LINE_PENALTY), default=10
+    )
     justify.add_argument(
         "--overlap-penalty",
-        type=_overlap_penalty,
+        type=_integer(0, inf=True),
         default=3000,
         help="penalty for stacked elongations on consecutive lines: "
         "a non-negative integer, or 'inf'",
@@ -266,12 +252,11 @@ def _features(args) -> frozenset[str]:
     return frozenset(f for f in args.features.split(",") if f)
 
 
-def _print_diagnostics(diagnostics, stream=None) -> None:
-    stream = stream or sys.stderr
+def _print_diagnostics(diagnostics) -> None:
     for d in diagnostics:
         loc = ",".join(str(i) for i in d.location)
         suffix = f" @{loc}" if loc else ""
-        print(f"{d.severity.value}: {d.code}: {d.message}{suffix}", file=stream)
+        print(f"{d.severity.value}: {d.code}: {d.message}{suffix}", file=sys.stderr)
 
 
 def _cmd_shape(args) -> int:

@@ -252,8 +252,10 @@ class FontDescription(_FontFields):
     def sized_marks(self) -> dict[tuple[str, SizeVariant], SizedMark]:
         """Every (mark id, size) the font draws, to its ``SizedMark``."""
         out = {}
+        # Canonical mark glyph id to the code point that maps to it.
+        codepoints = {mid: cp for cp, mid in self.mark_cmap.items()}
         for mid, mark in self.marks.items():
-            cp = self.mark_codepoints.get(mid)
+            cp = codepoints.get(mid)
             for size in VARIANT_ORDER:
                 if size is SizeVariant.NORMAL and mark.variants is None:
                     glyph = mid
@@ -273,11 +275,6 @@ class FontDescription(_FontFields):
                     elongatable=cp in ELONGATABLE_MARKS,
                 )
         return out
-
-    @cached_property
-    def mark_codepoints(self) -> dict[str, int]:
-        """Canonical mark glyph id to the code point that maps to it."""
-        return {mid: cp for cp, mid in self.mark_cmap.items()}
 
     def mass_offset(self, mass: MassClass, side: Placement) -> int:
         return self.mass_positions.get(mass, {}).get(side, 0)
@@ -658,22 +655,14 @@ def _validate_references(font: FontDescription) -> None:
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def _point_json(p: AnchorPoint) -> list[int]:
-    return [p.x, p.y]
+# ``json.dumps(sort_keys=True)`` orders every object's keys and writes
+# records (``Rect``, ``AnchorPoint``, tuples) as arrays.
 
 
 def _glyph_json(g: GlyphMetrics) -> dict:
-    out: dict = {
-        "advance": g.advance,
-        "ink": [g.ink.x_min, g.ink.y_min, g.ink.x_max, g.ink.y_max],
-        "mass_class": g.mass_class.value,
-    }
+    out: dict = {"advance": g.advance, "ink": g.ink, "mass_class": g.mass_class.value}
     if g.anchors:
-        out["anchors"] = {side.value: _point_json(a) for side, a in sorted(
-            g.anchors.items(), key=lambda kv: kv[0].value
-        )}
+        out["anchors"] = {side.value: a for side, a in g.anchors.items()}
     if g.max_extension:
         out["max_extension"] = g.max_extension
     if g.svg_path is not None:
@@ -682,17 +671,11 @@ def _glyph_json(g: GlyphMetrics) -> dict:
 
 
 def _mark_json(m: MarkGlyph) -> dict:
-    out: dict = {
-        "class": m.attachment_class.value,
-        "anchor": _point_json(m.anchor),
-        "ink": [m.ink.x_min, m.ink.y_min, m.ink.x_max, m.ink.y_max],
-    }
+    out: dict = {"class": m.attachment_class.value, "anchor": m.anchor, "ink": m.ink}
     if m.variants is not None:
-        out["variants"] = {v.value: gid for v, gid in sorted(
-            m.variants.items(), key=lambda kv: kv[0].value
-        )}
+        out["variants"] = {v.value: gid for v, gid in m.variants.items()}
     if m.stack_anchor is not None:
-        out["stack_anchor"] = _point_json(m.stack_anchor)
+        out["stack_anchor"] = m.stack_anchor
     if m.svg_path is not None:
         out["svg_path"] = m.svg_path
     return out
@@ -711,12 +694,10 @@ def serialize_font(font: FontDescription) -> str:
         "marks": {mid: _mark_json(m) for mid, m in font.marks.items()},
         "ligatures": [
             {
-                "components": list(e.components),
+                "components": e.components,
                 "glyph": e.glyph,
                 "component_anchors": [
-                    {side.value: _point_json(a) for side, a in sorted(
-                        anchors.items(), key=lambda kv: kv[0].value
-                    )}
+                    {side.value: a for side, a in anchors.items()}
                     for anchors in e.component_anchors
                 ],
                 "kind": e.kind.value,
@@ -727,26 +708,16 @@ def serialize_font(font: FontDescription) -> str:
         "mark_cmap": {f"{cp:04X}": mid for cp, mid in font.mark_cmap.items()},
         "gsub": [rule_to_json(r) for r in font.gsub],
         "gpos": [rule_to_json(r) for r in font.gpos],
-        "size_thresholds": {
-            "medium": font.size_thresholds.medium,
-            "large": font.size_thresholds.large,
-        },
+        "size_thresholds": font.size_thresholds._asdict(),
         "kashida_priority": {str(k): v for k, v in font.kashida_priority.items()},
         "mass_positions": {
-            mass.value: {side.value: dy for side, dy in sorted(
-                sides.items(), key=lambda kv: kv[0].value
-            )}
-            for mass, sides in sorted(font.mass_positions.items(), key=lambda kv: kv[0].value)
+            mass.value: {side.value: dy for side, dy in sides.items()}
+            for mass, sides in font.mass_positions.items()
         },
         "mass_variants": {
-            mass.value: variant.value
-            for mass, variant in sorted(font.mass_variants.items(), key=lambda kv: kv[0].value)
+            mass.value: variant.value for mass, variant in font.mass_variants.items()
         },
-        "glue": {
-            "width": font.glue.width,
-            "stretch": font.glue.stretch,
-            "shrink": font.glue.shrink,
-        },
+        "glue": font.glue._asdict(),
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 

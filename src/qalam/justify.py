@@ -154,7 +154,7 @@ def badness(ratio: float | None) -> int:
     """
     if ratio is None or ratio < -1:
         return INF
-    if ratio == math.inf:
+    if ratio >= 5:  # past the ceiling, where a cube could overflow a float
         return MAX_BADNESS
     cost = round(100 * abs(ratio) ** 3)
     return cost if cost < MAX_BADNESS else MAX_BADNESS
@@ -176,7 +176,7 @@ class LineCandidate(NamedTuple):
     badness: int
     kashida_intervals: tuple[tuple[int, int], ...]
     signature: frozenset[int]
-    plans: tuple[tuple[tuple[int, int], ...], ...]  # per word: ((glyph, units), ...)
+    plans: tuple[kashida.Spans, ...]  # per word: its elongation spans
     glue_widths: tuple[int, ...]
     width: int
     fills_measure: bool = True
@@ -202,11 +202,6 @@ def _demerits(cost: int, overlap: int, params: JustifyParams) -> int:
     return min(value, INF)
 
 
-#: A word's elongations in glyph order, as (glyph index, where the
-#: elongation starts in the unstretched word, units) spans.
-_Spans = tuple[tuple[int, int, int], ...]
-
-
 class _Fit:
     """A width variant's numbers under an elongation policy.
 
@@ -226,31 +221,18 @@ class _Fit:
         self.capacity = kashida.word_capacity(variant.sites, policy)
         self.rank = variant.sites[0].rank if self.capacity else 0
         self.policy = policy
-        self._full: _Spans | None = None
+        self._full: kashida.Spans | None = None
 
     @property
-    def full(self) -> _Spans:
+    def full(self) -> kashida.Spans:
         if self._full is None:
-            self._full = self.spans(self.capacity)
+            self._full = kashida.allocate(self.variant.sites, self.capacity, self.policy)
         return self._full
-
-    def spans(self, amount: int) -> _Spans:
-        """The policy's elongation of ``amount`` units, at most ``capacity``."""
-        allocations = kashida.allocate(self.variant.sites, amount, self.policy).allocations
-        return tuple(
-            sorted(
-                [
-                    (s.glyph_index, s.x, allocations[s.glyph_index])
-                    for s in self.variant.sites
-                    if s.glyph_index in allocations
-                ]
-            )
-        )
 
 
 def _allocate_line_kashida(
     fits: Sequence[_Fit], deficit: int
-) -> tuple[list[_Spans], int]:
+) -> tuple[list[kashida.Spans], int]:
     """Distribute a line's deficit over its words' stretch sites.
 
     Words are served in priority order (best stretch class first, then
@@ -259,14 +241,14 @@ def _allocate_line_kashida(
     per-word spans (empty for a word that does not stretch) plus the
     amount actually absorbed.
     """
-    elongations: list[_Spans] = [()] * len(fits)
+    elongations: list[kashida.Spans] = [()] * len(fits)
     ranked = sorted([(f.rank, wi) for wi, f in enumerate(fits) if f.capacity], reverse=True)
     remaining = deficit
     for _, wi in ranked:
         fit = fits[wi]
         if remaining < fit.capacity:
             # A policy absorbs anything up to its capacity.
-            elongations[wi] = fit.spans(remaining)
+            elongations[wi] = kashida.allocate(fit.variant.sites, remaining, fit.policy)
             return elongations, deficit
         elongations[wi] = fit.full
         remaining -= fit.capacity
@@ -290,7 +272,7 @@ def _origin(fits: Iterable[_Fit], measure: int) -> int:
 
 def _line_intervals(
     fits: Sequence[_Fit],
-    elongations: Sequence[_Spans],
+    elongations: Sequence[kashida.Spans],
     glue_widths: Sequence[int],
     measure: int,
     origin: int,
@@ -321,13 +303,17 @@ def _line_intervals(
 def _ratio(deficit: int, total_stretch: int, total_shrink: int, is_last: bool) -> float:
     """Adjustment ratio of a line ``deficit`` units short of the measure.
 
-    A final line may stay short at no cost.
+    A final line may stay short at no cost. A quotient too large for a
+    float is infinite.
     """
     if deficit == 0 or (is_last and deficit > 0):
         return 0.0
-    if deficit > 0:
-        return deficit / total_stretch if total_stretch else math.inf
-    return deficit / total_shrink if total_shrink else -math.inf
+    try:
+        if deficit > 0:
+            return deficit / total_stretch if total_stretch else math.inf
+        return deficit / total_shrink if total_shrink else -math.inf
+    except OverflowError:
+        return math.inf if deficit > 0 else -math.inf
 
 
 class _Stretch(NamedTuple):
@@ -335,7 +321,7 @@ class _Stretch(NamedTuple):
 
     ratio: float
     badness: int
-    elongations: list[_Spans]
+    elongations: list[kashida.Spans]
     glue_widths: list[int]
     width: int
     fills_measure: bool
@@ -364,7 +350,7 @@ def _stretch(
     deficit = measure - natural
     ratio = _ratio(deficit, total_stretch, total_shrink, is_last)
     cost = badness(ratio)
-    elongations: list[_Spans] = [()] * len(fits)
+    elongations: list[kashida.Spans] = [()] * len(fits)
     glue_widths = [glue.width] * gaps
     width = natural
     fills = True
@@ -419,7 +405,7 @@ def line_candidate(
         badness=line.badness,
         kashida_intervals=tuple(line.intervals),
         signature=frozenset(origin + k for k in range(mask.bit_length()) if mask >> k & 1),
-        plans=tuple(tuple((gi, units) for gi, _, units in spans) for spans in line.elongations),
+        plans=tuple(line.elongations),
         glue_widths=tuple(line.glue_widths),
         width=line.width,
         fills_measure=line.fills_measure,
@@ -514,8 +500,8 @@ def _finalize(
     lines = []
     diagnostics: list[Diagnostic] = []
     prev_signature: frozenset[int] = frozenset()
-    # (id(variant word), plan) -> mark_word's result. A word that recurs
-    # with the same elongation plan is stretched and marked once. ``chosen``
+    # (id(variant word), spans) -> mark_word's result. A word that recurs
+    # with the same elongation spans is stretched and marked once. ``chosen``
     # holds every variant word until the loop ends, so no id is reused.
     marked_by_key: dict = {}
     for li, (candidate, fits) in enumerate(chosen):
@@ -535,13 +521,11 @@ def _finalize(
         for k, fit in enumerate(fits):
             variant = fit.variant
             index = candidate.word_range[0] + k
-            key = (id(variant.word), candidate.plans[k])
+            spans = candidate.plans[k]
+            key = (id(variant.word), spans)
             marked = marked_by_key.get(key)
             if marked is None:
-                plan = kashida.ElongationPlan(
-                    allocations=dict(candidate.plans[k]), residual=0
-                )
-                stretched = kashida.apply_plan(variant.word, plan, variant.sites)
+                stretched = kashida.apply_plan(variant.word, spans, variant.sites)
                 marked = marked_by_key[key] = mark_word(stretched, font, params.gap_epsilon)
             final_words.append(marked[0])
             diagnostics.extend(at_word(marked[1], index))

@@ -11,8 +11,9 @@ one; on letters that can never stretch the hint is ignored.
 Three allocation policies (``POLICIES``): ``single_site`` pours the whole
 deficit into the best site (one elongation per word, the calligraphic
 default), ``spread`` cascades across sites best first, and ``off`` never
-elongates. Whatever cannot be placed is returned as the residual, so
-allocations plus residual always equal the requested deficit.
+elongates. ``allocate`` places ``min(deficit, word_capacity(...))`` units
+and returns them as ``Spans``, the one form an elongation takes from
+allocation through line breaking to ``apply_plan``.
 
 Only ``enumerate_sites`` reads the font; capacity, allocation and
 application all take the word's enumerated sites. Each site also records
@@ -54,9 +55,9 @@ class StretchSite(NamedTuple):
     x: int
 
 
-class ElongationPlan(NamedTuple):
-    allocations: dict[int, int]
-    residual: int
+#: A word's elongations in glyph order, as (glyph index, where the
+#: elongation starts in the unstretched word, units) spans.
+Spans = tuple[tuple[int, int, int], ...]
 
 
 def enumerate_sites(word: "ShapedWord", font: "FontDescription") -> list[StretchSite]:
@@ -109,44 +110,41 @@ def word_capacity(sites: Sequence[StretchSite], policy: str) -> int:
     return sum(s.capacity for s in _policy_sites(sites, policy))
 
 
-def allocate(
-    sites: Sequence[StretchSite], deficit: int, policy: str
-) -> ElongationPlan:
-    """Distribute a width deficit over a word's stretch sites."""
+def allocate(sites: Sequence[StretchSite], deficit: int, policy: str) -> Spans:
+    """Distribute a width deficit over a word's stretch sites, as spans in
+    glyph order; what exceeds the policy's capacity is not placed."""
     if deficit < 0:
         raise ValueError("deficit must be >= 0")
-    allocations: dict[int, int] = {}
+    spans = []
     remaining = deficit
     for site in _policy_sites(sites, policy):
         if remaining == 0:
             break
         take = min(remaining, site.capacity)
         if take:
-            allocations[site.glyph_index] = take
+            spans.append((site.glyph_index, site.x, take))
         remaining -= take
-    return ElongationPlan(allocations=allocations, residual=remaining)
+    return tuple(sorted(spans))
 
 
 def apply_plan(
-    word: "ShapedWord", plan: ElongationPlan, sites: Sequence[StretchSite]
+    word: "ShapedWord", spans: Spans, sites: Sequence[StretchSite]
 ) -> "ShapedWord":
-    """Materialize an elongation plan on a shaped word.
+    """Materialize a word's elongation spans on the shaped word.
 
     Elongation widens the stretched glyph's advance and nothing else; the
     marks over a stretched glyph are re-placed by ``diacritics``.
     """
-    if not plan.allocations:
+    if not spans:
         return word
     capacities = {s.glyph_index: s.capacity for s in sites}
-    for gi, amount in plan.allocations.items():
+    new_glyphs = list(word.glyphs)
+    for gi, _, amount in spans:
         if amount < 0:
             raise CapacityExceeded(f"negative elongation at glyph {gi}")
         if amount > capacities.get(gi, 0):
             raise CapacityExceeded(
                 f"{amount} units at glyph {gi} exceeds capacity {capacities.get(gi, 0)}"
             )
-
-    new_glyphs = list(word.glyphs)
-    for gi, amount in plan.allocations.items():
         new_glyphs[gi] = new_glyphs[gi]._replace(elongation=amount)
     return word._replace(glyphs=tuple(new_glyphs))

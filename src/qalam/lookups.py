@@ -336,10 +336,10 @@ def rule_to_json(rule: LookupRule) -> dict:
     out["coverage"] = sorted(rule.coverage)
     kind, payload = rule.kind, rule.payload
     if kind is LookupKind.SINGLE_SUB:
-        out["map"] = dict(sorted(payload.items()))
+        out["map"] = dict(payload)
     elif kind in (LookupKind.MULTIPLE_SUB, LookupKind.ALTERNATE_SUB):
         key = "sequences" if kind is LookupKind.MULTIPLE_SUB else "alternates"
-        out[key] = {k: list(v) for k, v in sorted(payload.items())}
+        out[key] = {k: list(v) for k, v in payload.items()}
     elif kind is LookupKind.LIGATURE_SUB:
         out["ligatures"] = [
             {"components": list(e.components), "glyph": e.ligature} for e in payload
@@ -350,7 +350,7 @@ def rule_to_json(rule: LookupRule) -> dict:
             for e in payload
         ]
     elif kind is LookupKind.SINGLE_ADJ:
-        out["adjustments"] = {k: list(v) for k, v in sorted(payload.items())}
+        out["adjustments"] = {k: list(v) for k, v in payload.items()}
     elif kind is LookupKind.PAIR_ADJ:
         out["pairs"] = [
             {"first": first, "second": second, "advance": delta}
@@ -358,8 +358,7 @@ def rule_to_json(rule: LookupRule) -> dict:
         ]
     elif kind is LookupKind.CURSIVE_ATTACH:
         out["cursive"] = {
-            k: {"entry": list(v[0]), "exit": list(v[1])}
-            for k, v in sorted(payload.items())
+            k: {"entry": list(v[0]), "exit": list(v[1])} for k, v in payload.items()
         }
     else:
         out["lower" if kind is LookupKind.MARK_TO_MARK else "marks"] = sorted(payload)

@@ -182,10 +182,8 @@ def test_criterion_4_placement_algorithm(demo_font):
                 site = rng.choice(sites)
                 ranks_by_mark: dict[int, list[int]] = {}
                 for amount in (0, site.capacity // 2, site.capacity):
-                    plan = kashida.ElongationPlan(
-                        {site.glyph_index: amount} if amount else {}, 0
-                    )
-                    stretched = kashida.apply_plan(word, plan, sites)
+                    spans = ((site.glyph_index, site.x, amount),) if amount else ()
+                    stretched = kashida.apply_plan(word, spans, sites)
                     marks, _ = place_diacritics(stretched, demo_font)
                     for m in marks:
                         ranks_by_mark.setdefault(m.index, []).append(
@@ -194,10 +192,8 @@ def test_criterion_4_placement_algorithm(demo_font):
                 for ranks in ranks_by_mark.values():
                     assert ranks == sorted(ranks)
                 amount = rng.randint(0, site.capacity)
-                plan = kashida.ElongationPlan(
-                    {site.glyph_index: amount} if amount else {}, 0
-                )
-                word = kashida.apply_plan(word, plan, sites)
+                spans = ((site.glyph_index, site.x, amount),) if amount else ()
+                word = kashida.apply_plan(word, spans, sites)
 
             marks, _ = place_diacritics(word, demo_font)
             replay, _ = place_diacritics(with_marks(word, marks), demo_font)

@@ -322,6 +322,50 @@ class TestJustify:
         assert "--line-penalty" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "optimum"])
+    @pytest.mark.parametrize("zeros", [200, 400])
+    def test_huge_width_sets_one_line(self, capsys, algorithm, zeros):
+        # A line's adjustment ratio at this width is past the largest float.
+        width = "1" + "0" * zeros
+        code, out, err = run(
+            capsys,
+            ["justify", "--font", FONT, "--text", "بسم بسم بسم", "--width", width,
+             "--algorithm", algorithm],
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["measure"] == int(width)
+        assert len(doc["lines"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            pytest.param(
+                ["shape", "--font", FONT, "--text", GOLDEN_TEXT, "--gap-epsilon", "1.5"],
+                "qalam shape: error: argument --gap-epsilon: "
+                "expected a non-negative integer, got '1.5'",
+                id="gap-epsilon",
+            ),
+            pytest.param(
+                GOLDEN_ARGS + ["--line-penalty", "abc"],
+                "qalam justify: error: argument --line-penalty: "
+                "expected an integer from -31622776 to 31612776, got 'abc'",
+                id="line-penalty",
+            ),
+            pytest.param(
+                GOLDEN_ARGS + ["--overlap-penalty", ""],
+                "qalam justify: error: argument --overlap-penalty: "
+                "expected a non-negative integer or 'inf', got ''",
+                id="overlap-penalty",
+            ),
+        ],
+    )
+    def test_integer_flag_error_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
     @pytest.mark.parametrize("penalty", ["10", str(MAX_LINE_PENALTY)])
     def test_largest_line_penalty_still_ranks_lines(self, capsys, penalty):
         # A saturating penalty (40000000) would cost every line INF and set

@@ -15,7 +15,7 @@ from qalam.diacritics import (
 )
 from qalam.errors import MissingVariant
 from qalam.fontmodel import SizeVariant, VARIANT_ORDER
-from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
+from qalam.kashida import apply_plan, enumerate_sites
 from qalam.lookups import PlacedGlyph
 from qalam.textmodel import Placement, decompose
 
@@ -28,8 +28,11 @@ def variant_rank(variant: SizeVariant) -> int:
 
 
 def stretch(w, font, allocations: dict[int, int]):
-    """The word with the given elongations applied."""
-    return apply_plan(w, ElongationPlan(allocations, 0), enumerate_sites(w, font))
+    """The word with the given elongations, glyph index to units, applied."""
+    sites = enumerate_sites(w, font)
+    x = {s.glyph_index: s.x for s in sites}
+    spans = tuple((gi, x[gi], units) for gi, units in sorted(allocations.items()))
+    return apply_plan(w, spans, sites)
 
 
 class TestSelectSizeVariant:
@@ -190,8 +193,8 @@ class TestPlaceDiacritics:
             sites = kashida.enumerate_sites(w, demo_font)
             if sites and rng.random() < 0.5:
                 site = rng.choice(sites)
-                plan = ElongationPlan({site.glyph_index: rng.randint(1, site.capacity)}, 0)
-                w = apply_plan(w, plan, sites)
+                spans = ((site.glyph_index, site.x, rng.randint(1, site.capacity)),)
+                w = apply_plan(w, spans, sites)
             first, _ = place_diacritics(w, demo_font)
             replayed, _ = place_diacritics(with_marks(w, first), demo_font)
             assert mark_facts(replayed) == mark_facts(first)
@@ -444,7 +447,8 @@ class TestLinearPasses:
             stretched = w
             sites = kashida.enumerate_sites(w, demo_font)
             if sites:
-                stretched = apply_plan(w, ElongationPlan({sites[0].glyph_index: 1}, 0), sites)
+                first = sites[0]
+                stretched = apply_plan(w, ((first.glyph_index, first.x, 1),), sites)
             marked, _ = diacritics.mark_word(stretched, demo_font, 10)
             assert marked.tables is stretched.tables
             assert marked.tables == shaper.word_tables(marked)

@@ -20,6 +20,7 @@ from qalam.justify import (
     MIN_LINE_PENALTY,
     JustifyParams,
     _Fit,
+    _ratio,
     badness,
     break_greedy,
     break_optimum,
@@ -69,6 +70,15 @@ class TestBadness:
 
     def test_none_is_infeasible(self):
         assert badness(None) >= INF
+
+    def test_huge_ratio_saturates(self):
+        # The cube of 1e200 is past the largest float.
+        assert badness(1e200) == MAX_BADNESS
+        assert badness(-1e200) >= INF
+
+    def test_ratio_past_the_largest_float_is_infinite(self):
+        assert _ratio(10**400, 1, 0, False) == math.inf
+        assert _ratio(-(10**400), 0, 1, False) == -math.inf
 
 
 def fake_line(b: int, signature=frozenset()):
@@ -155,7 +165,7 @@ class TestJustifyLine:
         font = self.font(letter_extensions={SEEN: 100})
         words = make_words(font, "س ا")  # 560 + 10 + 40 = 610
         line = self.fit(words, 640, font)
-        assert dict(line.plans[0]) == {0: 30}
+        assert {gi: units for gi, _, units in line.plans[0]} == {0: 30}
         assert line.glue_widths == (10,)
         assert line.width == 640
 
@@ -163,7 +173,7 @@ class TestJustifyLine:
         font = self.font(letter_extensions={SEEN: 100}, glue=(10, 60, 3))
         words = make_words(font, "س ا")
         line = self.fit(words, 610 + 150, font)
-        assert dict(line.plans[0]) == {0: 100}
+        assert {gi: units for gi, _, units in line.plans[0]} == {0: 100}
         assert line.glue_widths == (10 + 50,)
         assert line.width == 760
 

@@ -9,13 +9,17 @@ from qalam.diacritics import place_diacritics, with_marks
 from qalam.errors import CapacityExceeded
 from qalam.fontmodel import SizeVariant
 from qalam.kashida import (
-    ElongationPlan,
     allocate,
     apply_plan,
     enumerate_sites,
     word_capacity,
 )
 from .util import ALEF, BEH, SEEN, synth_font, word
+
+
+def placed(spans) -> int:
+    """The units a word's elongation spans place."""
+    return sum(units for _, _, units in spans)
 
 
 class TestEnumerateSites:
@@ -78,32 +82,32 @@ class TestEnumerateSites:
 class TestAllocate:
     def test_single_site_partial_fill(self, demo_font):
         w = word("س", demo_font)
-        plan = allocate(enumerate_sites(w, demo_font), 120, "single_site")
-        assert plan.allocations == {0: 120}
-        assert plan.residual == 0
+        sites = enumerate_sites(w, demo_font)
+        spans = allocate(sites, 120, "single_site")
+        assert spans == ((0, sites[0].x, 120),)
+        assert placed(spans) == min(120, word_capacity(sites, "single_site")) == 120
 
-    def test_single_site_saturates_and_leaves_residual(self):
+    def test_single_site_saturates_at_its_capacity(self):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)  # seen rank 30 > beh rank 20
-        plan = allocate(enumerate_sites(w, font), 400, "single_site")
+        spans = allocate(enumerate_sites(w, font), 400, "single_site")
         sites = enumerate_sites(w, font)
-        assert plan.allocations == {sites[0].glyph_index: 300}
-        assert plan.residual == 100
+        assert spans == ((sites[0].glyph_index, sites[0].x, 300),)
+        assert placed(spans) == min(400, word_capacity(sites, "single_site")) == 300
 
     def test_spread_cascades(self):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)
-        plan = allocate(enumerate_sites(w, font), 400, "spread")
-        assert sum(plan.allocations.values()) == 400
-        assert plan.residual == 0
+        spans = allocate(enumerate_sites(w, font), 400, "spread")
         sites = enumerate_sites(w, font)
-        assert plan.allocations[sites[0].glyph_index] == 300
-        assert plan.allocations[sites[1].glyph_index] == 100
+        assert placed(spans) == min(400, word_capacity(sites, "spread")) == 400
+        units = {gi: amount for gi, _, amount in spans}
+        assert units[sites[0].glyph_index] == 300
+        assert units[sites[1].glyph_index] == 100
 
     def test_zero_deficit_empty_plan(self, demo_font):
         w = word("س", demo_font)
-        plan = allocate(enumerate_sites(w, demo_font), 0, "single_site")
-        assert plan.allocations == {} and plan.residual == 0
+        assert allocate(enumerate_sites(w, demo_font), 0, "single_site") == ()
 
     def test_unknown_policy_rejected(self, demo_font):
         w = word("س", demo_font)
@@ -113,45 +117,52 @@ class TestAllocate:
     def test_off_policy_never_elongates(self, demo_font):
         sites = enumerate_sites(word("س", demo_font), demo_font)
         assert sites and word_capacity(sites, "off") == 0
-        plan = allocate(sites, 120, "off")
-        assert plan.allocations == {} and plan.residual == 120
+        spans = allocate(sites, 120, "off")
+        assert spans == () and placed(spans) == min(120, word_capacity(sites, "off")) == 0
 
     @given(deficit=st.integers(0, 2000))
     def test_conservation(self, deficit):
         font = synth_font(letter_extensions={SEEN: 300, BEH: 200})
         w = word("سب", font)
         for policy in ("single_site", "spread"):
-            plan = allocate(enumerate_sites(w, font), deficit, policy)
-            assert sum(plan.allocations.values()) + plan.residual == deficit
-            sites = {s.glyph_index: s.capacity for s in enumerate_sites(w, font)}
-            for gi, amount in plan.allocations.items():
-                assert 0 < amount <= sites[gi]
+            sites = enumerate_sites(w, font)
+            spans = allocate(sites, deficit, policy)
+            assert placed(spans) == min(deficit, word_capacity(sites, policy))
+            glyphs = [gi for gi, _, _ in spans]
+            assert glyphs == sorted(set(glyphs))  # glyph order, each glyph once
+            by_glyph = {s.glyph_index: s for s in sites}
+            for gi, x, amount in spans:
+                assert x == by_glyph[gi].x
+                assert 0 < amount <= by_glyph[gi].capacity
 
 
 class TestApplyPlan:
     def test_empty_plan_is_identity(self, demo_font):
         w = word("سَ", demo_font)
-        assert apply_plan(w, ElongationPlan({}, 0), enumerate_sites(w, demo_font)) == w
+        assert apply_plan(w, (), enumerate_sites(w, demo_font)) == w
 
     def test_width_grows_by_allocation(self, demo_font):
         w = word("س", demo_font)
-        out = apply_plan(w, ElongationPlan({0: 250}, 0), enumerate_sites(w, demo_font))
+        sites = enumerate_sites(w, demo_font)
+        out = apply_plan(w, ((0, sites[0].x, 250),), sites)
         assert out.natural_width == w.natural_width + 250
 
     def test_capacity_exceeded(self, demo_font):
         w = word("س", demo_font)
+        sites = enumerate_sites(w, demo_font)
         with pytest.raises(CapacityExceeded):
-            apply_plan(w, ElongationPlan({0: 350}, 0), enumerate_sites(w, demo_font))
+            apply_plan(w, ((0, sites[0].x, 350),), sites)
 
     def test_plan_on_unstretchable_glyph_rejected(self, demo_font):
         w = word("ا", demo_font)
         with pytest.raises(CapacityExceeded):
-            apply_plan(w, ElongationPlan({0: 10}, 0), enumerate_sites(w, demo_font))
+            apply_plan(w, ((0, 0, 10),), enumerate_sites(w, demo_font))
 
     def test_negative_amount_rejected(self, demo_font):
         w = word("س", demo_font)
+        sites = enumerate_sites(w, demo_font)
         with pytest.raises(CapacityExceeded, match="negative elongation at glyph 0"):
-            apply_plan(w, ElongationPlan({0: -10}, 0), enumerate_sites(w, demo_font))
+            apply_plan(w, ((0, sites[0].x, -10),), sites)
 
     # apply_plan only widens glyphs; placement re-centers the marks over the
     # stretched glyph.
@@ -159,7 +170,8 @@ class TestApplyPlan:
     def test_marks_ride_extended_span_midpoint(self):
         font = synth_font(letter_extensions={BEH: 400})
         w = word("بُا", font)  # beh+damma, alef
-        out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
+        sites = enumerate_sites(w, font)
+        out = apply_plan(w, ((0, sites[0].x, 200),), sites)
         marks, _ = place_diacritics(out, font)
         mark = with_marks(out, marks).glyphs[1]
         # Midpoint of [0, 340+200] minus damma anchor x.
@@ -169,21 +181,23 @@ class TestApplyPlan:
         # Thresholds above the 540-unit span keep the fatha at normal size.
         font = synth_font(thresholds=(600, 700), letter_extensions={BEH: 400})
         w = word("بَّا", font)
-        out = apply_plan(w, ElongationPlan({0: 200}, 0), enumerate_sites(w, font))
+        sites = enumerate_sites(w, font)
+        out = apply_plan(w, ((0, sites[0].x, 200),), sites)
         marks, _ = place_diacritics(out, font)
         assert marks[1].variant is SizeVariant.NORMAL
         shadda, fatha = with_marks(out, marks).glyphs[1:3]
         assert shadda.x_offset == (340 + 200) // 2 - 75
         assert fatha.x_offset == shadda.x_offset + 75 - 50
 
-    def test_width_delta_matches_deficit_minus_residual(self, demo_font, corpus_words):
+    def test_width_delta_matches_placed_total(self, demo_font, corpus_words):
         rng = random.Random(11)
         for w in corpus_words[:40]:
             deficit = rng.randint(0, 900)
             sites = enumerate_sites(w, demo_font)
-            plan = allocate(sites, deficit, "spread")
-            out = apply_plan(w, plan, sites)
-            assert out.natural_width - w.natural_width == deficit - plan.residual
+            spans = allocate(sites, deficit, "spread")
+            out = apply_plan(w, spans, sites)
+            assert out.natural_width - w.natural_width == placed(spans)
+            assert placed(spans) == min(deficit, word_capacity(sites, "spread"))
 
     def test_word_capacity_matches_sites(self, demo_font, corpus_words):
         for w in corpus_words[:40]:

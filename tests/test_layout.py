@@ -66,10 +66,11 @@ class TestShapedDocument:
 
     def test_variant_rewriting(self, demo_font):
         # A stretched seen drives its fatha to a larger variant.
-        from qalam.kashida import ElongationPlan, apply_plan, enumerate_sites
+        from qalam.kashida import apply_plan, enumerate_sites
 
         w = word("سَب", demo_font)
-        w = apply_plan(w, ElongationPlan({0: 300}, 0), enumerate_sites(w, demo_font))
+        sites = enumerate_sites(w, demo_font)
+        w = apply_plan(w, ((0, sites[0].x, 300),), sites)
         placed, _ = place_diacritics(w, demo_font)
         assert placed[0].variant is not SizeVariant.NORMAL
         doc = shaped_document(demo_font, [with_marks(w, placed)])
@@ -110,8 +111,8 @@ class TestJustifiedDocument:
         total_plan = sum(
             amount
             for line in layout.lines
-            for plans in line.candidate.plans
-            for _, amount in plans
+            for spans in line.candidate.plans
+            for _, _, amount in spans
         )
         total_doc = sum(
             g["elongation"] for line in doc["lines"] for g in line["glyphs"]

@@ -555,3 +555,52 @@ def test_flag_fuzz_through_every_subcommand(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err, argv
         codes.add(code)
     assert codes == {0, 1, 2, 3}
+
+
+#: The integer flags of ``justify``, and the words the fuzz below draws for
+#: them besides integers.
+INTEGER_FLAGS = ["--width", "--line-penalty", "--overlap-penalty", "--gap-epsilon"]
+INTEGER_FLAG_WORDS = ["inf", "INF", "1.5", "", "abc", " 12 ", "1e9", "٣"]
+
+
+def _integer_flag_lines(seed: int, count: int):
+    """``count`` seeded ``justify`` lines, each with one value for one
+    integer flag: half the time an integer of 1 to 400 digits, negative one
+    time in three, else a word of ``INTEGER_FLAG_WORDS``. Each line also
+    draws its algorithm, variants setting and kashida policy."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        flag = rng.choice(INTEGER_FLAGS)
+        if rng.random() < 0.5:
+            digits = rng.randint(1, 400)
+            value = str(rng.randrange(10 ** (digits - 1) if digits > 1 else 0, 10**digits))
+            if rng.random() < 1 / 3:
+                value = "-" + value
+        else:
+            value = rng.choice(INTEGER_FLAG_WORDS)
+        argv = ["justify", "--font", str(DEMO_FONT_PATH), "--text", "بسم بسم بسم"]
+        if flag != "--width":
+            argv += ["--width", "4000"]
+        argv += [
+            flag, value,
+            "--algorithm", rng.choice(["greedy", "optimum"]),
+            "--variants", rng.choice(["on", "off"]),
+            "--kashida-policy", rng.choice(["single", "spread", "off"]),
+        ]
+        yield argv
+
+
+def test_integer_flag_fuzz_through_justify(capsys):
+    """Any value of an integer flag, however long, ends in exit 0, 2 or 3;
+    no exception but ``SystemExit`` escapes ``main``."""
+    codes = set()
+    for argv in _integer_flag_lines(29, 300):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in {0, 2, 3}, argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert codes == {0, 2, 3}

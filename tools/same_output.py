@@ -78,6 +78,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from qalam.justify import MAX_LINE_PENALTY, MIN_LINE_PENALTY  # noqa: E402
 FEATURES = ("--features", "liga,jalt")
 #: Every optional feature of the bundled font, ``ss01`` included.
 ALL_FEATURES = ("--features", "liga,jalt,ss01")
@@ -148,10 +150,22 @@ REPEATS_COMMANDS = [
 
 _TEXT = ("--text", "\u0628")
 _JSON_ERRORS = ("--format", "json-errors")
+#: The integer flags, each on a command line that is complete but for its value.
+_GAP, _LINE, _OVERLAP = _INTEGER_FLAGS = [
+    ("shape", *_TEXT, "--gap-epsilon"),
+    ("justify", *_TEXT, "--width", "4000", "--line-penalty"),
+    ("justify", *_TEXT, "--width", "4000", "--overlap-penalty"),
+]
+#: Flag values at and past the edges of what each integer flag accepts.
 _FLAG_ERRORS = [
-    ("shape", *_TEXT, "--gap-epsilon", "-1"),
-    ("justify", *_TEXT, "--width", "4000", "--line-penalty", "40000000"),
-    ("justify", *_TEXT, "--width", "4000", "--overlap-penalty", "-5"),
+    (*_GAP, "-1"),
+    (*_LINE, "40000000"),
+    (*_OVERLAP, "-5"),
+    *[(*flag, value) for flag in _INTEGER_FLAGS for value in ("abc", "1.5", "")],
+    (*_OVERLAP, "INF"),
+    (*_OVERLAP, " inf "),
+    (*_LINE, str(MIN_LINE_PENALTY - 1)),
+    (*_LINE, str(MAX_LINE_PENALTY + 1)),
 ]
 #: One command line per error exit, as (argv, stdin): a missing font file
 #: (1), a character outside the repertoire (2), a word wider than the
