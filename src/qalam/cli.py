@@ -48,6 +48,8 @@ EXIT_OK = 0
 EXIT_LINT = 4
 
 _POLICY_FLAG = {"single": "single_site", "spread": "spread", "off": "off"}
+#: The breaker's defaults, which its flags share.
+_DEFAULTS = JustifyParams._field_defaults
 
 
 def _integer(least: int, most: int | None = None, inf: bool = False):
@@ -118,7 +120,7 @@ def _add_text(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--gap-epsilon",
         type=_integer(0),
-        default=10,
+        default=_DEFAULTS["gap_epsilon"],
         help="minimum clearance between neighbouring marks, font units: "
         "a non-negative integer",
     )
@@ -137,12 +139,14 @@ def _add_justify(sub) -> None:
     justify.add_argument("--width", type=int, required=True, help="measure in font units")
     justify.add_argument("--algorithm", choices=("greedy", "optimum"), default="optimum")
     justify.add_argument(
-        "--line-penalty", type=_integer(MIN_LINE_PENALTY, MAX_LINE_PENALTY), default=10
+        "--line-penalty",
+        type=_integer(MIN_LINE_PENALTY, MAX_LINE_PENALTY),
+        default=_DEFAULTS["line_penalty"],
     )
     justify.add_argument(
         "--overlap-penalty",
         type=_integer(0, inf=True),
-        default=3000,
+        default=_DEFAULTS["overlap_penalty"],
         help="penalty for stacked elongations on consecutive lines: "
         "a non-negative integer, or 'inf'",
     )

@@ -66,6 +66,10 @@ from .lookups import PlacedGlyph
 from .shaper import ShapedWord
 from .textmodel import Placement
 
+#: The least clearance between neighbouring same-side marks, in font units,
+#: unless a caller gives another.
+GAP_EPSILON = 10
+
 
 def select_size_variant(gap: int, t_medium: int, t_large: int) -> SizeVariant:
     """Size for a growable mark given the free span; thresholds inclusive."""
@@ -276,7 +280,7 @@ def resolve_collisions(
     states: dict[int, PlacedMark],
     word: ShapedWord,
     font: FontDescription,
-    gap_epsilon: int = 10,
+    gap_epsilon: int = GAP_EPSILON,
 ) -> list[Diagnostic]:
     """Nudge overlapping same-side marks apart by a minimal x shift,
     moving the sweep's ``states`` (keyed by glyph index) in place.
@@ -355,7 +359,7 @@ def resolve_collisions(
 def place_diacritics(
     word: ShapedWord,
     font: FontDescription,
-    gap_epsilon: int = 10,
+    gap_epsilon: int = GAP_EPSILON,
 ) -> tuple[list[PlacedMark], list[Diagnostic]]:
     """Position and size every mark of a shaped word.
 

@@ -88,10 +88,9 @@ class Rect(NamedTuple):
     y_max: int
 
     def _check(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise SchemaError(
-                f"degenerate ink box ({self.x_min},{self.y_min},{self.x_max},{self.y_max})"
-            )
+        x_min, y_min, x_max, y_max = self
+        if x_min > x_max or y_min > y_max:
+            raise SchemaError(f"degenerate ink box ({x_min},{y_min},{x_max},{y_max})")
 
     @property
     def width(self) -> int:
@@ -323,26 +322,30 @@ _SIZE_VARIANTS = {v.value: v for v in SizeVariant}
 _FORMS = {f.value: f for f in Form}
 
 
-def _point(value, ctx: str) -> AnchorPoint:
-    if type(value) is not list or len(value) != 2:
-        raise SchemaError(f"{ctx}: expected [x, y], got {value!r}")
-    x, y = value
+def _ints(value, n: int, shape: str, ctx: str) -> list[int]:
+    """``value``, an array of ``n`` integers; the error names its ``shape``."""
+    if type(value) is not list or len(value) != n:
+        raise SchemaError(f"{ctx}: expected {shape}, got {value!r}")
     for v in value:
         if type(v) is not int:
-            raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
-    return AnchorPoint(x, y)
+            as_int(v, ctx)  # raises
+    return value
+
+
+def _point(value, ctx: str) -> AnchorPoint:
+    return tuple.__new__(AnchorPoint, _ints(value, 2, "[x, y]", ctx))
 
 
 def _ink(value, ctx: str) -> Rect:
-    if type(value) is not list or len(value) != 4:
-        raise SchemaError(f"{ctx}: expected [x_min, y_min, x_max, y_max], got {value!r}")
-    x_min, y_min, x_max, y_max = value
-    for v in value:
-        if type(v) is not int:
-            raise SchemaError(f"{ctx}: expected an integer, got {v!r}")
-    if x_min > x_max or y_min > y_max:
-        raise SchemaError(f"degenerate ink box ({x_min},{y_min},{x_max},{y_max})")
-    return tuple.__new__(Rect, value)  # checked above
+    # Built unchecked, then checked once: ``Rect(...)`` costs more per record.
+    ink = tuple.__new__(Rect, _ints(value, 4, "[x_min, y_min, x_max, y_max]", ctx))
+    ink._check()
+    return ink
+
+
+def _svg_path(obj: dict, ctx: str) -> str | None:
+    path = obj.get("svg_path")
+    return None if path is None else as_str(path, f"{ctx}.svg_path")
 
 
 def _anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
@@ -364,56 +367,37 @@ def _anchor_map(value, ctx: str) -> dict[Placement, AnchorPoint]:
 
 def _parse_glyph(gid: str, obj) -> GlyphMetrics:
     ctx = f"glyph {gid}"
-    if type(obj) is not dict:
-        raise SchemaError(f"{ctx}: expected an object, got {obj!r}")
+    obj = as_dict(obj, ctx)
     mass = obj.get("mass_class", "medium")
     try:
         mass_class = _MASS_CLASSES[mass]
     except (KeyError, TypeError):
         raise SchemaError(f"{ctx}: unknown mass class {mass!r}") from None
-    svg_path = obj.get("svg_path")
-    if svg_path is not None and type(svg_path) is not str:
-        raise SchemaError(f"{ctx}.svg_path: expected a string, got {svg_path!r}")
-    if "advance" not in obj:
-        raise SchemaError(f"{ctx}: missing required field 'advance'")
-    advance = obj["advance"]
-    if type(advance) is not int:
-        raise SchemaError(f"{ctx}: expected an integer, got {advance!r}")
-    if "ink" not in obj:
-        raise SchemaError(f"{ctx}: missing required field 'ink'")
-    ink = _ink(obj["ink"], ctx)
+    svg_path = _svg_path(obj, ctx)
+    advance = as_int(require(obj, "advance", ctx), ctx)
+    ink = _ink(require(obj, "ink", ctx), ctx)
     anchors = _anchor_map(obj.get("anchors", {}), ctx)
-    max_extension = obj.get("max_extension", 0)
-    if type(max_extension) is not int:
-        raise SchemaError(f"{ctx}: expected an integer, got {max_extension!r}")
-    if advance < 0:
-        raise SchemaError("glyph advance must be >= 0")
-    if max_extension < 0:
-        raise SchemaError("max_extension must be >= 0")
-    return tuple.__new__(  # checked above
+    max_extension = as_int(obj.get("max_extension", 0), ctx)
+    glyph = tuple.__new__(  # checked once below, as in ``_ink``
         GlyphMetrics, (advance, ink, anchors, max_extension, mass_class, svg_path)
     )
+    glyph._check()
+    return glyph
 
 
 def _parse_mark(mid: str, obj) -> MarkGlyph:
     ctx = f"mark {mid}"
-    if type(obj) is not dict:
-        raise SchemaError(f"{ctx}: expected an object, got {obj!r}")
-    if "class" not in obj:
-        raise SchemaError(f"{ctx}: missing required field 'class'")
+    obj = as_dict(obj, ctx)
     try:
-        side = _PLACEMENTS[obj["class"]]
+        side = _PLACEMENTS[require(obj, "class", ctx)]
     except (KeyError, TypeError):
         raise SchemaError(f"{ctx}: unknown attachment class") from None
     variants = None
     if "variants" in obj:
-        sizes = obj["variants"]
-        if type(sizes) is not dict:
-            raise SchemaError(f"{ctx}.variants: expected an object, got {sizes!r}")
         variants = {}
-        for key, vid in sizes.items():
-            if type(vid) is not str:
-                raise SchemaError(f"{ctx}.variants: expected a string, got {vid!r}")
+        where = f"{ctx}.variants"
+        for key, vid in as_dict(obj["variants"], where).items():
+            as_str(vid, where)
             size = _SIZE_VARIANTS.get(key)
             if size is None:
                 raise SchemaError(f"{ctx}: unknown size variant {key!r}")
@@ -421,15 +405,10 @@ def _parse_mark(mid: str, obj) -> MarkGlyph:
     stack_anchor = None
     if obj.get("stack_anchor") is not None:
         stack_anchor = _point(obj["stack_anchor"], f"{ctx}.stack_anchor")
-    svg_path = obj.get("svg_path")
-    if svg_path is not None and type(svg_path) is not str:
-        raise SchemaError(f"{ctx}.svg_path: expected a string, got {svg_path!r}")
-    if "anchor" not in obj:
-        raise SchemaError(f"{ctx}: missing required field 'anchor'")
-    anchor = _point(obj["anchor"], ctx)
-    if "ink" not in obj:
-        raise SchemaError(f"{ctx}: missing required field 'ink'")
-    return MarkGlyph(side, anchor, _ink(obj["ink"], ctx), variants, stack_anchor, svg_path)
+    svg_path = _svg_path(obj, ctx)
+    anchor = _point(require(obj, "anchor", ctx), ctx)
+    ink = _ink(require(obj, "ink", ctx), ctx)
+    return MarkGlyph(side, anchor, ink, variants, stack_anchor, svg_path)
 
 
 def _parse_ligature(obj, index: int) -> LigatureEntry:
@@ -510,15 +489,12 @@ def load_font(source) -> FontDescription:
     for cp_hex, forms in as_dict(require(doc, "cmap", "font"), "cmap").items():
         cp = _code_point(cp_hex, "cmap", cmap_cps)
         cmap_cps.add(cp)
-        if type(forms) is not dict:
-            raise SchemaError(f"cmap {cp_hex}: expected an object, got {forms!r}")
-        for form_name, gid in forms.items():
+        where = f"cmap {cp_hex}"
+        for form_name, gid in as_dict(forms, where).items():
             form = _FORMS.get(form_name)
             if form is None:
-                raise SchemaError(f"cmap {cp_hex}: unknown form {form_name!r}")
-            if type(gid) is not str:
-                raise SchemaError(f"cmap {cp_hex} {form_name}: expected a string, got {gid!r}")
-            cmap[(cp, form)] = gid
+                raise SchemaError(f"{where}: unknown form {form_name!r}")
+            cmap[(cp, form)] = as_str(gid, f"{where} {form_name}")
 
     mark_cmap: dict[int, str] = {}
     for cp_hex, mid in as_dict(doc.get("mark_cmap", {}), "mark_cmap").items():

@@ -92,7 +92,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kashida
-from .diacritics import at_word, mark_word
+from .diacritics import GAP_EPSILON, at_word, mark_word
 from .errors import Diagnostic, NoFeasibleBreak, Severity, WordTooWide, checked
 from .fontmodel import FontDescription, GlueSpec
 from .shaper import ShapedWord, WordVariant, default_variant, word_variants
@@ -120,7 +120,7 @@ class JustifyParams(NamedTuple):
     overlap_penalty: int = 3000
     variants: bool = False
     kashida_policy: str = "single_site"
-    gap_epsilon: int = 10
+    gap_epsilon: int = GAP_EPSILON
 
     def _check(self) -> None:
         for name in ("line_penalty", "overlap_penalty", "gap_epsilon"):
@@ -174,7 +174,6 @@ class LineCandidate(NamedTuple):
     variant_ids: tuple[str, ...]
     ratio: float
     badness: int
-    kashida_intervals: tuple[tuple[int, int], ...]
     signature: frozenset[int]
     plans: tuple[kashida.Spans, ...]  # per word: its elongation spans
     glue_widths: tuple[int, ...]
@@ -270,34 +269,31 @@ def _origin(fits: Iterable[_Fit], measure: int) -> int:
     return least // max(1, measure // SIGNATURE_BUCKETS)
 
 
-def _line_intervals(
+def _line_mask(
     fits: Sequence[_Fit],
     elongations: Sequence[kashida.Spans],
     glue_widths: Sequence[int],
     measure: int,
     origin: int,
-) -> tuple[list[tuple[int, int]], int]:
-    """Absolute x intervals of a line's elongations, left to right, and the
-    mask of the signature buckets they cover, bit k for bucket origin + k.
+) -> int:
+    """The mask of the signature buckets a line's elongations cover, bit k
+    for bucket origin + k.
 
     A site's elongation starts at the site's ``x`` in its word, moved right
     by the elongations of the sites before it in the word.
     """
     bucket = max(1, measure // SIGNATURE_BUCKETS)
-    intervals = []
     mask = 0
     x = 0
     for fit, spans, glue_width in zip(fits, elongations, (*glue_widths, 0)):
-        if spans:
-            for _, site_x, amount in spans:
-                start = x + site_x
-                intervals.append((start, start + amount))
-                first = start // bucket - origin
-                last = (start + amount - 1) // bucket - origin
-                mask |= (2 << last) - (1 << first)
-                x += amount
+        for _, site_x, amount in spans:
+            start = x + site_x
+            first = start // bucket - origin
+            last = (start + amount - 1) // bucket - origin
+            mask |= (2 << last) - (1 << first)
+            x += amount
         x += fit.width + glue_width
-    return intervals, mask
+    return mask
 
 
 def _ratio(deficit: int, total_stretch: int, total_shrink: int, is_last: bool) -> float:
@@ -325,7 +321,6 @@ class _Stretch(NamedTuple):
     glue_widths: list[int]
     width: int
     fills_measure: bool
-    intervals: list[tuple[int, int]]
     mask: int  # signature buckets, bit k for bucket origin + k
 
 
@@ -354,7 +349,6 @@ def _stretch(
     glue_widths = [glue.width] * gaps
     width = natural
     fills = True
-    intervals: list[tuple[int, int]] = []
     mask = 0
 
     if cost < INF and not (is_last and deficit >= 0) and deficit != 0:
@@ -373,18 +367,9 @@ def _stretch(
             width = natural + absorbed
             fills = width == measure
         if absorbed:
-            intervals, mask = _line_intervals(fits, elongations, glue_widths, measure, origin)
+            mask = _line_mask(fits, elongations, glue_widths, measure, origin)
 
-    return _Stretch(
-        ratio,
-        cost,
-        elongations,
-        glue_widths,
-        width,
-        fills,
-        intervals,
-        mask,
-    )
+    return _Stretch(ratio, cost, elongations, glue_widths, width, fills, mask)
 
 
 def line_candidate(
@@ -403,7 +388,6 @@ def line_candidate(
         variant_ids=tuple(fit.variant.id for fit in fits),
         ratio=line.ratio,
         badness=line.badness,
-        kashida_intervals=tuple(line.intervals),
         signature=frozenset(origin + k for k in range(mask.bit_length()) if mask >> k & 1),
         plans=tuple(line.elongations),
         glue_widths=tuple(line.glue_widths),

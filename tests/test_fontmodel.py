@@ -16,6 +16,7 @@ from qalam.errors import (
 from qalam.fontmodel import (
     AnchorPoint,
     FontDescription,
+    GlueSpec,
     LigatureEntry,
     LigatureKind,
     MassClass,
@@ -46,6 +47,43 @@ class TestLoad:
         assert demo_font.font_id == "chawki-demo"
         assert demo_font.size_thresholds == SizeThresholds(200, 450)
         assert len(demo_font.ligatures) == 4
+
+    def test_optional_fields_take_their_defaults(self):
+        # Only the required fields, and a ligature without a kind.
+        font = load_doc(
+            {
+                "schema": "qalam-font/1",
+                "units_per_em": 1000,
+                "glyphs": {
+                    "beh.init": {"advance": 240, "ink": [0, 0, 200, 300]},
+                    "alef.fina": {"advance": 100, "ink": [0, 0, 80, 700]},
+                    "beh_alef": {"advance": 300, "ink": [0, 0, 280, 700]},
+                },
+                "marks": {"fatha": {"class": "above", "anchor": [70, 0], "ink": [0, 0, 140, 60]}},
+                "ligatures": [
+                    {
+                        "components": ["beh.init", "alef.fina"],
+                        "glyph": "beh_alef",
+                        "component_anchors": [{}, {}],
+                    }
+                ],
+                "cmap": {"0628": {"initial": "beh.init"}},
+                "size_thresholds": {"medium": 200, "large": 450},
+            }
+        )
+        assert font.font_id == "unnamed"
+        assert (font.mark_cmap, font.gsub, font.gpos) == ({}, (), ())
+        assert (font.kashida_priority, font.mass_positions, font.mass_variants) == ({}, {}, {})
+        assert font.glue == GlueSpec(250, 125, 80)
+        glyph = font.glyphs["beh.init"]
+        assert glyph.anchors == {}
+        assert glyph.max_extension == 0
+        assert glyph.mass_class is MassClass.MEDIUM
+        assert glyph.svg_path is None
+        mark = font.marks["fatha"]
+        assert (mark.variants, mark.stack_anchor, mark.svg_path) == (None, None, None)
+        (ligature,) = font.ligatures
+        assert ligature.kind is LigatureKind.AESTHETIC
 
     def test_accepts_bytes_and_file_objects(self):
         raw = DEMO_FONT_PATH.read_bytes()

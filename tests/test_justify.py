@@ -27,6 +27,7 @@ from qalam.justify import (
     demerits,
     line_candidate,
 )
+from qalam.layout import justified_document
 from qalam.shaper import shape_word, shape_words, word_variants
 from qalam.textmodel import decompose
 
@@ -89,7 +90,6 @@ def fake_line(b: int, signature=frozenset()):
         variant_ids=("default",),
         ratio=0.0,
         badness=b,
-        kashida_intervals=(),
         signature=frozenset(signature),
         plans=((),),
         glue_widths=(),
@@ -347,13 +347,16 @@ class TestBreakOptimum:
         params = JustifyParams(variants=True, kashida_policy=policy)
         optimum = break_optimum(words, measure, font, params)
         for layout in (break_greedy(words, measure, font, params), optimum):
-            for line in layout.lines:
-                candidate = line.candidate
-                assert candidate.signature == frozenset(
-                    k
-                    for a, b in candidate.kashida_intervals
-                    for k in range(a // bucket, (b - 1) // bucket + 1)
-                )
+            for line, record in zip(layout.lines, justified_document(font, layout)["lines"]):
+                # An elongation starts at its glyph's pen plus x_offset (the
+                # record's x) plus the glyph's ink right edge.
+                covered = set()
+                for glyph in record["glyphs"]:
+                    if glyph["elongation"]:
+                        start = glyph["x"] + font.glyphs[glyph["glyph"]].ink.x_max
+                        end = start + glyph["elongation"]
+                        covered.update(range(start // bucket, (end - 1) // bucket + 1))
+                assert line.candidate.signature == covered
         assert min(k for line in optimum.lines for k in line.candidate.signature) < 0
         assert outcome(optimum) == reference_best(words, measure, font, params)
 
@@ -625,7 +628,7 @@ class TestLineCandidateDetails:
             (0, 2), 800, font, False,
         )
         # Deficit 800-610=190 goes to the seen's tail at ink end 560.
-        assert line.kashida_intervals == ((560, 750),)
+        assert line.plans == (((0, 560, 190),), ())
         bucket = 800 // 8
         assert line.signature == frozenset(
             range(560 // bucket, (750 - 1) // bucket + 1)

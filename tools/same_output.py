@@ -55,9 +55,16 @@ the default and the ``json-errors`` format, and ``fontlint`` on its
 bundled font, and one command line per error exit (``_ERROR_EXITS``: a
 missing font file, a character outside the repertoire, a word wider than
 the measure, a malformed layout on stdin) with ``--format text`` and with
-``--format json-errors``. A flag error with ``--format json-errors`` may differ only
+``--format json-errors``, and ``shape --text ب`` on each malformed font of
+``MALFORMED_FONTS`` with ``--format text`` and with ``--format
+json-errors``. A flag error with ``--format json-errors`` may differ only
 by the one ``{"error": ...}`` line that such a tree prints on stdout, so
 that a revision from before that line was added still compares equal.
+
+Each malformed font is the working tree's bundled font with one field
+broken, one per check of the font loader's field readers. The script
+writes them into its temporary directory, so both trees read the same
+files.
 
 Each tree runs in its own Python subprocess, which imports only that
 tree's ``src`` and calls ``qalam.cli.main`` once per command. The script
@@ -176,8 +183,50 @@ _ERROR_EXITS = [
     (("justify", "--font", "{font}", "--text", "\u0628\u0633\u0645", "--width", "10"), ""),
     (("render", "--font", "{font}"), '{"schema": "qalam-layout/1"}'),
 ]
+
+#: The bundled font, from the root of a tree.
+BUNDLED_FONT = Path("src", "qalam", "data", "chawki-demo.qalam-font.json")
+#: The glyph ``ب`` maps to on its own, and a growable mark.
+_BEH, _FATHA = "beh.isol", "fatha"
+#: A value that deletes its field.
+_DELETE = object()
+#: Malformed fonts by file name, each the bundled font with one field
+#: (a path of keys) set to a value or deleted.
+MALFORMED_FONTS = {
+    "advance-missing": (("glyphs", _BEH, "advance"), _DELETE),
+    "advance-string": (("glyphs", _BEH, "advance"), "240"),
+    "advance-negative": (("glyphs", _BEH, "advance"), -1),
+    "ink-degenerate": (("glyphs", _BEH, "ink"), [400, -60, 20, 180]),
+    "ink-bool": (("glyphs", _BEH, "ink"), [20, -60, True, 180]),
+    "glyph-svg-path": (("glyphs", _BEH, "svg_path"), 5),
+    "mark-svg-path": (("marks", _FATHA, "svg_path"), ["M 0 0"]),
+    "variants-array": (("marks", _FATHA, "variants"), []),
+    "variant-id-number": (("marks", _FATHA, "variants", "medium"), 3),
+    "anchor-missing": (("marks", _FATHA, "anchor"), _DELETE),
+    "anchor-short": (("marks", _FATHA, "anchor"), [1]),
+    "cmap-form-number": (("cmap", "0628", "isolated"), 7),
+    "cmap-forms-array": (("cmap", "0628"), []),
+}
+
+
+def write_malformed_fonts(dest: Path) -> None:
+    """Write each of ``MALFORMED_FONTS`` into ``dest`` as ``<name>.json``."""
+    text = (ROOT / BUNDLED_FONT).read_text(encoding="utf-8")
+    for name, ((*steps, key), value) in MALFORMED_FONTS.items():
+        doc = json.loads(text)
+        table = doc
+        for step in steps:
+            table = table[step]
+        if value is _DELETE:
+            del table[key]
+        else:
+            table[key] = value
+        (dest / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
 #: Command lines run once per tree; ``{font}`` stands for its bundled font,
-#: and the word after ``<``, if any, is the line's stdin.
+#: ``{tmp}`` for the script's temporary directory, and the word after
+#: ``<``, if any, is the line's stdin.
 CLI_LINES = [
     (),
     ("-h",),
@@ -193,19 +242,24 @@ CLI_LINES = [
         for argv, stdin in _ERROR_EXITS
         for style in ("text", "json-errors")
     ],
+    *[
+        ("shape", "--font", f"{{tmp}}/{name}.json", *_TEXT, "--format", style)
+        for name in MALFORMED_FONTS
+        for style in ("text", "json-errors")
+    ],
 ]
 
-#: Runs in a fresh interpreter: argv is (src directory, font path), stdin
-#: the JSON list of (font, paragraphs, commands) groups and the fixed
-#: command lines; writes one JSON record per command. A group's font is
-#: null for the tree's bundled font.
+#: Runs in a fresh interpreter: argv is (src directory, font path,
+#: temporary directory), stdin the JSON list of (font, paragraphs,
+#: commands) groups and the fixed command lines; writes one JSON record
+#: per command. A group's font is null for the tree's bundled font.
 WORKER = r"""
 import io, json, sys, traceback
 from contextlib import redirect_stderr, redirect_stdout
 sys.path.insert(0, sys.argv[1])
 from qalam.cli import main
 
-bundled = sys.argv[2]
+bundled, tmp = sys.argv[2:4]
 groups, cli_lines = json.load(sys.stdin)
 
 def run(argv, stdin_text=""):
@@ -223,7 +277,7 @@ def run(argv, stdin_text=""):
 
 records = []
 for line in cli_lines:
-    argv = [bundled if word == "{font}" else word for word in line]
+    argv = [bundled if word == "{font}" else word.replace("{tmp}", tmp) for word in line]
     stdin_text = ""
     if "<" in argv:
         argv, stdin_text = argv[:argv.index("<")], argv[-1]
@@ -278,10 +332,10 @@ class WorkerFailed(Exception):
     """A tree's worker crashed; the message is its last line of stderr."""
 
 
-def run_tree(tree: Path, cases: list) -> list:
-    font = tree / "src" / "qalam" / "data" / "chawki-demo.qalam-font.json"
+def run_tree(tree: Path, cases: list, tmp: Path) -> list:
     done = subprocess.run(
-        [sys.executable, "-I", "-c", WORKER, str(tree / "src"), str(font)],
+        [sys.executable, "-I", "-c", WORKER, str(tree / "src"), str(tree / BUNDLED_FONT),
+         str(tmp)],
         input=json.dumps(cases),
         capture_output=True,
         text=True,
@@ -351,11 +405,12 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError:
             print(f"error: cannot export revision {args.rev!r}", file=sys.stderr)
             return 2
+        write_malformed_fonts(Path(tmp))
         side = "REV"
         try:
-            theirs = run_tree(Path(tmp) / "tree", cases)
+            theirs = run_tree(Path(tmp) / "tree", cases, Path(tmp))
             side = "working tree"
-            ours = run_tree(ROOT, cases)
+            ours = run_tree(ROOT, cases, Path(tmp))
         except WorkerFailed as exc:
             print(f"error: the {side} could not run: {exc}", file=sys.stderr)
             return 2
